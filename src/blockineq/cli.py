@@ -3,7 +3,7 @@
 Exit codes: 0 all checks passed; 1 at least one inequality check failed;
 2 usage or parse error (including violated check preconditions on explicit
 inputs); 3 numerical failure (eigensolver did not converge or rejected its
-input).
+input); 4 internal error (an unexpected exception, a defect of the program).
 """
 
 from __future__ import annotations
@@ -269,6 +269,12 @@ def main(argv=None) -> int:
     except BlockineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a verdict: keep it apart from exit 1
+        import traceback  # only on this path: the module costs start-up time and memory
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ errors.
 :func:`is_psd` decides one matrix or a stack with the matching solver. It
 memoizes the minimum eigenvalues of up to 8192 recently tested matrices,
 so a matrix is solved once however often it is tested meanwhile.
+
+:func:`determinant` (LU with partial pivoting, through numpy) likewise takes
+one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
+minors of a matrix in a few stacked calls.
 """
 
 from __future__ import annotations
@@ -107,12 +111,19 @@ def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (rows, cols))
 
 
-def determinant(x: np.ndarray) -> complex:
-    """Determinant via LU with partial pivoting; ``det`` of 0x0 is 1."""
+def determinant(x: np.ndarray):
+    """Determinant via LU with partial pivoting; ``det`` of 0x0 is 1.
+
+    A ``(k, k)`` matrix gives a complex number; a ``(B, k, k)`` stack gives
+    the complex array of its ``B`` determinants, in one call.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim == 3 and x.shape[1] == x.shape[2]:
+        return np.linalg.det(x)
     n = require_square(x)
     if n == 0:
         return 1.0 + 0.0j
-    return complex(np.linalg.det(np.asarray(x, dtype=np.complex128)))
+    return complex(np.linalg.det(x))
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,28 @@ return a list of reports, one per member. Each inequality is written once,
 over the stack axis; a single matrix is a stack of one. The seeded suites
 check each shape's trials as one stack.
 
-Tolerance conventions (uniform relative testing across magnitudes):
+The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
+and return one report, or a :class:`PairBatch` and return
+:class:`PairReports`, one column entry per pair. Each inequality is written
+once, over the pairs of each cardinality; a single pair is a batch of one.
+The exhaustive suites check all pairs of a matrix as one batch.
+
+Tolerance conventions (uniform relative testing across magnitudes): a
+quantity passes when it is at least ``-tol`` times the scale of the terms
+it is computed from, because its rounding error is relative to them.
 
 - residual matrices pass when their minimum eigenvalue is at least
   ``-tol * max(1, ||LHS||_F, ||RHS||_F)`` over the two constituent sides;
-- scalar gaps pass when ``RHS - LHS >= -tol * max(1, |LHS|, |RHS|)``.
+- scalar gaps pass when ``RHS - LHS >= -tol * max(1, |LHS|, |RHS|)``;
+- the determinant bound's right side is itself a difference, so its gap
+  passes at ``-tol * max(1, |LHS|, |det A[a] det A[b]|, |det A[a,b]|^2)``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,11 +136,12 @@ def _require_psd(mat: np.ndarray, tol: float) -> float:
     return min_eig
 
 
-def _gap(lhs: float, rhs: float, tol: float) -> tuple[float, float, bool]:
-    """Test ``lhs <= rhs`` for scalars; returns (gap, scale, ok)."""
-    gap = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return gap, scale, gap >= -tol * scale
+def _verdict(gap: np.ndarray, terms, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each gap's scale ``max(1, |term|, ...)`` and whether ``gap >= -tol * scale``."""
+    scale = np.ones_like(gap)
+    for term in terms:
+        scale = np.maximum(scale, np.abs(term))
+    return scale, gap >= -tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +291,8 @@ def _check_block(check_name: str, a, tol: float):
         side_mins.append(min_eig)
     for label, lhs, rhs in gaps:
         gap = rhs - lhs
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        passed &= gap >= -tol * scale
+        scale, ok = _verdict(gap, (lhs, rhs), tol)
+        passed &= ok
         details[f"gap_{label}"] = gap.tolist()
         details[f"scale_{label}"] = scale.tolist()
         gap_mins.append(gap)
@@ -397,9 +410,142 @@ def overlap_embedding(a, alpha: IndexSet, beta: IndexSet) -> np.ndarray:
     return np.block([[aa, ab], [ab.conj().T, bb]])
 
 
-def check_trace_submatrix(
-    a, alpha: IndexSet, beta: IndexSet, tol: float = DEFAULT_TOL
-) -> CheckReport:
+# ---------------------------------------------------------------------------
+# Submatrix inequalities, written once over a PairBatch of (alpha, beta)
+# index-set pairs; one pair is a batch of one.
+# ---------------------------------------------------------------------------
+
+
+# PairBatch and PairReports are plain classes: a dataclass costs about
+# 0.5 ms of import time, and every run of the package pays it.
+
+
+class PairBatch:
+    """``(alpha, beta)`` index-set pairs of one universe, with ``|alpha| = |beta|``.
+
+    The pairs come in groups, one per cardinality ``k``. A group is
+    ``(combos, ia, ib)``: ``combos`` is a ``(C, k)`` array of 0-based index
+    sets and the group's pair ``p`` is ``(combos[ia[p]], combos[ib[p]])``.
+    :func:`exhaustive_pairs` builds the batch of every pair of a universe;
+    :meth:`of` the batch of one pair.
+    """
+
+    __slots__ = ("universe", "groups")
+
+    def __init__(self, universe: int, groups: tuple):
+        self.universe = universe
+        self.groups = groups
+
+    @classmethod
+    def of(cls, alpha: IndexSet, beta: IndexSet) -> "PairBatch":
+        """The batch of the single pair ``(alpha, beta)``."""
+        if len(alpha) != len(beta):
+            raise UsageError(
+                f"index sets must have equal cardinality, got {len(alpha)} and {len(beta)}"
+            )
+        alpha._require_same_universe(beta)
+        combos = np.array([alpha.members, beta.members], dtype=np.intp).reshape(2, len(alpha))
+        return cls(alpha.universe, ((combos - 1, np.array([0]), np.array([1])),))
+
+    def __len__(self) -> int:
+        return sum(len(ia) for _, ia, _ in self.groups)
+
+    def pair(self, p: int) -> tuple[list[int], list[int]]:
+        """The members of pair ``p``'s alpha and beta, 1-based."""
+        for combos, ia, ib in self.groups:
+            if p < len(ia):
+                return (combos[ia[p]] + 1).tolist(), (combos[ib[p]] + 1).tolist()
+            p -= len(ia)
+        raise IndexError("pair index out of range")
+
+
+@lru_cache(maxsize=32)
+def exhaustive_pairs(universe: int, distinct: bool = False) -> PairBatch:
+    """Every ``(alpha, beta)`` of ``{1, ..., universe}`` with ``|alpha| = |beta| >= 1``.
+
+    Ordered by cardinality, then alpha, then beta, each lexicographically;
+    ``distinct=True`` leaves out the pairs with ``alpha = beta``. Built on
+    first use for each universe and shared read-only afterwards.
+    """
+    groups = []
+    for k in range(1, universe + 1):
+        combos = np.array(list(itertools.combinations(range(universe), k)), dtype=np.intp)
+        ia, ib = np.divmod(np.arange(len(combos) ** 2), len(combos))
+        if distinct:
+            keep = ia != ib
+            ia, ib = ia[keep], ib[keep]
+        for arr in (combos, ia, ib):
+            arr.flags.writeable = False
+        groups.append((combos, ia, ib))
+    return PairBatch(universe, tuple(groups))
+
+
+class PairReports:
+    """One submatrix check over a :class:`PairBatch`, as columns: entry ``p`` is pair ``p``.
+
+    ``passed`` and ``scalar_gap`` hold each pair's verdict and smallest gap;
+    ``details`` holds the per-pair details of each pair's
+    :class:`CheckReport` as arrays, in report order. :meth:`report` builds
+    the report of one pair.
+    """
+
+    __slots__ = (
+        "check_name", "batch", "passed", "scalar_gap", "details", "tolerance", "input_min_eig"
+    )
+
+    def __init__(self, check_name, batch, passed, scalar_gap, details, tolerance, input_min_eig):
+        self.check_name = check_name
+        self.batch = batch
+        self.passed = passed
+        self.scalar_gap = scalar_gap
+        self.details = details
+        self.tolerance = tolerance
+        self.input_min_eig = input_min_eig
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def report(self, p: int) -> CheckReport:
+        alpha, beta = self.batch.pair(p)
+        details = {key: column[p].item() for key, column in self.details.items()}
+        details.update(alpha=alpha, beta=beta, input_min_eig=self.input_min_eig)
+        return CheckReport(
+            check_name=self.check_name,
+            passed=bool(self.passed[p]),
+            residual_min_eig=None,
+            scalar_gap=float(self.scalar_gap[p]),
+            tolerance=self.tolerance,
+            shape=self.batch.universe,
+            details=details,
+        )
+
+
+def _as_batch(alpha, beta) -> PairBatch:
+    if isinstance(alpha, PairBatch):
+        if beta is not None:
+            raise UsageError("a PairBatch already holds the beta sets; pass tol by keyword")
+        return alpha
+    return PairBatch.of(alpha, beta)
+
+
+def _psd_matrix(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, float]:
+    """The input as a matrix and its minimum eigenvalue, once for the whole batch."""
+    mat = as_matrix(a)
+    n = require_square(mat)
+    input_min = _require_psd(mat, tol)
+    if batch.universe != n:
+        raise ShapeError(
+            f"index-set universe {batch.universe} does not match matrix dimension {n}"
+        )
+    return mat, input_min
+
+
+def _gather(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The ``(P, k, k)`` stack of submatrices ``mat[rows[p], cols[p]]``."""
+    return mat[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
+
+
+def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     """For PSD ``A`` and ``|alpha| = |beta| >= 1``: two submatrix trace bounds.
 
     With ``x = tr(A[a]A[b])``, ``y = tr(A[a,b]* A[a,b])``,
@@ -412,53 +558,79 @@ def check_trace_submatrix(
     ``details["gap_eq9_oneside"]`` records the one-sided gap
     ``R- - (y - x)``, which is the quantity the two-block route
     (:func:`check_block2` on :func:`overlap_embedding`) reproduces directly.
+
+    Takes one pair of :class:`IndexSet` and returns a :class:`CheckReport`,
+    or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
+    returns :class:`PairReports`. Either way the input is tested for PSD
+    once, and each cardinality's pairs are evaluated together: the
+    ``A[alpha]`` and ``A[alpha, beta]`` blocks are gathered as stacks and
+    reduced with ``einsum`` and ``trace``.
     """
-    if len(alpha) != len(beta):
-        raise UsageError(
-            f"index sets must have equal cardinality, got {len(alpha)} and {len(beta)}"
-        )
-    if len(alpha) < 1:
+    batch = _as_batch(alpha, beta)
+    if any(combos.shape[1] == 0 for combos, _, _ in batch.groups):
         raise UsageError("index sets must be nonempty")
-    mat = as_matrix(a)
-    n = require_square(mat)
-    input_min = _require_psd(mat, tol)
-    aa = submatrix(mat, alpha, alpha)
-    ab = submatrix(mat, alpha, beta)
-    bb = submatrix(mat, beta, beta)
-    x = float(np.trace(aa @ bb).real)
-    y = float(np.trace(ab.conj().T @ ab).real)
-    t_aa = float(np.trace(aa).real)
-    t_bb = float(np.trace(bb).real)
-    t_ab = complex(np.trace(ab))
-    r_plus = t_aa * t_bb + abs(t_ab) ** 2
-    r_minus = t_aa * t_bb - abs(t_ab) ** 2
-    gap8, s8, ok8 = _gap(x + y, r_plus, tol)
-    gap9, s9, ok9 = _gap(abs(x - y), r_minus, tol)
+    mat, input_min = _psd_matrix(a, batch, tol)
+    parts = []
+    for combos, ia, ib in batch.groups:
+        blocks = _gather(mat, combos, combos)
+        cross = _gather(mat, combos[ia], combos[ib])
+        # x and y are summed by the same einsum over operands of one layout,
+        # so that at alpha = beta, where they are equal, they are bitwise equal
+        cross_h = np.ascontiguousarray(np.conj(np.swapaxes(cross, 1, 2)))
+        x = np.einsum("pij,pji->p", blocks[ia], blocks[ib]).real
+        y = np.einsum("pij,pji->p", cross_h, cross).real
+        tr = np.trace(blocks, axis1=1, axis2=2).real
+        abs_tr_ab_sq = np.abs(np.trace(cross, axis1=1, axis2=2)) ** 2
+        parts.append((x, y, tr[ia] * tr[ib], abs_tr_ab_sq, np.full(len(ia), combos.shape[1])))
+    x, y, tr_prod, abs_tr_ab_sq, cardinality = (np.concatenate(c) for c in zip(*parts))
+    r_plus = tr_prod + abs_tr_ab_sq
+    r_minus = tr_prod - abs_tr_ab_sq
+    gap8 = r_plus - (x + y)
+    scale8, ok8 = _verdict(gap8, (x + y, r_plus), tol)
+    gap9 = r_minus - np.abs(x - y)
+    scale9, ok9 = _verdict(gap9, (x - y, r_minus), tol)
     details = {
         "gap_thm8": gap8,
-        "scale_thm8": s8,
+        "scale_thm8": scale8,
         "gap_thm9": gap9,
-        "scale_thm9": s9,
+        "scale_thm9": scale9,
         "gap_eq9_oneside": r_minus - (y - x),
-        "cardinality": len(alpha),
-        "alpha": list(alpha.members),
-        "beta": list(beta.members),
-        "input_min_eig": input_min,
+        "cardinality": cardinality,
     }
-    return CheckReport(
-        check_name="trace_submatrix",
-        passed=ok8 and ok9,
-        residual_min_eig=None,
-        scalar_gap=min(gap8, gap9),
-        tolerance=tol,
-        shape=n,
-        details=details,
+    reports = PairReports(
+        "trace_submatrix", batch, ok8 & ok9, np.minimum(gap8, gap9), details, tol, input_min
     )
+    return reports if isinstance(alpha, PairBatch) else reports.report(0)
 
 
-def check_det_submatrix(
-    a, alpha: IndexSet, beta: IndexSet, tol: float = DEFAULT_TOL
-) -> CheckReport:
+# Index sets are bitmasks in the determinant bound.
+_MAX_DET_UNIVERSE = 64
+
+
+def _principal_minors(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``A[S]`` for each index set ``S`` given as a bitmask, padded to ``n x n``.
+
+    ``A[S]`` fills the leading block and the identity the rest, so each
+    padded matrix has the determinant of ``A[S]``, and the empty set's is 1.
+    The padding is decoupled from ``A[S]``, so partial pivoting never picks
+    a padding row; the rounding may still differ from an LU of ``A[S]``
+    alone, which LAPACK blocks by the smaller size.
+    """
+    n = len(mat)
+    member = ((masks[:, np.newaxis] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
+    size = member.sum(axis=1, keepdims=True)
+    # the slot of each index: the members first, in order, then the rest
+    slot = np.where(member, np.cumsum(member, axis=1), size + np.cumsum(~member, axis=1)) - 1
+    sel = np.empty(member.shape, dtype=np.intp)
+    np.put_along_axis(sel, slot, np.where(member, np.arange(n), n), axis=1)
+    ext = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    ext[:n, :n] = mat
+    minors = _gather(ext, sel, sel)
+    minors[:, np.arange(n), np.arange(n)] += np.arange(n) >= size
+    return minors
+
+
+def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     """For PSD ``A``, ``|alpha| = |beta|``, ``alpha != beta``: determinant bound.
 
     ``det A[a u b] * det A[a n b] <= det A[a] * det A[b] - |det A[a, b]|^2``,
@@ -467,45 +639,58 @@ def check_det_submatrix(
     ``details["desnanot_case"]`` flags those pairs. The stated form fails
     trivially at ``alpha = beta`` (the right side collapses to 0), so that
     case is rejected as a usage error.
+
+    The gap is scaled by its terms, ``max(1, |LHS|, |det A[a] det A[b]|,
+    |det A[a, b]|^2)``, not by ``|RHS|``: in the Desnanot-Jacobi case the
+    right side is a difference of two nearly equal terms, and its rounding
+    error is relative to them.
+
+    Takes one pair of :class:`IndexSet` and returns a :class:`CheckReport`,
+    or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
+    returns :class:`PairReports`. Either way the input is tested for PSD
+    once; the principal minors the batch needs are one stacked
+    :func:`~blockineq.densemat.determinant` call, looked up by bitmask, and
+    the cross minors ``A[alpha, beta]`` one call per cardinality. Universes
+    are limited to 64 indices.
     """
-    if len(alpha) != len(beta):
-        raise UsageError(
-            f"index sets must have equal cardinality, got {len(alpha)} and {len(beta)}"
-        )
-    if alpha.universe == beta.universe and alpha.members == beta.members:
+    batch = _as_batch(alpha, beta)
+    if any(np.all(combos[ia] == combos[ib], axis=1).any() for combos, ia, ib in batch.groups):
         raise UsageError("alpha and beta must differ for the determinant bound")
-    mat = as_matrix(a)
-    n = require_square(mat)
-    input_min = _require_psd(mat, tol)
-    det_a = determinant(submatrix(mat, alpha, alpha)).real
-    det_b = determinant(submatrix(mat, beta, beta)).real
-    det_ab = determinant(submatrix(mat, alpha, beta))
-    union = alpha.union(beta)
-    inter = alpha.intersection(beta)
-    det_union = determinant(submatrix(mat, union, union)).real
-    det_inter = determinant(submatrix(mat, inter, inter)).real
+    n = batch.universe
+    if n > _MAX_DET_UNIVERSE:
+        raise UsageError(
+            f"the determinant bound takes index sets of at most {_MAX_DET_UNIVERSE} indices, "
+            f"got a universe of {n}"
+        )
+    mat, input_min = _psd_matrix(a, batch, tol)
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    parts = []
+    for combos, ia, ib in batch.groups:
+        masks = bit[combos].sum(axis=1, dtype=np.uint64)
+        cross = determinant(_gather(mat, combos[ia], combos[ib]))
+        parts.append((masks[ia], masks[ib], cross))
+    ma, mb, det_ab = (np.concatenate(c) for c in zip(*parts))
+    used = np.concatenate([ma, mb, ma | mb, ma & mb])
+    # distinct masks by a set rather than np.unique: at these sizes it is
+    # faster, and it spares the process numpy's uint64 sort (measured 0.2 MiB RSS)
+    masks = np.array(sorted(set(used.tolist())), dtype=np.uint64)
+    minors = determinant(_principal_minors(mat, masks)).real
+    det_a, det_b, det_union, det_inter = minors[np.searchsorted(masks, used)].reshape(4, -1)
     lhs = det_union * det_inter
-    rhs = det_a * det_b - abs(det_ab) ** 2
-    gap, scale, ok = _gap(lhs, rhs, tol)
+    det_prod = det_a * det_b
+    cross_sq = np.abs(det_ab) ** 2
+    gap = (det_prod - cross_sq) - lhs
+    scale, ok = _verdict(gap, (lhs, det_prod, cross_sq), tol)
+    only_alpha = ma & ~mb
     details = {
         "gap": gap,
         "scale": scale,
         "det_alpha": det_a,
         "det_beta": det_b,
-        "abs_det_cross_sq": abs(det_ab) ** 2,
+        "abs_det_cross_sq": cross_sq,
         "det_union": det_union,
         "det_intersection": det_inter,
-        "desnanot_case": len(set(alpha.members) - set(beta.members)) == 1,
-        "alpha": list(alpha.members),
-        "beta": list(beta.members),
-        "input_min_eig": input_min,
+        "desnanot_case": (only_alpha != 0) & ((only_alpha & (only_alpha - 1)) == 0),
     }
-    return CheckReport(
-        check_name="det_submatrix",
-        passed=ok,
-        residual_min_eig=None,
-        scalar_gap=gap,
-        tolerance=tol,
-        shape=n,
-        details=details,
-    )
+    reports = PairReports("det_submatrix", batch, ok, gap, details, tol, input_min)
+    return reports if isinstance(alpha, PairBatch) else reports.report(0)

@@ -6,7 +6,10 @@ Wire formats (one JSON object per file/stream):
   row-major and exactly ``R * C`` entries;
 - block matrix: the same plus ``"m"`` and ``"n"`` (and ``rows = cols = m*n``);
 - linear map: ``{"n": ..., "k": ..., "basis_images": [matrix, ...]}`` with
-  the ``n^2`` images in row-major ``(i, j)`` order.
+  the ``n^2`` images in row-major ``(i, j)`` order;
+- counterexample (as ``blockineq verify`` writes it): ``{"suite": ...,
+  "check": {...}, "input": document, ...}``; it decodes as its ``input``, so
+  a counterexample file replays as the matrix it failed on.
 
 Round-trips are bit-exact for finite doubles: values are emitted via the
 shortest-repr float encoding (or the equivalent integer form when exact),
@@ -108,11 +111,14 @@ def _parse_dense(doc: dict, where: str) -> np.ndarray:
 def doc_to_obj(doc, where: str = "document"):
     """Decode a document into an ndarray, BlockMatrix, or LinearMapRep.
 
-    Dispatch: ``basis_images`` present -> linear map; ``m`` present ->
+    Dispatch: ``check`` and ``input`` present -> counterexample, decoded as
+    its ``input``; ``basis_images`` present -> linear map; ``m`` present ->
     block matrix; otherwise a plain matrix.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if "check" in doc and "input" in doc:
+        return doc_to_obj(doc["input"], f"{where}: input")
     if "basis_images" in doc:
         n = _require_positive_int(doc, "n", where)
         k = _require_positive_int(doc, "k", where)

@@ -9,12 +9,10 @@ wall-clock duration is the only nondeterministic field in a serialized run.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .densemat import DEFAULT_TOL
 from .errors import SelfCheckError, UsageError
 from .inequalities import (
     CheckReport,
-    IndexSet,
     check_block2,
     check_combined_reduction,
     check_copositive_partial_trace,
@@ -32,6 +29,7 @@ from .inequalities import (
     check_ppt_reduction,
     check_trace_submatrix,
     check_upper_bound,
+    exhaustive_pairs,
 )
 from .maps import (
     BUILTIN_MAPS,
@@ -283,26 +281,6 @@ def _rank_for_trial(dim: int, trial: int) -> int:
     return dim
 
 
-@lru_cache(maxsize=32)
-def _trace_pairs(n: int) -> tuple:
-    """All (alpha, beta) with |alpha| = |beta| >= 1, including alpha = beta."""
-    pairs = []
-    for k in range(1, n + 1):
-        combos = [IndexSet(n, c) for c in itertools.combinations(range(1, n + 1), k)]
-        for al in combos:
-            for be in combos:
-                pairs.append((al, be))
-    return tuple(pairs)
-
-
-@lru_cache(maxsize=32)
-def _det_pairs(n: int) -> tuple:
-    """All (alpha, beta) with |alpha| = |beta| >= 1 and alpha != beta."""
-    return tuple(
-        (al, be) for al, be in _trace_pairs(n) if al.members != be.members
-    )
-
-
 def _gram_inputs(cfg: SuiteConfig, suite: str, include_pattern: bool):
     """Yield ``(BlockStack, provenances)`` per shape: its trials, drawn as one stack."""
     for m, n in cfg.shapes:
@@ -384,77 +362,51 @@ def _run_block2(cfg, rec):
         rec.report_stack("block2", reports, a, infos)
 
 
-def _exhaustive_trace(mat, tol, info, rec, trial):
-    """One full (alpha, beta) enumeration of the trace bounds on one matrix."""
-    n = mat.shape[0]
-    pairs = _trace_pairs(n)
-    worst_gap = math.inf
-    worst_pair = pairs[0]
-    failed_pairs = 0
-    for al, be in pairs:
-        rep = check_trace_submatrix(mat, al, be, tol)
-        if rep.scalar_gap < worst_gap:
-            worst_gap = rep.scalar_gap
-            worst_pair = (al, be)
-        if not rep.passed:
-            failed_pairs += 1
-            rec.counterexample("thm8_9", trial, replace(rep, seed_info=info), mat)
+def _record_exhaustive(suite, check_name, reports, mat, info, rec, trial, **extra):
+    """Record one matrix's exhaustive check as one report; each failing pair is a counterexample."""
+    failed = np.flatnonzero(~reports.passed)
+    for p in failed.tolist():
+        rec.counterexample(suite, trial, replace(reports.report(p), seed_info=info), mat)
+    worst = int(np.argmin(reports.scalar_gap))  # the first of equal minima
+    alpha, beta = reports.batch.pair(worst)
     agg = CheckReport(
-        check_name="trace_submatrix_exhaustive",
-        passed=failed_pairs == 0,
+        check_name=check_name,
+        passed=failed.size == 0,
         residual_min_eig=None,
-        scalar_gap=worst_gap,
-        tolerance=tol,
-        shape=n,
+        scalar_gap=float(reports.scalar_gap[worst]),
+        tolerance=reports.tolerance,
+        shape=reports.batch.universe,
         seed_info=info,
         details={
-            "pairs": len(pairs),
-            "failed_pairs": failed_pairs,
-            "worst_alpha": list(worst_pair[0].members),
-            "worst_beta": list(worst_pair[1].members),
+            "pairs": len(reports),
+            "failed_pairs": int(failed.size),
+            "worst_alpha": alpha,
+            "worst_beta": beta,
+            **extra,
         },
     )
-    rec.report("thm8_9", agg)
+    rec.report(suite, agg)
+
+
+def _exhaustive_trace(mat, tol, info, rec, trial):
+    """The trace bounds on every (alpha, beta) pair of one matrix, as one batch."""
+    reports = check_trace_submatrix(mat, exhaustive_pairs(mat.shape[0]), tol=tol)
+    _record_exhaustive("thm8_9", "trace_submatrix_exhaustive", reports, mat, info, rec, trial)
 
 
 def _exhaustive_det(mat, tol, info, rec, trial):
-    """One full (alpha != beta) enumeration of the determinant bound on one matrix."""
+    """The determinant bound on every pair with alpha != beta of one matrix, as one batch."""
     n = mat.shape[0]
-    pairs = _det_pairs(n)
-    if not pairs:
+    pairs = exhaustive_pairs(n, distinct=True)
+    if not len(pairs):
         raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
-    worst_gap = math.inf
-    worst_pair = pairs[0]
-    failed_pairs = 0
-    desnanot_max = 0.0
-    for al, be in pairs:
-        rep = check_det_submatrix(mat, al, be, tol)
-        if rep.scalar_gap < worst_gap:
-            worst_gap = rep.scalar_gap
-            worst_pair = (al, be)
-        if rep.details["desnanot_case"]:
-            rel = abs(rep.scalar_gap) / rep.details["scale"]
-            desnanot_max = max(desnanot_max, rel)
-        if not rep.passed:
-            failed_pairs += 1
-            rec.counterexample("eqlin", trial, replace(rep, seed_info=info), mat)
-    agg = CheckReport(
-        check_name="det_submatrix_exhaustive",
-        passed=failed_pairs == 0,
-        residual_min_eig=None,
-        scalar_gap=worst_gap,
-        tolerance=tol,
-        shape=n,
-        seed_info=info,
-        details={
-            "pairs": len(pairs),
-            "failed_pairs": failed_pairs,
-            "worst_alpha": list(worst_pair[0].members),
-            "worst_beta": list(worst_pair[1].members),
-            "desnanot_max_relgap": desnanot_max,
-        },
+    reports = check_det_submatrix(mat, pairs, tol=tol)
+    desnanot = reports.details["desnanot_case"]
+    relgap = np.abs(reports.scalar_gap[desnanot]) / reports.details["scale"][desnanot]
+    _record_exhaustive(
+        "eqlin", "det_submatrix_exhaustive", reports, mat, info, rec, trial,
+        desnanot_max_relgap=float(np.max(relgap, initial=0.0)),
     )
-    rec.report("eqlin", agg)
 
 
 def _run_thm8_9(cfg, rec):

@@ -235,3 +235,69 @@ def random_psd_lapack(rng: np.random.Generator, n: int) -> np.ndarray:
     g = random_complex(rng, n, n)
     a = g.conj().T @ g
     return (a + a.conj().T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Submatrix inequalities, one (alpha, beta) pair at a time: the scalar route
+# the batched checkers replaced (np.ix_ selections, matrix products, one LU
+# determinant per minor). Index sets are 1-based member tuples; each returns
+# (passed, scalar_gap, details) with the checker's detail keys.
+# ---------------------------------------------------------------------------
+
+
+def _ix(a, rows, cols) -> np.ndarray:
+    return np.asarray(a, dtype=np.complex128)[
+        np.ix_([i - 1 for i in rows], [j - 1 for j in cols])
+    ]
+
+
+def _det(x) -> complex:
+    return complex(np.linalg.det(x)) if len(x) else 1.0 + 0.0j
+
+
+def trace_submatrix_scalar(a, alpha, beta, tol):
+    aa, ab, bb = _ix(a, alpha, alpha), _ix(a, alpha, beta), _ix(a, beta, beta)
+    x = float(np.trace(aa @ bb).real)
+    y = float(np.trace(ab.conj().T @ ab).real)
+    t_aa = float(np.trace(aa).real)
+    t_bb = float(np.trace(bb).real)
+    t_ab = complex(np.trace(ab))
+    r_plus = t_aa * t_bb + abs(t_ab) ** 2
+    r_minus = t_aa * t_bb - abs(t_ab) ** 2
+    gap8 = r_plus - (x + y)
+    s8 = max(1.0, abs(x + y), abs(r_plus))
+    gap9 = r_minus - abs(x - y)
+    s9 = max(1.0, abs(x - y), abs(r_minus))
+    details = {
+        "gap_thm8": gap8,
+        "scale_thm8": s8,
+        "gap_thm9": gap9,
+        "scale_thm9": s9,
+        "gap_eq9_oneside": r_minus - (y - x),
+        "cardinality": len(alpha),
+    }
+    return gap8 >= -tol * s8 and gap9 >= -tol * s9, min(gap8, gap9), details
+
+
+def det_submatrix_scalar(a, alpha, beta, tol):
+    union = tuple(sorted(set(alpha) | set(beta)))
+    inter = tuple(sorted(set(alpha) & set(beta)))
+    det_a = _det(_ix(a, alpha, alpha)).real
+    det_b = _det(_ix(a, beta, beta)).real
+    det_ab = _det(_ix(a, alpha, beta))
+    det_union = _det(_ix(a, union, union)).real
+    det_inter = _det(_ix(a, inter, inter)).real
+    lhs = det_union * det_inter
+    gap = (det_a * det_b - abs(det_ab) ** 2) - lhs
+    scale = max(1.0, abs(lhs), abs(det_a * det_b), abs(det_ab) ** 2)
+    details = {
+        "gap": gap,
+        "scale": scale,
+        "det_alpha": det_a,
+        "det_beta": det_b,
+        "abs_det_cross_sq": abs(det_ab) ** 2,
+        "det_union": det_union,
+        "det_intersection": det_inter,
+        "desnanot_case": len(set(alpha) - set(beta)) == 1,
+    }
+    return gap >= -tol * scale, gap, details

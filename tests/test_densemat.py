@@ -168,6 +168,17 @@ def test_determinant_against_cofactor_expansion():
         assert abs(lib - orc) <= 1e-9 * max(1.0, abs(orc))
 
 
+def test_determinant_of_a_stack_is_per_member():
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 3, 5):
+        stack = np.stack([random_psd_lapack(rng, k) for _ in range(4)] + [np.zeros((k, k))])
+        got = determinant(stack)
+        assert got.shape == (5,) and got.dtype == np.complex128
+        assert got.tolist() == [determinant(member) for member in stack]
+    assert determinant(np.zeros((3, 0, 0))).tolist() == [1.0, 1.0, 1.0]
+    assert determinant(np.zeros((0, 2, 2))).shape == (0,)
+
+
 # ------------------------------------------------------ hermitian eigenvalues
 
 

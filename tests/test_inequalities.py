@@ -1,5 +1,8 @@
 """Inequality checkers: documented cases, oracles, and precondition gates."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from blockineq import (
     BlockMatrix,
     BlockStack,
     CheckReport,
+    HermiticityError,
     IndexSet,
+    PairReports,
     PreconditionError,
     ShapeError,
     UsageError,
@@ -19,20 +24,25 @@ from blockineq import (
     check_ppt_reduction,
     check_trace_submatrix,
     check_upper_bound,
+    exhaustive_pairs,
     kron,
     overlap_embedding,
     partial_trace_1,
     partial_trace_2,
+    random_psd,
     random_separable,
     submatrix,
 )
+from blockineq.inequalities import _verdict
 from oracles import (
     STACK_AGREEMENT_RTOL,
     det_cofactor,
+    det_submatrix_scalar,
     eigvalsh_lapack,
     random_complex,
     random_psd_lapack,
     submatrix_loops,
+    trace_submatrix_scalar,
 )
 
 
@@ -582,3 +592,199 @@ def test_block_checker_on_a_stack_names_the_member_outside_the_hypothesis():
         check_block2(BlockStack(1, 4, stack.mat))
     with pytest.raises(UsageError):
         check_upper_bound(stack.mat)
+
+
+# ------------------------------------------------ batched submatrix checks
+
+# Agreement of the batched submatrix checkers with the scalar oracle, per
+# pair, relative to the size of the terms a quantity is computed from: for
+# the trace bounds max(1, |x + y|, |R+|), which bounds every term for PSD
+# input; for a determinant the Hadamard bound prod(a_ii) of its index set
+# (at least |det| for PSD input), and for the determinant gap
+# max(1, prod_alpha(a_ii) prod_beta(a_ii)). The two routes sum in other
+# orders and pad the principal minors; measured differences stay below
+# 2e-15 for n <= 6, and the bound leaves 50x room for that.
+PAIR_AGREEMENT_RTOL = 1e-13
+
+
+def _submatrix_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    inputs = [
+        random_psd(n, n, seed),
+        random_psd(n, 1, seed + 1),
+        np.diag(rng.uniform(0.1, 10.0, n)),
+    ]
+    return inputs + [c * a for a in inputs for c in (1e-3, 1e3)]
+
+
+def _hadamard(a, members):
+    return float(np.prod([a[i - 1, i - 1].real for i in members]))
+
+
+def _pair_term_scales(check, a, alpha, beta, want):
+    """Each compared quantity's term scale (see PAIR_AGREEMENT_RTOL)."""
+    if check is check_trace_submatrix:
+        return dict.fromkeys(list(want) + ["scalar_gap"], want["scale_thm8"])
+    h_alpha, h_beta = _hadamard(a, alpha), _hadamard(a, beta)
+    both = max(1.0, h_alpha * h_beta)
+    return {
+        "gap": both,
+        "scale": both,
+        "scalar_gap": both,
+        "abs_det_cross_sq": both,
+        "det_alpha": h_alpha,
+        "det_beta": h_beta,
+        "det_union": _hadamard(a, set(alpha) | set(beta)),
+        "det_intersection": _hadamard(a, set(alpha) & set(beta)),
+    }
+
+
+def _margins(want, tol):
+    """How far each of a pair's gaps lies above its pass threshold."""
+    if "gap" in want:
+        return [want["gap"] + tol * want["scale"]]
+    return [want["gap_thm8"] + tol * want["scale_thm8"], want["gap_thm9"] + tol * want["scale_thm9"]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "check, oracle, distinct",
+    [
+        (check_trace_submatrix, trace_submatrix_scalar, False),
+        (check_det_submatrix, det_submatrix_scalar, True),
+    ],
+)
+def test_batched_submatrix_checks_agree_with_the_scalar_oracle(n, check, oracle, distinct):
+    tol = 1e-9
+    batch = exhaustive_pairs(n, distinct)
+    assert len(batch) == math.comb(2 * n, n) - 1 - (2**n - 1 if distinct else 0)
+    for a in _submatrix_inputs(n, 100 + n):
+        got = check(a, batch, tol=tol)
+        assert isinstance(got, PairReports) and len(got) == len(batch)
+        gaps, bounds = [], []
+        for p in range(len(batch)):
+            alpha, beta = batch.pair(p)
+            passed, gap, want = oracle(a, alpha, beta, tol)
+            bound = {
+                key: PAIR_AGREEMENT_RTOL * s
+                for key, s in _pair_term_scales(check, a, alpha, beta, want).items()
+            }
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert got.details[key][p] == pytest.approx(value, rel=0, abs=bound[key]), key
+                else:
+                    assert got.details[key][p] == value, key
+            assert got.scalar_gap[p] == pytest.approx(gap, rel=0, abs=bound["scalar_gap"])
+            # a verdict within rounding of its threshold may go either way
+            if min(abs(m) for m in _margins(want, tol)) > 2 * bound["scalar_gap"]:
+                assert bool(got.passed[p]) == passed, (alpha, beta, want)
+            gaps.append(gap)
+            bounds.append(bound["scalar_gap"])
+        if not gaps:
+            continue
+        # the worst pair is the first minimum, as a strict-< scan finds it
+        worst = int(np.argmin(got.scalar_gap))
+        assert all(got.scalar_gap[q] > got.scalar_gap[worst] for q in range(worst))
+        oracle_worst = int(np.argmin(gaps))
+        assert got.scalar_gap[worst] == pytest.approx(
+            gaps[oracle_worst], rel=0, abs=max(bounds[worst], bounds[oracle_worst])
+        )
+
+
+def test_exhaustive_pairs_are_in_enumeration_order():
+    batch = exhaustive_pairs(3)
+    want = [
+        (list(al), list(be))
+        for k in (1, 2, 3)
+        for al in itertools.combinations((1, 2, 3), k)
+        for be in itertools.combinations((1, 2, 3), k)
+    ]
+    assert [batch.pair(p) for p in range(len(batch))] == want
+    distinct = exhaustive_pairs(3, distinct=True)
+    assert [distinct.pair(p) for p in range(len(distinct))] == [w for w in want if w[0] != w[1]]
+    with pytest.raises(IndexError):
+        batch.pair(len(batch))
+
+
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_one_pair_is_its_row_of_the_batch(check):
+    a = random_psd(5, 3, 31)
+    batch = exhaustive_pairs(5, distinct=True)
+    reports = check(a, batch, tol=1e-9)
+    for p in range(0, len(batch), 7):
+        alpha, beta = batch.pair(p)
+        one = check(a, IndexSet(5, tuple(alpha)), IndexSet(5, tuple(beta)), 1e-9)
+        assert one == reports.report(p)
+
+
+def test_identity_gaps_and_worst_pair_are_exact():
+    # every term is an exact small integer, so both routes must agree bitwise,
+    # and the first of the tied minima is the worst pair
+    a = np.eye(4)
+    for check, oracle, distinct in (
+        (check_trace_submatrix, trace_submatrix_scalar, False),
+        (check_det_submatrix, det_submatrix_scalar, True),
+    ):
+        batch = exhaustive_pairs(4, distinct)
+        got = check(a, batch, tol=1e-9)
+        gaps = [oracle(a, *batch.pair(p), 1e-9)[1] for p in range(len(batch))]
+        assert got.scalar_gap.tolist() == gaps
+        assert int(np.argmin(got.scalar_gap)) == gaps.index(min(gaps))
+
+
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_batched_submatrix_checks_raise_as_one_pair_does(check):
+    alpha, beta = IndexSet(3, (1,)), IndexSet(3, (2,))
+    batch = exhaustive_pairs(3, distinct=True)
+    not_psd = np.diag([1.0, 1.0, -1.0])
+    not_hermitian = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for pairs in ((alpha, beta), (batch,)):
+        with pytest.raises(PreconditionError, match="input is not PSD"):
+            check(not_psd, *pairs)
+        with pytest.raises(HermiticityError):
+            check(not_hermitian, *pairs)
+        with pytest.raises(ShapeError, match="does not match matrix dimension 4"):
+            check(np.eye(4), *pairs)
+    with pytest.raises(UsageError, match="pass tol by keyword"):
+        check(np.eye(3), batch, 1e-9)
+
+
+def test_det_batch_rejects_equal_sets_and_universes_beyond_bitmasks():
+    with pytest.raises(UsageError, match="must differ"):
+        check_det_submatrix(np.eye(3), exhaustive_pairs(3))
+    with pytest.raises(UsageError, match="at most 64 indices"):
+        check_det_submatrix(np.eye(65), IndexSet(65, (1,)), IndexSet(65, (2,)))
+
+
+# the input on which the determinant bound's right side cancels: in this
+# Desnanot-Jacobi pair det A[a] det A[b] and |det A[a,b]|^2 are both about
+# 6.5e5 and agree exactly in exact arithmetic
+DESNANOT_CANCELLATION = (random_psd, (5, 3, 16579988470110936210), (1, 4, 5), (3, 4, 5))
+
+
+def test_det_gap_is_scaled_by_its_terms():
+    draw, args, alpha, beta = DESNANOT_CANCELLATION
+    rep = check_det_submatrix(draw(*args), IndexSet(5, alpha), IndexSet(5, beta))
+    d = rep.details
+    assert d["desnanot_case"] is True
+    assert d["abs_det_cross_sq"] > 6e5 and d["det_alpha"] * d["det_beta"] > 6e5
+    # rounding of ~1e-9 against terms of 6.5e5: well inside the tolerance
+    assert abs(rep.scalar_gap) < 1e-8
+    assert d["scale"] == max(1.0, abs(d["det_union"] * d["det_intersection"]),
+                             d["det_alpha"] * d["det_beta"], d["abs_det_cross_sq"])
+    assert rep.passed
+
+
+def test_det_gap_beyond_tolerance_of_its_terms_still_fails():
+    terms = 6.5e5
+    scale, ok = _verdict(np.array([-1e-6 * terms, -1e-10 * terms]), (np.zeros(2), np.full(2, terms)), 1e-9)
+    assert scale.tolist() == [terms, terms]
+    assert ok.tolist() == [False, True]
+    # a genuine violation through the checker: [[I, cI], [cI, I]] with
+    # c = 1 + 2e-9 is PSD within tolerance (min eigenvalue -2e-9 against
+    # scale 2.8), and its gap -8e-9 is eight times the tolerance of its terms
+    c = 1.0 + 2e-9
+    a = np.block([[np.eye(2), c * np.eye(2)], [c * np.eye(2), np.eye(2)]])
+    rep = check_det_submatrix(a, IndexSet(4, (1, 2)), IndexSet(4, (3, 4)))
+    assert rep.scalar_gap == pytest.approx(-8e-9, rel=1e-3)
+    assert not rep.passed

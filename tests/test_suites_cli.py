@@ -494,6 +494,39 @@ def test_cli_verify_exit1_and_counterexample_files(tmp_path, capsys):
     )
 
 
+def test_cli_verify_replays_a_counterexample_file(tmp_path, capsys):
+    mat_path = tmp_path / "gap.json"
+    save(mat_path, np.array([[1e6, 0.0], [0.0, -1e-4]]))
+    rc = main(["verify", "--suite", "thm8_9", "--out", str(tmp_path / "report.txt"), str(mat_path)])
+    assert rc == 1
+    written = tmp_path / "counterexample-thm8_9-000.json"
+    first = json.loads(written.read_text(encoding="utf-8"))
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    out = replay / "report.json"
+    rc = main(["verify", "--suite", "thm8_9", "--format", "json", "--out", str(out), str(written)])
+    capsys.readouterr()
+    assert rc == 1
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    again = doc["counterexamples"][0]
+    assert again["input"] == first["input"]
+    for key in ("alpha", "beta", "gap_thm8", "gap_thm9"):
+        assert again["check"]["details"][key] == first["check"]["details"][key], key
+
+
+def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("checker defect")
+
+    monkeypatch.setattr(suites, "check_trace_submatrix", broken)
+    path = tmp_path / "plain.json"
+    save(path, random_psd(3, 3, 11))
+    rc = main(["verify", "--suite", "thm8_9", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "internal error: RuntimeError: checker defect" in err
+
+
 def test_cli_verify_exit2_on_precondition(tmp_path, capsys):
     # PSD but not PPT: corollary3 refuses the input rather than reporting failure.
     path = tmp_path / "pattern.json"
