@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed; 1 at least one inequality check failed;
 2 usage or parse error (including violated check preconditions on explicit
 inputs); 3 numerical failure (eigensolver did not converge or rejected its
-input); 4 internal error (an unexpected exception, a defect of the program).
+input: not Hermitian, or a norm that overflows); 4 internal error (an
+unexpected exception, a defect of the program).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     BlockineqError,
     ConvergenceError,
     HermiticityError,
+    NormOverflowError,
     ParseError,
     PreconditionError,
     SelfCheckError,
@@ -263,7 +265,7 @@ def main(argv=None) -> int:
     except (UsageError, ParseError, ValidationError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, HermiticityError, SelfCheckError) as exc:
+    except (ConvergenceError, HermiticityError, NormOverflowError, SelfCheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except BlockineqError as exc:

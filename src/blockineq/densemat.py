@@ -7,17 +7,19 @@ iterations that are numerically robust at the desk scale this package
 targets (dimension <= 64):
 
 - :func:`hermitian_eigenvalues` solves one matrix with a scalar loop. It
-  runs whenever one matrix is solved: explicit input files, the submatrix
-  suites, the public ``check_*`` functions on one block matrix, and any
-  stack of one, for which it is the faster of the two.
+  runs whenever one matrix is solved: the input of an explicit input file,
+  the submatrix suites, the public ``check_*`` functions on one block
+  matrix, and any stack of one, for which it is the faster of the two.
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack at once in
   the round-robin (parallel) pair ordering, vectorized over the stack and the
   disjoint pairs of each round. The seeded block suites go through it: they
-  draw, test and check each shape's trials as one stack.
+  draw, test and check each shape's trials as one stack. So does file
+  verification: it solves all of a document's residuals, for every
+  requested block suite, as one stack.
 
 Both apply the same rules to each matrix: the same Hermiticity check and
 symmetrization, the same skip threshold, the same stopping rule and the same
-errors.
+errors, including a refusal of any matrix whose Frobenius norm overflows.
 
 :func:`is_psd` decides one matrix or a stack with the matching solver. It
 memoizes the minimum eigenvalues of up to 8192 recently tested matrices,
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, HermiticityError, ShapeError
+from .errors import ConvergenceError, HermiticityError, NormOverflowError, ShapeError
 
 # Hermiticity acceptance for eigensolver inputs, relative to max(1, ||X||_F).
 HERMITICITY_RTOL = 1e-10
@@ -170,6 +172,8 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
 
     Raises
     ------
+    NormOverflowError
+        If ``||x||_F`` is not finite in float64; raised before any sweep.
     HermiticityError
         If the input is not Hermitian within tolerance.
     ConvergenceError
@@ -179,7 +183,10 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     if n == 0:
         return EigenResult(np.empty(0, dtype=np.float64), 0.0, 0)
     x = np.asarray(x, dtype=np.complex128)
-    scale = max(1.0, frobenius(x))
+    norm = frobenius(x)
+    if not math.isfinite(norm):
+        raise NormOverflowError(f"matrix is too large to solve: ||X||_F = {norm} overflows float64")
+    scale = max(1.0, norm)
     defect = hermiticity_defect(x)
     if defect > HERMITICITY_RTOL * scale:
         raise HermiticityError(
@@ -285,6 +292,9 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     ------
     ShapeError
         If ``x`` is not a stack of square matrices.
+    NormOverflowError
+        If any member's ``||x||_F`` is not finite in float64; names the first,
+        and is raised before any sweep.
     HermiticityError
         If any member is not Hermitian within tolerance; names the first.
     ConvergenceError
@@ -303,7 +313,14 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     sweeps = np.zeros(count, dtype=np.int64)
     if count == 0 or n == 0:
         return EigenResult(np.empty((count, n)), np.zeros(count), sweeps)
-    scale = np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
+    norm = np.linalg.norm(x, axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(norm))
+    if bad.size:
+        k = bad[0]
+        raise NormOverflowError(
+            f"stack member {k} is too large to solve: ||X||_F = {norm[k]} overflows float64"
+        )
+    scale = np.maximum(1.0, norm)
     xh = np.conj(np.swapaxes(x, 1, 2))
     defect = np.linalg.norm(x - xh, axis=(1, 2))
     bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)

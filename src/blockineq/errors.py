@@ -30,6 +30,14 @@ class ConvergenceError(BlockineqError, RuntimeError):
         self.offdiag_residual = offdiag_residual
 
 
+class NormOverflowError(BlockineqError, OverflowError):
+    """A matrix's Frobenius norm overflows float64 (or is NaN).
+
+    No eigenvalue of such a matrix can be trusted, so the eigensolvers refuse
+    it before any sweep; rescaling the input is the remedy.
+    """
+
+
 class SelfCheckError(BlockineqError, RuntimeError):
     """The package contradicted itself: a generator's output lacks the
     property its construction guarantees (PSD, PPT), or a verdict that must

@@ -244,8 +244,10 @@ def _check_block(check_name: str, a, tol: float):
     """One block inequality on a BlockMatrix (a report) or a BlockStack (a list).
 
     The hypothesis (PSD, or PPT) is tested on the whole stack first; the
-    first member outside it raises. Each residual is then one stack, solved
-    by :func:`blockineq.densemat.hermitian_eigenvalues_stack`.
+    first member outside it raises. Each residual of a stack is then one
+    stack, solved by :func:`blockineq.densemat.hermitian_eigenvalues_stack`.
+    Each residual of one matrix is read through :func:`is_psd`'s memo, which
+    :func:`_presolve` may have filled for several checks of that matrix.
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -282,7 +284,10 @@ def _check_block(check_name: str, a, tol: float):
     side_mins = []
     gap_mins = []
     for label, lhs, rhs in sides:
-        min_eig = hermitian_eigenvalues_stack(lhs - rhs).values[:, 0]
+        if stack is a:
+            min_eig = hermitian_eigenvalues_stack(lhs - rhs).values[:, 0]
+        else:
+            min_eig = is_psd(lhs - rhs, tol)[1]
         norms = np.linalg.norm(lhs, axis=(1, 2)), np.linalg.norm(rhs, axis=(1, 2))
         scale = np.maximum(1.0, np.maximum(*norms))
         passed &= min_eig >= -tol * scale
@@ -315,6 +320,33 @@ def _check_block(check_name: str, a, tol: float):
         for k, ok in enumerate(passed.tolist())
     ]
     return reports if stack is a else reports[0]
+
+
+def _presolve(a: BlockMatrix, check_names, tol: float) -> None:
+    """Solve every residual the named block checks build for ``a`` in one stack.
+
+    The stack also holds ``a``'s partial transpose when a check needs PPT.
+    The minimum eigenvalues go to :func:`is_psd`'s memo, where the checkers
+    on ``a`` then read them: the residuals are built by the same code on the
+    same one-member stack, so they are the same bytes. The stacked solver
+    rotates in another order than the scalar one, so each value agrees with
+    a lone check's to rounding, not bitwise.
+
+    Nothing is solved unless ``a`` is PSD (tested alone, as the checkers
+    test it): otherwise the first checker refuses it, and needs no residual.
+    ``check_block2``'s residual is left out unless ``a`` has two block rows.
+    """
+    names = [name for name in check_names if name != "block2" or a.m == 2]
+    if not names or not is_psd(a.mat, tol)[0]:
+        return
+    stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
+    mats = []
+    if any(_BLOCK_INEQUALITIES[name][0] == "ppt" for name in names):
+        mats.append(partial_transpose(stack).mat)
+    for name in names:
+        sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
+        mats.extend(lhs - rhs for _, lhs, rhs in sides)
+    is_psd(np.concatenate(mats), tol)
 
 
 def check_copositive_partial_trace(a, tol: float = DEFAULT_TOL):

@@ -8,12 +8,17 @@ which keeps trials independent and parallel-safe.
 Complex Gaussians are produced by Box-Muller on the uniform stream rather
 than the generator's built-in normal sampler, so the mapping from uniforms
 to entries is pinned by this module and not by the numpy version.
+
+Each thread keeps one Philox generator and re-keys it for every draw, since
+building a keyed ``Philox`` first seeds it from OS entropy, which costs more
+than the draw itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,9 +60,35 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+_local = threading.local()
+
+
+def _keyed_generator(seed: int) -> np.random.Generator:
+    """This thread's generator, in the state of ``Generator(Philox(key=seed))``.
+
+    Key ``(seed, 0)``, counter 0 and an empty buffer, so the draws are those
+    of a fresh generator, without the OS-entropy read that building one costs.
+    """
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def complex_gaussians(rows: int, cols: int, seed: int) -> np.ndarray:
     """A ``rows x cols`` matrix of i.i.d. complex Gaussians (N(0,1) parts)."""
-    gen = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+    gen = _keyed_generator(_check_seed(seed))
     count = rows * cols
     u = gen.random(2 * count)
     # 1 - u lies in (0, 1], keeping the log finite

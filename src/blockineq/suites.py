@@ -5,6 +5,10 @@ Each suite draws its inputs from child seeds derived as
 replayed from the provenance string in its report without re-running the
 batch. Reports are assembled in canonical suite order and trial order; the
 wall-clock duration is the only nondeterministic field in a serialized run.
+
+:func:`run_files` checks explicit documents instead. It solves all of a
+document's block-suite residuals as one stack, so their values agree with a
+lone ``check_*`` call on the document to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .densemat import DEFAULT_TOL
 from .errors import SelfCheckError, UsageError
 from .inequalities import (
     CheckReport,
+    _presolve,
     check_block2,
     check_combined_reduction,
     check_copositive_partial_trace,
@@ -53,7 +58,15 @@ SUITE_NAMES = (
     "eqlin",
     "choi_certs",
 )
-_BLOCK_SUITES = frozenset({"theorem2", "corollary3", "combined", "upper_bound", "corollary6", "block2"})
+# block suite -> the inequality it checks (an entry of the block-inequality table)
+_BLOCK_SUITES = {
+    "theorem2": "copositive_partial_trace",
+    "corollary3": "ppt_reduction",
+    "combined": "combined_reduction",
+    "upper_bound": "upper_bound",
+    "corollary6": "phi_lower",
+    "block2": "block2",
+}
 _SUBMATRIX_SUITES = frozenset({"thm8_9", "eqlin"})
 
 DEFAULT_SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -506,6 +519,12 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     any square matrix (a block document's matrix is used as-is) and enumerate
     all index-set pairs exhaustively. ``choi_certs`` never consumes matrix
     files; requesting it by name here is a usage error.
+
+    A document is tested for PSD alone; if it is PSD, the residuals of all
+    its requested block suites (and its partial transpose, for the PPT
+    suites) are then solved as one stack before the checkers run, and the
+    checkers read their values from that solve. Those values agree with a
+    lone ``check_*`` call on the document to rounding, not bitwise.
     """
     start = time.perf_counter()
     if "choi_certs" in config.suites:
@@ -516,12 +535,15 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     paths = list(paths)
     if not paths:
         raise UsageError("no input files given")
+    block_checks = [_BLOCK_SUITES[name] for name in names if name in _BLOCK_SUITES]
     rec = _Recorder(names)
     for idx, path in enumerate(paths):
         obj = load(path)
         if isinstance(obj, LinearMapRep):
             raise UsageError(f"{path}: expected a matrix document, found a linear map")
         label = f"file {path}"
+        if block_checks and isinstance(obj, BlockMatrix):
+            _presolve(obj, block_checks, config.tol)
         for name in names:
             if name in _BLOCK_SUITES:
                 if not isinstance(obj, BlockMatrix):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blockineq import (
     ConvergenceError,
     HermiticityError,
+    NormOverflowError,
     ShapeError,
     as_matrix,
     conj_transpose,
@@ -343,6 +344,30 @@ def test_stacked_eigenvalues_raise_as_the_scalar_solver(monkeypatch):
     threshold = densemat.JACOBI_RTOL * np.linalg.norm(good)
     assert scalar_err.value.offdiag_residual >= threshold
     assert stack_err.value.offdiag_residual >= threshold
+
+
+def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
+    # entries of 1e200 are finite, but ||X||_F overflows: the solvers must not
+    # spend their sweep budget on inf and then report non-convergence
+    def no_sweep(*args):
+        raise AssertionError("a rotation ran on an overflowing matrix")
+
+    monkeypatch.setattr(densemat, "_rotate", no_sweep)
+    monkeypatch.setattr(densemat, "_rotate_stack", no_sweep)
+    big = np.full((4, 4), 1e200, dtype=np.complex128)
+    with pytest.raises(NormOverflowError, match=r"^matrix is too large to solve: .* overflows"):
+        hermitian_eigenvalues(big)
+    with pytest.raises(NormOverflowError, match=r"^stack member 1 is too large to solve: .*= inf"):
+        hermitian_eigenvalues_stack(np.stack([np.eye(4), big, big]))
+    with pytest.raises(NormOverflowError, match="stack member 0 .*= nan overflows"):
+        hermitian_eigenvalues_stack(np.stack([np.full((4, 4), np.nan), np.eye(4)]))
+    with pytest.raises(NormOverflowError, match="^matrix is too large"):
+        is_psd(big)
+    densemat._solved.cache_clear()  # a memoized member would leave a stack of one
+    with pytest.raises(NormOverflowError, match="^stack member 1 "):
+        is_psd(np.stack([np.eye(4), big]))
+    # large but finite norms still solve
+    assert hermitian_eigenvalues(np.eye(4) * 1e150).values == pytest.approx([1e150] * 4)
 
 
 # ------------------------------------------------------------------- is_psd

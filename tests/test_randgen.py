@@ -67,6 +67,21 @@ def test_gaussians_deterministic_bitwise():
     assert a.shape == (4, 5)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, MAX_SEED, derive_seed(42, "theorem2", 2, 2, 0), derive_seed(7, "witness", 3)],
+)
+def test_gaussians_are_box_muller_on_a_fresh_philox_stream(seed):
+    # the reused, re-keyed generator draws what a freshly keyed one draws
+    rows, cols = 3, 5
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * rows * cols)
+    radii = np.sqrt(-2.0 * np.log1p(-u[: rows * cols]))
+    angles = (2.0 * np.pi) * u[rows * cols :]
+    want = (radii * np.cos(angles) + 1j * (radii * np.sin(angles))).reshape(rows, cols)
+    complex_gaussians(4, 4, seed ^ 1)  # leaves the shared generator mid-stream
+    assert np.array_equal(complex_gaussians(rows, cols, seed), want)
+
+
 def test_gaussians_seed_sensitivity():
     assert not np.array_equal(complex_gaussians(4, 4, 1), complex_gaussians(4, 4, 2))
 

@@ -8,11 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockineq import randgen, suites
+from blockineq import densemat, inequalities, randgen, suites
 from blockineq.blockops import BlockMatrix, is_ppt, partial_transpose
 from blockineq.cli import main
 from blockineq.densemat import is_psd
-from blockineq.errors import PreconditionError, SelfCheckError, UsageError
+from blockineq.errors import (
+    BlockineqError,
+    HermiticityError,
+    PreconditionError,
+    SelfCheckError,
+    UsageError,
+)
 from blockineq.inequalities import (
     check_block2,
     check_combined_reduction,
@@ -228,6 +234,26 @@ def _agreement_scale(key, details, input_scale):
     return input_scale
 
 
+def _assert_agrees(got, want, a, exact=()):
+    """``got`` has ``want``'s name, verdict, shape and detail keys; its flags and
+    the details named in ``exact`` are equal, and its other numbers agree
+    within ``STACK_AGREEMENT_RTOL`` of their scale."""
+    assert (got.check_name, got.passed, got.shape) == (want.check_name, want.passed, want.shape)
+    assert list(got.details) == list(want.details)
+    input_scale = max(1.0, np.linalg.norm(a.mat))
+    for key, value in want.details.items():
+        if isinstance(value, bool) or key in exact:
+            assert got.details[key] == value, key
+            continue
+        bound = STACK_AGREEMENT_RTOL * _agreement_scale(key, want.details, input_scale)
+        assert abs(got.details[key] - value) <= bound, (key, got.details[key], value)
+    residual_scale = max(v for key, v in want.details.items() if key.startswith("scale_"))
+    bound = STACK_AGREEMENT_RTOL * residual_scale
+    assert abs(got.residual_min_eig - want.residual_min_eig) <= bound
+    if want.scalar_gap is not None:
+        assert abs(got.scalar_gap - want.scalar_gap) <= bound
+
+
 @pytest.mark.parametrize("suite", sorted(_REPLAY))
 def test_stacked_suite_path_equals_single_check_replay(suite):
     cfg = SuiteConfig(
@@ -241,26 +267,8 @@ def test_stacked_suite_path_equals_single_check_replay(suite):
     for k, got in enumerate(reports):
         m, n = shapes[k // _REPLAY_TRIALS]
         a, info = _replay(suite, m, n, k % _REPLAY_TRIALS, cfg.seed, cfg.tol)
-        want = checker(a, cfg.tol)
-        assert (got.check_name, got.passed, got.shape, got.seed_info) == (
-            want.check_name,
-            want.passed,
-            want.shape,
-            info,
-        )
-        assert list(got.details) == list(want.details)
-        input_scale = max(1.0, np.linalg.norm(a.mat))
-        for key, value in want.details.items():
-            if isinstance(value, bool):
-                assert got.details[key] == value, key
-                continue
-            bound = STACK_AGREEMENT_RTOL * _agreement_scale(key, want.details, input_scale)
-            assert abs(got.details[key] - value) <= bound, (key, got.details[key], value)
-        residual_scale = max(v for key, v in want.details.items() if key.startswith("scale_"))
-        bound = STACK_AGREEMENT_RTOL * residual_scale
-        assert abs(got.residual_min_eig - want.residual_min_eig) <= bound
-        if want.scalar_gap is not None:
-            assert abs(got.scalar_gap - want.scalar_gap) <= bound
+        assert got.seed_info == info
+        _assert_agrees(got, checker(a, cfg.tol), a)
         infos.append(info)
     # the trials above reach every kind of input the suite draws
     if _REPLAY[suite][1] == "ppt":
@@ -416,6 +424,168 @@ def test_run_files_failing_matrix_yields_counterexamples(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# run_files: a document's residuals are solved as one stack
+# ---------------------------------------------------------------------------
+
+_FILE_SHAPES = ((2, 4), (3, 3), (4, 4))
+_FILE_KINDS = ("full_rank", "half_rank", "separable")
+
+
+def _file_document(tmp_path, kind, m, n, seed=17):
+    """A saved document of ``kind``, read back, and the block suites that apply to it."""
+    d = m * n
+    if kind == "separable":
+        a = random_separable(m, n, 2, seed)
+    else:
+        a = BlockMatrix(m, n, random_psd(d, d if kind == "full_rank" else -(-d // 2), seed))
+    path = tmp_path / f"{kind}-{m}x{n}.json"
+    save(path, a)
+    names = [
+        name
+        for name in SUITE_NAMES
+        if name in _REPLAY
+        and (kind == "separable" or _REPLAY[name][1] != "ppt")
+        and (name != "block2" or m == 2)
+    ]
+    return path, load(path), names
+
+
+class _Solves:
+    """Counts eigensolves: scalar ones, and stacked ones of more than one matrix."""
+
+    def __init__(self, monkeypatch):
+        self.scalar = 0
+        self.stacked = []
+        real_scalar = densemat.hermitian_eigenvalues
+        real_stack = densemat.hermitian_eigenvalues_stack
+
+        def scalar(x):
+            self.scalar += 1
+            return real_scalar(x)
+
+        def stack(x):
+            if len(x) > 1:
+                self.stacked.append(len(x))
+            return real_stack(x)  # a stack of one calls scalar() above
+
+        monkeypatch.setattr(densemat, "hermitian_eigenvalues", scalar)
+        monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", stack)
+        monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", stack)
+
+    def counts(self):
+        return self.scalar, list(self.stacked)
+
+
+@pytest.mark.parametrize("kind", _FILE_KINDS)
+@pytest.mark.parametrize("m, n", _FILE_SHAPES)
+def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind):
+    path, a, names = _file_document(tmp_path, kind, m, n)
+    tol = 1e-9
+    densemat._solved.cache_clear()
+    wants = {name: _REPLAY[name][0](a, tol) for name in names}
+    densemat._solved.cache_clear()
+    solves = _Solves(monkeypatch)
+    after_presolve = []
+    real_presolve = suites._presolve
+
+    def presolve(*args):
+        real_presolve(*args)
+        after_presolve.append(solves.counts())
+
+    monkeypatch.setattr(suites, "_presolve", presolve)
+    report = run_files(SuiteConfig(suites=tuple(names), tol=tol), [path])
+    # the input alone, then every residual (and the partial transpose) in one
+    # stack; the checkers read those values and solve nothing more
+    assert after_presolve == [solves.counts()]
+    scalar, stacked = solves.counts()
+    assert scalar == 1 and len(stacked) == 1
+    assert report.passed
+    for name in names:
+        (got,) = report.reports[name]
+        _assert_agrees(got, wants[name], a, exact=("input_min_eig",))
+
+
+def test_run_files_reports_are_byte_identical_run_to_run(tmp_path):
+    path, _, names = _file_document(tmp_path, "separable", 2, 4)
+    cfg = SuiteConfig(suites=tuple(names))
+    runs = []
+    for _ in range(2):
+        densemat._solved.cache_clear()  # as in a fresh process
+        runs.append(_doc_without_duration(run_files(cfg, [path])))
+    assert runs[0] == runs[1]
+
+
+def _errors_one_suite_at_a_time(a, names, tol):
+    """The suites completed, and the error raised, when each suite's checker runs
+    alone in turn from an empty memo, as run_files ran them before it solved a
+    document's residuals together."""
+    densemat._solved.cache_clear()
+    done = []
+    for name in names:
+        try:
+            suites._FILE_CHECKERS[name](a, tol)
+        except BlockineqError as exc:
+            return done, exc
+        done.append(name)
+    raise AssertionError("no suite refused the document")
+
+
+def _rank_one_block(m, n, seed):
+    return BlockMatrix(m, n, random_psd(m * n, 1, seed))
+
+
+@pytest.mark.parametrize(
+    "doc, error, stacked",
+    [
+        # Hermitian, eigenvalue -1: every block suite refuses it
+        (lambda: partial_transpose(entangled_pattern(2)), PreconditionError, False),
+        (lambda: entangled_pattern(2), PreconditionError, True),  # PSD, not PPT
+        (lambda: entangled_pattern(3), PreconditionError, True),
+        (lambda: _rank_one_block(2, 2, 5), PreconditionError, True),  # a generic pure state
+        (lambda: BlockMatrix(2, 2, np.triu(np.ones((4, 4)))), HermiticityError, False),
+        # every suite but block2 applies: check_block2 refuses three block rows
+        (lambda: random_separable(3, 2, 2, 5), UsageError, True),
+    ],
+    ids=["not_psd", "pattern_2", "pattern_3", "rank_one", "not_hermitian", "block2_3x2"],
+)
+def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, error, stacked):
+    a = doc()
+    path = tmp_path / "doc.json"
+    save(path, a)
+    a = load(path)
+    names = [name for name in SUITE_NAMES if name in _REPLAY]
+    done_alone, want = _errors_one_suite_at_a_time(a, names, 1e-9)
+    assert type(want) is error
+    completed = []
+    for name in names:
+        checker = suites._FILE_CHECKERS[name]
+
+        def recording(obj, tol, name=name, checker=checker):
+            rep = checker(obj, tol)
+            completed.append(name)
+            return rep
+
+        monkeypatch.setitem(suites._FILE_CHECKERS, name, recording)
+    densemat._solved.cache_clear()
+    solves = _Solves(monkeypatch)
+    with pytest.raises(error) as got:
+        run_files(SuiteConfig(suites=tuple(names)), [path])
+    assert str(got.value) == str(want)
+    assert completed == done_alone
+    assert len(solves.stacked) == (1 if stacked else 0)
+
+
+def test_run_files_block2_alone_on_three_block_rows_is_a_usage_error(tmp_path, monkeypatch):
+    path = tmp_path / "sep.json"
+    save(path, random_separable(3, 2, 2, 5))
+    densemat._solved.cache_clear()
+    solves = _Solves(monkeypatch)
+    with pytest.raises(UsageError, match="check_block2 requires block shape m=2, got m=3"):
+        run_files(SuiteConfig(suites=("block2",)), [path])
+    assert solves.counts() == (0, [])
+
+
+# ---------------------------------------------------------------------------
 # CLI: verify
 # ---------------------------------------------------------------------------
 
@@ -562,6 +732,22 @@ def test_cli_verify_exit3_on_non_hermitian_input(tmp_path, capsys):
     rc = main(["verify", "--suite", "thm8_9", str(path)])
     assert rc == 3
     assert "numerical failure: matrix is not Hermitian" in capsys.readouterr().err
+
+
+def test_cli_verify_exit3_on_overflowing_input(tmp_path, capsys):
+    # finite entries of 1e200, but the Frobenius norm overflows float64
+    path = tmp_path / "big.json"
+    save(path, BlockMatrix(2, 2, np.full((4, 4), 1e200)))
+    assert main(["verify", "--suite", "theorem2", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: matrix is too large to solve: ||X||_F = inf overflows" in err
+    assert "did not converge" not in err
+    # a finite norm, but block2's products overflow in the document's stacked solve
+    path = tmp_path / "products.json"
+    save(path, BlockMatrix(2, 2, random_psd(4, 4, 3) * 1e100))
+    assert main(["verify", "--suite", "theorem2", "--suite", "block2", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: stack member" in err and "overflows float64" in err
 
 
 def test_cli_bad_shape_token_is_argparse_error():
