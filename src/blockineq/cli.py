@@ -164,22 +164,8 @@ def _write_counterexamples(report, out: str | None) -> None:
             )
             break
         path = directory / f"counterexample-{ce.suite}-{idx:03d}.json"
-        doc = {
-            "suite": ce.suite,
-            "trial": ce.trial,
-            "seed_info": ce.report.seed_info,
-            "check": {
-                "check_name": ce.report.check_name,
-                "passed": ce.report.passed,
-                "residual_min_eig": ce.report.residual_min_eig,
-                "scalar_gap": ce.report.scalar_gap,
-                "tolerance": ce.report.tolerance,
-                "details": ce.report.details,
-            },
-            "input": ce.input_doc,
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, allow_nan=False, indent=2)
+            json.dump(ce.to_doc(), fh, allow_nan=False, indent=2)
             fh.write("\n")
         written += 1
     if written:

@@ -81,24 +81,6 @@ def require_square(x: np.ndarray) -> int:
     return x.shape[0]
 
 
-def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product ``x @ y`` with an explicit conformability check."""
-    if x.shape[1] != y.shape[0]:
-        raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
-    return np.asarray(x, dtype=np.complex128) @ np.asarray(y, dtype=np.complex128)
-
-
-def conj_transpose(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose (adjoint) ``x*``."""
-    return np.conj(x).T.copy()
-
-
-def trace(x: np.ndarray) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    require_square(x)
-    return complex(np.trace(x))
-
-
 def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is ``x[i, j] * y``.
 
@@ -433,7 +415,8 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     eigenvalue is returned for reporting either way. For a ``(B, d, d)``
     stack returns the same per member, as a boolean and a float array of
     length ``B``; the members not solved before are solved together by
-    :func:`hermitian_eigenvalues_stack`.
+    :func:`hermitian_eigenvalues_stack`, whose errors name a member by its
+    index in ``x``.
 
     Each solved matrix's minimum eigenvalue and scale are memoized on its
     bytes, whatever the tolerance, because precondition checks revisit the
@@ -455,7 +438,14 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     slots = [_solved(member.tobytes()) for member in mat]
     todo = [k for k, slot in enumerate(slots) if not slot]
     if todo:
-        for k, margins in zip(todo, _margins(mat[todo])):
+        try:
+            solved = _margins(mat[todo])
+        except (ConvergenceError, HermiticityError, NormOverflowError):
+            # the error names a member of the unsolved rest; solving the
+            # whole stack names it by its index in the caller's stack
+            _margins(mat)
+            raise
+        for k, margins in zip(todo, solved):
             slots[k][:] = margins
     min_eig, scale = np.array(slots, dtype=np.float64).reshape(len(mat), 2).T
     return min_eig >= -tol * scale, min_eig

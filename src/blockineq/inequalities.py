@@ -240,6 +240,19 @@ _BLOCK_INEQUALITIES = {
 }
 
 
+def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``R = lhs - rhs``, made exactly Hermitian as ``(R + R*) / 2``.
+
+    ``R`` is Hermitian in exact arithmetic. Where its terms cancel, as
+    block2's products do on a low-rank input, their rounding noise can exceed
+    the solvers' Hermiticity tolerance, which is relative to the norm of
+    ``R`` and not of the terms. The values of an exactly Hermitian ``R`` stay
+    as they are.
+    """
+    r = lhs - rhs
+    return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0
+
+
 def _check_block(check_name: str, a, tol: float):
     """One block inequality on a BlockMatrix (a report) or a BlockStack (a list).
 
@@ -285,9 +298,9 @@ def _check_block(check_name: str, a, tol: float):
     gap_mins = []
     for label, lhs, rhs in sides:
         if stack is a:
-            min_eig = hermitian_eigenvalues_stack(lhs - rhs).values[:, 0]
+            min_eig = hermitian_eigenvalues_stack(_residual(lhs, rhs)).values[:, 0]
         else:
-            min_eig = is_psd(lhs - rhs, tol)[1]
+            min_eig = is_psd(_residual(lhs, rhs), tol)[1]
         norms = np.linalg.norm(lhs, axis=(1, 2)), np.linalg.norm(rhs, axis=(1, 2))
         scale = np.maximum(1.0, np.maximum(*norms))
         passed &= min_eig >= -tol * scale
@@ -345,7 +358,7 @@ def _presolve(a: BlockMatrix, check_names, tol: float) -> None:
         mats.append(partial_transpose(stack).mat)
     for name in names:
         sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
-        mats.extend(lhs - rhs for _, lhs, rhs in sides)
+        mats.extend(_residual(lhs, rhs) for _, lhs, rhs in sides)
     is_psd(np.concatenate(mats), tol)
 
 

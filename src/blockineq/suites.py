@@ -6,9 +6,10 @@ replayed from the provenance string in its report without re-running the
 batch. Reports are assembled in canonical suite order and trial order; the
 wall-clock duration is the only nondeterministic field in a serialized run.
 
-:func:`run_files` checks explicit documents instead. It solves all of a
-document's block-suite residuals as one stack, so their values agree with a
-lone ``check_*`` call on the document to rounding, not bitwise.
+:func:`run_files` checks explicit documents instead, through the same
+runners (``_RUNNERS``). It solves all of a document's block-suite residuals
+as one stack, so their values agree with a lone ``check_*`` call on the
+document to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -47,17 +48,6 @@ from .maps import (
 from .matio import load, to_doc
 from .randgen import MAX_SEED, derive_seed, random_ppt, random_psd, random_separable
 
-SUITE_NAMES = (
-    "theorem2",
-    "corollary3",
-    "combined",
-    "upper_bound",
-    "corollary6",
-    "block2",
-    "thm8_9",
-    "eqlin",
-    "choi_certs",
-)
 # block suite -> the inequality it checks (an entry of the block-inequality table)
 _BLOCK_SUITES = {
     "theorem2": "copositive_partial_trace",
@@ -148,6 +138,15 @@ class Counterexample:
     report: CheckReport
     input_doc: dict
 
+    def to_doc(self) -> dict:
+        """The report's entry for this counterexample, which is also its replayable file."""
+        return {
+            "suite": self.suite,
+            "trial": self.trial,
+            "check": report_to_doc(self.report),
+            "input": self.input_doc,
+        }
+
 
 @dataclass
 class RunReport:
@@ -170,20 +169,24 @@ class RunReport:
     def passed(self) -> bool:
         return self.failed == 0
 
-    def to_doc(self) -> dict:
-        cfg = self.config
-        suites_doc = {}
+    def _suite_summaries(self) -> dict:
+        """Per suite: check and failure counts, and the worst residual and scalar gap."""
+        summaries = {}
         for name, reps in self.reports.items():
             residuals = [r.residual_min_eig for r in reps if r.residual_min_eig is not None]
             gaps = [r.scalar_gap for r in reps if r.scalar_gap is not None]
-            suites_doc[name] = {
+            failed = sum(1 for r in reps if not r.passed)
+            summaries[name] = {
                 "checks": len(reps),
-                "failed": sum(1 for r in reps if not r.passed),
-                "passed": all(r.passed for r in reps),
+                "failed": failed,
+                "passed": failed == 0,
                 "worst_residual_min_eig": min(residuals) if residuals else None,
                 "worst_scalar_gap": min(gaps) if gaps else None,
-                "reports": [report_to_doc(r) for r in reps],
             }
+        return summaries
+
+    def to_doc(self) -> dict:
+        cfg = self.config
         return {
             "config": {
                 "suites": list(cfg.suites),
@@ -194,16 +197,11 @@ class RunReport:
                 "tol": cfg.tol,
                 "output_format": cfg.output_format,
             },
-            "suites": suites_doc,
-            "counterexamples": [
-                {
-                    "suite": ce.suite,
-                    "trial": ce.trial,
-                    "check": report_to_doc(ce.report),
-                    "input": ce.input_doc,
-                }
-                for ce in self.counterexamples
-            ],
+            "suites": {
+                name: {**summary, "reports": [report_to_doc(r) for r in self.reports[name]]}
+                for name, summary in self._suite_summaries().items()
+            },
+            "counterexamples": [ce.to_doc() for ce in self.counterexamples],
             "summary": {"checks": self.checks, "failed": self.failed, "passed": self.passed},
             "duration_seconds": self.duration_seconds,
         }
@@ -216,14 +214,13 @@ class RunReport:
             "blockineq verification report",
             f"seed={self.config.seed} tol={self.config.tol:g} trials={self.config.trials}",
         ]
-        for name, reps in self.reports.items():
-            residuals = [r.residual_min_eig for r in reps if r.residual_min_eig is not None]
-            gaps = [r.scalar_gap for r in reps if r.scalar_gap is not None]
-            worst_r = f"{min(residuals):.6e}" if residuals else "n/a"
-            worst_g = f"{min(gaps):.6e}" if gaps else "n/a"
-            failed = sum(1 for r in reps if not r.passed)
+        for name, s in self._suite_summaries().items():
+            worst_r, worst_g = (
+                "n/a" if v is None else f"{v:.6e}"
+                for v in (s["worst_residual_min_eig"], s["worst_scalar_gap"])
+            )
             lines.append(
-                f"suite {name}: checks={len(reps)} failed={failed} "
+                f"suite {name}: checks={s['checks']} failed={s['failed']} "
                 f"worst_residual_min_eig={worst_r} worst_scalar_gap={worst_g}"
             )
         lines.append(f"counterexamples: {len(self.counterexamples)}")
@@ -254,18 +251,21 @@ class _Recorder:
         self.reports = {name: [] for name in suite_names}
         self.counterexamples = []
 
-    def report(self, suite, rep, matrix=None, trial=None):
-        self.reports[suite].append(rep)
-        if not rep.passed and matrix is not None:
-            self.counterexample(suite, trial, rep, matrix)
+    def record(self, suite, reports, inputs, infos, first_trial):
+        """Record report ``k`` of ``inputs`` under provenance ``infos[k]``.
 
-    def report_stack(self, suite, reps, stack, infos):
-        """One report per member of ``stack``, each with its provenance."""
-        for trial, (rep, info) in enumerate(zip(reps, infos)):
-            rep = replace(rep, seed_info=info)
-            self.reports[suite].append(rep)
+        A failing report is also a counterexample, of trial ``first_trial +
+        k``. One report of one input is a batch of one. Returns the reports
+        as recorded.
+        """
+        if isinstance(reports, CheckReport):
+            reports, inputs = [reports], [inputs]
+        reports = [replace(rep, seed_info=info) for rep, info in zip(reports, infos)]
+        self.reports[suite].extend(reports)
+        for k, rep in enumerate(reports):
             if not rep.passed:
-                self.counterexample(suite, trial, rep, stack[trial])
+                self.counterexample(suite, first_trial + k, rep, inputs[k])
+        return reports
 
     def counterexample(self, suite, trial, rep, matrix):
         self.counterexamples.append(
@@ -294,8 +294,14 @@ def _rank_for_trial(dim: int, trial: int) -> int:
     return dim
 
 
+# A batch is what a runner's checker takes, the provenance of each report it
+# yields and the trial number of the first: a BlockStack (or one BlockMatrix)
+# for the block suites, one matrix for the submatrix suites. A runner checks
+# the batches it is given; given none, it draws its seeded stream.
+
+
 def _gram_inputs(cfg: SuiteConfig, suite: str, include_pattern: bool):
-    """Yield ``(BlockStack, provenances)`` per shape: its trials, drawn as one stack."""
+    """Yield one batch per shape: its trials, drawn as one stack."""
     for m, n in cfg.shapes:
         dim = m * n
         pattern = include_pattern and m == n and m >= 2
@@ -307,11 +313,11 @@ def _gram_inputs(cfg: SuiteConfig, suite: str, include_pattern: bool):
         if pattern:
             mats = np.concatenate([entangled_pattern(m).mat[np.newaxis], mats])
             infos.insert(0, f"fixed entangled pattern d={m}")
-        yield BlockStack(m, n, mats), infos
+        yield BlockStack(m, n, mats), infos, 0
 
 
 def _ppt_inputs(cfg: SuiteConfig, suite: str):
-    """Yield ``(BlockStack, provenances)`` per shape: separable and rejection-sampled PPT."""
+    """Yield one batch per shape: separable and rejection-sampled PPT trials, as one stack."""
     for m, n in cfg.shapes:
         seeds = [derive_seed(cfg.seed, suite, m, n, t) for t in range(cfg.trials)]
         terms = [1 + (t // 2) % 3 for t in range(0, cfg.trials, 2)]
@@ -329,39 +335,47 @@ def _ppt_inputs(cfg: SuiteConfig, suite: str):
             f"random_ppt(m={m}, n={n}, seed={s}, max_attempts={_SUITE_PPT_ATTEMPTS}) via {path}"
             for s, path in zip(seeds[1::2], paths)
         ]
-        yield BlockStack(m, n, mats), infos
+        yield BlockStack(m, n, mats), infos, 0
 
 
-def _run_theorem2(cfg, rec):
-    for a, infos in _gram_inputs(cfg, "theorem2", include_pattern=True):
-        rec.report_stack("theorem2", check_copositive_partial_trace(a, cfg.tol), a, infos)
+def _psd_inputs(cfg: SuiteConfig, suite: str):
+    """Yield one batch per trial of each dimension: one PSD matrix, drawn alone."""
+    for n in cfg.dims:
+        for t in range(cfg.trials):
+            rank = _rank_for_trial(n, t)
+            s = derive_seed(cfg.seed, suite, n, t)
+            yield random_psd(n, rank, s), [f"random_psd(dim={n}, rank={rank}, seed={s})"], t
 
 
-def _run_corollary3(cfg, rec):
-    for a, infos in _ppt_inputs(cfg, "corollary3"):
-        rec.report_stack("corollary3", check_ppt_reduction(a, cfg.tol), a, infos)
+def _run_theorem2(cfg, rec, batches=None):
+    for a, infos, trial in batches or _gram_inputs(cfg, "theorem2", include_pattern=True):
+        rec.record("theorem2", check_copositive_partial_trace(a, cfg.tol), a, infos, trial)
 
 
-def _run_combined(cfg, rec):
-    for a, infos in _ppt_inputs(cfg, "combined"):
-        rec.report_stack("combined", check_combined_reduction(a, cfg.tol), a, infos)
+def _run_corollary3(cfg, rec, batches=None):
+    for a, infos, trial in batches or _ppt_inputs(cfg, "corollary3"):
+        rec.record("corollary3", check_ppt_reduction(a, cfg.tol), a, infos, trial)
 
 
-def _run_upper_bound(cfg, rec):
-    for a, infos in _gram_inputs(cfg, "upper_bound", include_pattern=False):
-        rec.report_stack("upper_bound", check_upper_bound(a, cfg.tol), a, infos)
+def _run_combined(cfg, rec, batches=None):
+    for a, infos, trial in batches or _ppt_inputs(cfg, "combined"):
+        rec.record("combined", check_combined_reduction(a, cfg.tol), a, infos, trial)
 
 
-def _run_corollary6(cfg, rec):
-    for a, infos in _gram_inputs(cfg, "corollary6", include_pattern=True):
-        rec.report_stack("corollary6", check_phi_lower(a, cfg.tol), a, infos)
+def _run_upper_bound(cfg, rec, batches=None):
+    for a, infos, trial in batches or _gram_inputs(cfg, "upper_bound", include_pattern=False):
+        rec.record("upper_bound", check_upper_bound(a, cfg.tol), a, infos, trial)
 
 
-def _run_block2(cfg, rec):
+def _run_corollary6(cfg, rec, batches=None):
+    for a, infos, trial in batches or _gram_inputs(cfg, "corollary6", include_pattern=True):
+        rec.record("corollary6", check_phi_lower(a, cfg.tol), a, infos, trial)
+
+
+def _run_block2(cfg, rec, batches=None):
     two_block = replace(cfg, shapes=tuple(s for s in cfg.shapes if s[0] == 2))
-    for a, infos in _gram_inputs(two_block, "block2", include_pattern=False):
-        reports = check_block2(a, cfg.tol)
-        for rep, info in zip(reports, infos):
+    for a, infos, trial in batches or _gram_inputs(two_block, "block2", include_pattern=False):
+        for rep in rec.record("block2", check_block2(a, cfg.tol), a, infos, trial):
             d = rep.details
             # when G certifies PSD, the traced-out scalar bounds must follow
             if d["min_eig_g"] >= -cfg.tol * d["scale_g"] and not (
@@ -369,14 +383,14 @@ def _run_block2(cfg, rec):
                 and d["gap_eq9"] >= -cfg.tol * d["scale_eq9"]
             ):
                 raise SelfCheckError(
-                    f"{info}: two-block consistency chain broken: "
+                    f"{rep.seed_info}: two-block consistency chain broken: "
                     "G is PSD but a trace gap is negative"
                 )
-        rec.report_stack("block2", reports, a, infos)
 
 
-def _record_exhaustive(suite, check_name, reports, mat, info, rec, trial, **extra):
+def _record_exhaustive(rec, suite, check_name, reports, mat, infos, trial, **extra):
     """Record one matrix's exhaustive check as one report; each failing pair is a counterexample."""
+    (info,) = infos
     failed = np.flatnonzero(~reports.passed)
     for p in failed.tolist():
         rec.counterexample(suite, trial, replace(reports.report(p), seed_info=info), mat)
@@ -398,48 +412,30 @@ def _record_exhaustive(suite, check_name, reports, mat, info, rec, trial, **extr
             **extra,
         },
     )
-    rec.report(suite, agg)
+    rec.reports[suite].append(agg)  # its failing pairs are the counterexamples
 
 
-def _exhaustive_trace(mat, tol, info, rec, trial):
-    """The trace bounds on every (alpha, beta) pair of one matrix, as one batch."""
-    reports = check_trace_submatrix(mat, exhaustive_pairs(mat.shape[0]), tol=tol)
-    _record_exhaustive("thm8_9", "trace_submatrix_exhaustive", reports, mat, info, rec, trial)
+def _run_thm8_9(cfg, rec, batches=None):
+    """The trace bounds on every (alpha, beta) pair of each matrix, as one batch of pairs."""
+    for mat, infos, trial in batches or _psd_inputs(cfg, "thm8_9"):
+        reports = check_trace_submatrix(mat, exhaustive_pairs(mat.shape[0]), tol=cfg.tol)
+        _record_exhaustive(rec, "thm8_9", "trace_submatrix_exhaustive", reports, mat, infos, trial)
 
 
-def _exhaustive_det(mat, tol, info, rec, trial):
-    """The determinant bound on every pair with alpha != beta of one matrix, as one batch."""
-    n = mat.shape[0]
-    pairs = exhaustive_pairs(n, distinct=True)
-    if not len(pairs):
-        raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
-    reports = check_det_submatrix(mat, pairs, tol=tol)
-    desnanot = reports.details["desnanot_case"]
-    relgap = np.abs(reports.scalar_gap[desnanot]) / reports.details["scale"][desnanot]
-    _record_exhaustive(
-        "eqlin", "det_submatrix_exhaustive", reports, mat, info, rec, trial,
-        desnanot_max_relgap=float(np.max(relgap, initial=0.0)),
-    )
-
-
-def _run_thm8_9(cfg, rec):
-    for n in cfg.dims:
-        for t in range(cfg.trials):
-            rank = _rank_for_trial(n, t)
-            s = derive_seed(cfg.seed, "thm8_9", n, t)
-            mat = random_psd(n, rank, s)
-            _exhaustive_trace(mat, cfg.tol, f"random_psd(dim={n}, rank={rank}, seed={s})", rec, t)
-
-
-def _run_eqlin(cfg, rec):
-    for n in cfg.dims:
-        if n < 2:
-            raise UsageError("eqlin needs matrix dimension >= 2 (alpha != beta required)")
-        for t in range(cfg.trials):
-            rank = _rank_for_trial(n, t)
-            s = derive_seed(cfg.seed, "eqlin", n, t)
-            mat = random_psd(n, rank, s)
-            _exhaustive_det(mat, cfg.tol, f"random_psd(dim={n}, rank={rank}, seed={s})", rec, t)
+def _run_eqlin(cfg, rec, batches=None):
+    """The determinant bound on every pair with alpha != beta of each matrix, as one batch."""
+    for mat, infos, trial in batches or _psd_inputs(cfg, "eqlin"):
+        n = mat.shape[0]
+        pairs = exhaustive_pairs(n, distinct=True)
+        if not len(pairs):
+            raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
+        reports = check_det_submatrix(mat, pairs, tol=cfg.tol)
+        desnanot = reports.details["desnanot_case"]
+        relgap = np.abs(reports.scalar_gap[desnanot]) / reports.details["scale"][desnanot]
+        _record_exhaustive(
+            rec, "eqlin", "det_submatrix_exhaustive", reports, mat, infos, trial,
+            desnanot_max_relgap=float(np.max(relgap, initial=0.0)),
+        )
 
 
 def _run_choi_certs(cfg, rec):
@@ -456,7 +452,6 @@ def _run_choi_certs(cfg, rec):
                 scalar_gap=None,
                 tolerance=cfg.tol,
                 shape=(n, phi.k),
-                seed_info=f"builtin map {name!r}, n={n}",
                 details={
                     "completely_positive": cp,
                     "expected_positive": exp_cp,
@@ -466,9 +461,11 @@ def _run_choi_certs(cfg, rec):
                     "min_eig_co_choi": min_co,
                 },
             )
-            rec.report("choi_certs", rep, matrix=phi, trial=0)
+            rec.record("choi_certs", rep, phi, [f"builtin map {name!r}, n={n}"], 0)
 
 
+# The registry of suites, in canonical order: run_suite and run_files both
+# dispatch through it.
 _RUNNERS = {
     "theorem2": _run_theorem2,
     "corollary3": _run_corollary3,
@@ -480,6 +477,7 @@ _RUNNERS = {
     "eqlin": _run_eqlin,
     "choi_certs": _run_choi_certs,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(config: SuiteConfig) -> RunReport:
@@ -493,23 +491,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
     rec = _Recorder(names)
     for name in names:
         _RUNNERS[name](config, rec)
-    duration = time.perf_counter() - start
-    return RunReport(
-        config=config,
-        reports=rec.reports,
-        counterexamples=rec.counterexamples,
-        duration_seconds=duration,
-    )
-
-
-_FILE_CHECKERS = {
-    "theorem2": check_copositive_partial_trace,
-    "corollary3": check_ppt_reduction,
-    "combined": check_combined_reduction,
-    "upper_bound": check_upper_bound,
-    "corollary6": check_phi_lower,
-    "block2": check_block2,
-}
+    return RunReport(config, rec.reports, rec.counterexamples, time.perf_counter() - start)
 
 
 def run_files(config: SuiteConfig, paths) -> RunReport:
@@ -535,34 +517,24 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     paths = list(paths)
     if not paths:
         raise UsageError("no input files given")
-    block_checks = [_BLOCK_SUITES[name] for name in names if name in _BLOCK_SUITES]
+    block_names = [name for name in names if name in _BLOCK_SUITES]
+    block_checks = [_BLOCK_SUITES[name] for name in block_names]
     rec = _Recorder(names)
     for idx, path in enumerate(paths):
         obj = load(path)
-        if isinstance(obj, LinearMapRep):
-            raise UsageError(f"{path}: expected a matrix document, found a linear map")
-        label = f"file {path}"
-        if block_checks and isinstance(obj, BlockMatrix):
+        if isinstance(obj, BlockMatrix):
             _presolve(obj, block_checks, config.tol)
+            mat = obj.mat
+        elif isinstance(obj, LinearMapRep):
+            raise UsageError(f"{path}: expected a matrix document, found a linear map")
+        elif block_names:
+            raise UsageError(
+                f"{path}: suite {block_names[0]!r} needs a block-matrix document "
+                "(with fields 'm' and 'n')"
+            )
+        else:
+            mat = obj
+        infos = [f"file {path}"]
         for name in names:
-            if name in _BLOCK_SUITES:
-                if not isinstance(obj, BlockMatrix):
-                    raise UsageError(
-                        f"{path}: suite {name!r} needs a block-matrix document "
-                        "(with fields 'm' and 'n')"
-                    )
-                rep = replace(_FILE_CHECKERS[name](obj, config.tol), seed_info=label)
-                rec.report(name, rep, matrix=obj, trial=idx)
-            elif name == "thm8_9":
-                mat = obj.mat if isinstance(obj, BlockMatrix) else obj
-                _exhaustive_trace(mat, config.tol, label, rec, idx)
-            else:
-                mat = obj.mat if isinstance(obj, BlockMatrix) else obj
-                _exhaustive_det(mat, config.tol, label, rec, idx)
-    duration = time.perf_counter() - start
-    return RunReport(
-        config=config,
-        reports=rec.reports,
-        counterexamples=rec.counterexamples,
-        duration_seconds=duration,
-    )
+            _RUNNERS[name](config, rec, [(obj if name in _BLOCK_SUITES else mat, infos, idx)])
+    return RunReport(config, rec.reports, rec.counterexamples, time.perf_counter() - start)

@@ -11,15 +11,12 @@ from blockineq import (
     NormOverflowError,
     ShapeError,
     as_matrix,
-    conj_transpose,
     densemat,
     determinant,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     is_psd,
     kron,
-    matmul,
-    trace,
 )
 from oracles import (
     STACK_AGREEMENT_RTOL,
@@ -56,73 +53,6 @@ def test_as_matrix_rejects_non_2d_and_empty():
     with pytest.raises(ShapeError):
         as_matrix(np.zeros((0, 2)))
     assert as_matrix(np.zeros((0, 0)), allow_empty=True).shape == (0, 0)
-
-
-# ------------------------------------------------------------------- matmul
-
-
-def test_matmul_identity():
-    eye = np.eye(2, dtype=np.complex128)
-    assert np.array_equal(matmul(eye, eye), eye)
-
-
-def test_matmul_matrix_units():
-    assert np.array_equal(matmul(E12, E21), E11)
-
-
-def test_matmul_annihilates_zero():
-    rng = np.random.default_rng(7)
-    x = random_complex(rng, 3, 4)
-    assert np.array_equal(matmul(x, np.zeros((4, 2))), np.zeros((3, 2)))
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-# ----------------------------------------------------------- conj_transpose
-
-
-def test_conj_transpose_scalar_i():
-    assert np.array_equal(conj_transpose(np.array([[1j]])), np.array([[-1j]]))
-
-
-def test_conj_transpose_unit():
-    assert np.array_equal(conj_transpose(E12), E21)
-
-
-def test_conj_transpose_involution():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = random_complex(rng, 3, 5)
-        assert np.array_equal(conj_transpose(conj_transpose(x)), x)
-
-
-# -------------------------------------------------------------------- trace
-
-
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_trace_identity(n):
-    assert trace(np.eye(n, dtype=np.complex128)) == n
-
-
-def test_trace_unit_is_zero():
-    assert trace(E12) == 0
-
-
-def test_trace_cyclic_against_double_sum():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        x = random_complex(rng, 4, 3)
-        y = random_complex(rng, 3, 4)
-        xy = trace(matmul(x, y))
-        yx = trace(matmul(y, x))
-        # independent route: double sum over entry products
-        direct = sum(x[i, j] * y[j, i] for i in range(4) for j in range(3))
-        scale = max(1.0, abs(xy))
-        assert abs(xy - yx) <= 1e-12 * scale
-        assert abs(xy - direct) <= 1e-12 * scale
 
 
 # --------------------------------------------------------------------- kron
@@ -225,7 +155,7 @@ def test_eigenvalues_sorted_sum_equals_trace():
         res = hermitian_eigenvalues(a)
         assert np.all(np.diff(res.values) >= 0)
         assert res.values.size == 5
-        assert abs(res.values.sum() - trace(a).real) <= 1e-10 * max(
+        assert abs(res.values.sum() - np.trace(a).real) <= 1e-10 * max(
             1.0, np.linalg.norm(a)
         )
 
@@ -368,6 +298,28 @@ def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
         is_psd(np.stack([np.eye(4), big]))
     # large but finite norms still solve
     assert hermitian_eigenvalues(np.eye(4) * 1e150).values == pytest.approx([1e150] * 4)
+
+
+def test_is_psd_names_a_failing_member_by_its_index_in_the_stack(monkeypatch):
+    # is_psd solves only the members it has not solved before; an error must
+    # still name the member by its index in the caller's stack
+    big = np.full((4, 4), 1e200, dtype=np.complex128)
+    bad = np.eye(4, dtype=np.complex128)
+    bad[0, 1] = 1.0
+    densemat._solved.cache_clear()
+    is_psd(np.eye(4))
+    # a remainder of one member, which alone goes to the scalar solver
+    with pytest.raises(NormOverflowError, match="^stack member 1 is too large"):
+        is_psd(np.stack([np.eye(4), big]))
+    # a remainder of two members
+    with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
+        is_psd(np.stack([np.eye(4), 2 * np.eye(4), bad]))
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    dense = random_hermitian(np.random.default_rng(59), 6)
+    diagonal = np.diag(np.arange(6.0)).astype(np.complex128)
+    is_psd(diagonal)
+    with pytest.raises(ConvergenceError, match="for stack member 2 "):
+        is_psd(np.stack([diagonal, 2 * diagonal, dense]))
 
 
 # ------------------------------------------------------------------- is_psd

@@ -1,5 +1,6 @@
 """Tests for blockineq.suites and blockineq.cli: runs, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from blockineq import densemat, inequalities, randgen, suites
 from blockineq.blockops import BlockMatrix, is_ppt, partial_transpose
-from blockineq.cli import main
+from blockineq.cli import _build_parser, main
 from blockineq.densemat import is_psd
 from blockineq.errors import (
     BlockineqError,
@@ -63,6 +64,20 @@ def _doc_without_duration(report: RunReport) -> str:
 
 def test_expand_all_gives_canonical_order():
     assert expand_suites(("all",)) == SUITE_NAMES
+
+
+def test_suite_names_registry_and_cli_choices_agree():
+    # run_suite and run_files dispatch through _RUNNERS; SUITE_NAMES (the
+    # canonical report order) and the CLI's --suite choices follow it
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite_flag,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert SUITE_NAMES == tuple(suites._RUNNERS)
+    assert tuple(suite_flag.choices) == ("all",) + SUITE_NAMES
+    assert SUITE_NAMES == (
+        "theorem2", "corollary3", "combined", "upper_bound", "corollary6", "block2",
+        "thm8_9", "eqlin", "choi_certs",
+    )
 
 
 def test_expand_normalizes_order_and_duplicates():
@@ -523,7 +538,7 @@ def _errors_one_suite_at_a_time(a, names, tol):
     done = []
     for name in names:
         try:
-            suites._FILE_CHECKERS[name](a, tol)
+            _REPLAY[name][0](a, tol)
         except BlockineqError as exc:
             return done, exc
         done.append(name)
@@ -558,14 +573,13 @@ def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, erro
     assert type(want) is error
     completed = []
     for name in names:
-        checker = suites._FILE_CHECKERS[name]
+        runner = suites._RUNNERS[name]
 
-        def recording(obj, tol, name=name, checker=checker):
-            rep = checker(obj, tol)
+        def recording(cfg, rec, batches, name=name, runner=runner):
+            runner(cfg, rec, batches)
             completed.append(name)
-            return rep
 
-        monkeypatch.setitem(suites._FILE_CHECKERS, name, recording)
+        monkeypatch.setitem(suites._RUNNERS, name, recording)
     densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     with pytest.raises(error) as got:
@@ -573,6 +587,26 @@ def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, erro
     assert str(got.value) == str(want)
     assert completed == done_alone
     assert len(solves.stacked) == (1 if stacked else 0)
+
+
+def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, capsys):
+    # G's products cancel to rounding noise of about 1e-9 from terms of about
+    # 1e7. The solvers judge Hermiticity against G's own norm, so unless G is
+    # symmetrized first (by code that the document's stacked solve and the
+    # checkers share) the run exits 3, "not Hermitian".
+    path = tmp_path / "rank1.json"
+    save(path, BlockMatrix(2, 2, random_psd(4, 1, derive_seed(9, "b", 2, 2, 3)) * 1e3))
+    densemat._solved.cache_clear()
+    solves = _Solves(monkeypatch)
+    assert main(["verify", "--suite", "block2", str(path)]) == 0
+    assert "suite block2: checks=1 failed=0" in capsys.readouterr().out
+    # the input, then its one residual; the checker reads both from the memo
+    assert solves.counts() == (2, [])
+    densemat._solved.cache_clear()
+    solves.scalar, solves.stacked = 0, []
+    names = ("theorem2", "upper_bound", "corollary6", "block2")
+    assert run_files(SuiteConfig(suites=names), [path]).passed
+    assert solves.counts() == (1, [6])
 
 
 def test_run_files_block2_alone_on_three_block_rows_is_a_usage_error(tmp_path, monkeypatch):
@@ -658,6 +692,7 @@ def test_cli_verify_exit1_and_counterexample_files(tmp_path, capsys):
     assert written
     assert "counterexample file(s)" in captured.err
     ce_doc = json.loads(written[0].read_text(encoding="utf-8"))
+    assert ce_doc == doc["counterexamples"][0]  # the report's own entry
     assert ce_doc["check"]["passed"] is False
     assert np.array_equal(
         doc_to_obj(ce_doc["input"]), np.array([[1e6, 0.0], [0.0, -1e-4]])
