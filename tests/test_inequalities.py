@@ -33,7 +33,7 @@ from blockineq import (
     random_separable,
     submatrix,
 )
-from blockineq.inequalities import _verdict
+from blockineq.inequalities import _residual, _verdict
 from oracles import (
     STACK_AGREEMENT_RTOL,
     det_cofactor,
@@ -323,6 +323,23 @@ def test_block2_rejects_bad_shape_and_non_psd():
         check_block2(BlockMatrix(3, 2, np.eye(6)))
     with pytest.raises(PreconditionError):
         check_block2(BlockMatrix(2, 2, np.diag([1.0, 1.0, 1.0, -1.0])))
+
+
+def test_residual_is_exactly_hermitian_and_keeps_hermitian_values():
+    rng = np.random.default_rng(47)
+    herm = random_psd_lapack(rng, 4) - random_psd_lapack(rng, 4)
+    herm = (herm + herm.conj().T) / 2
+    # a residual that is already exactly Hermitian keeps its bytes
+    zero = np.zeros_like(herm)
+    assert np.array_equal(_residual(herm, zero), herm)
+    lhs = np.stack([random_complex(rng, 4, 4) for _ in range(3)])
+    rhs = np.stack([random_complex(rng, 4, 4) for _ in range(3)])
+    r = _residual(lhs, rhs)
+    # each member of a stack is made Hermitian on its own, to the last bit
+    assert np.array_equal(r, np.conj(np.swapaxes(r, -1, -2)))
+    diff = lhs - rhs
+    for k in range(3):
+        assert np.allclose(r[k], (diff[k] + diff[k].conj().T) / 2, rtol=0, atol=1e-15)
 
 
 # --------------------------------------------------------- overlap embedding

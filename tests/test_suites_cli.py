@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blockineq import densemat, inequalities, randgen, suites
-from blockineq.blockops import BlockMatrix, is_ppt, partial_transpose
+from blockineq.blockops import BlockMatrix, BlockStack, is_ppt, partial_transpose
 from blockineq.cli import _build_parser, main
 from blockineq.densemat import is_psd
 from blockineq.errors import (
@@ -21,12 +21,16 @@ from blockineq.errors import (
     UsageError,
 )
 from blockineq.inequalities import (
+    CheckReport,
     check_block2,
     check_combined_reduction,
     check_copositive_partial_trace,
+    check_det_submatrix,
     check_phi_lower,
     check_ppt_reduction,
+    check_trace_submatrix,
     check_upper_bound,
+    exhaustive_pairs,
 )
 from blockineq.matio import doc_to_obj, load, save
 from blockineq.randgen import derive_seed, random_ppt, random_psd, random_separable
@@ -334,6 +338,75 @@ def test_stacked_suite_path_raises_the_checkers_hypothesis_error():
     a, _ = _replay("upper_bound", 2, 2, 1, cfg.seed, cfg.tol)
     with pytest.raises(PreconditionError, match="input is not PSD within tol 1e-30"):
         check_upper_bound(a, cfg.tol)
+
+
+# ---------------------------------------------------------------------------
+# runners: a runner checks the batches it is given
+# ---------------------------------------------------------------------------
+
+# a PSD matrix (min eig -1e-4 against scale 1e6) whose {2} x {2} trace bound fails
+_GAP_MATRIX = np.array([[1e6, 0.0], [0.0, -1e-4]], dtype=np.complex128)
+
+
+def _no_seeded_stream(*args, **kwargs):
+    raise AssertionError("a runner given batches drew its seeded stream")
+
+
+@pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "choi_certs"])
+def test_runner_given_batches_checks_only_them(monkeypatch, suite):
+    for stream in ("_gram_inputs", "_ppt_inputs", "_psd_inputs"):
+        monkeypatch.setattr(suites, stream, _no_seeded_stream)
+    cfg = SuiteConfig(suites=(suite,), seed=42, tol=1e-9)
+    rec = suites._Recorder((suite,))
+    infos = ["first input", "second input"]
+    if suite in _REPLAY:
+        a, _ = _replay(suite, 2, 2, 0 if _REPLAY[suite][1] == "ppt" else 2, cfg.seed, cfg.tol)
+        b, _ = _replay(suite, 2, 2, 4, cfg.seed, cfg.tol)
+        stack = BlockStack(2, 2, np.stack([a.mat, b.mat]))
+        suites._RUNNERS[suite](cfg, rec, [(stack, infos, 5)])
+        want = _REPLAY[suite][0](stack, cfg.tol)
+        assert rec.reports[suite] == [replace(w, seed_info=i) for w, i in zip(want, infos)]
+        assert all(rep.passed for rep in rec.reports[suite])
+        assert rec.counterexamples == []
+        return
+    # a submatrix suite: one report per matrix, its failing pairs numbered by the batch's trial
+    good = random_psd(3, 3, derive_seed(cfg.seed, suite, 3, 0))
+    batches = [(good, infos[:1], 5), (_GAP_MATRIX, infos[1:], 9)]
+    suites._RUNNERS[suite](cfg, rec, batches)
+    reports = rec.reports[suite]
+    assert [rep.seed_info for rep in reports] == infos
+    assert [rep.shape for rep in reports] == [3, 2]
+    assert reports[0].passed
+    checker = check_trace_submatrix if suite == "thm8_9" else check_det_submatrix
+    pairs = exhaustive_pairs(3, distinct=suite == "eqlin")
+    assert reports[0].scalar_gap == float(np.min(checker(good, pairs, tol=cfg.tol).scalar_gap))
+    if suite == "thm8_9":
+        assert not reports[1].passed
+        assert rec.counterexamples
+        assert {(ce.suite, ce.trial) for ce in rec.counterexamples} == {("thm8_9", 9)}
+        assert all(ce.report.seed_info == infos[1] for ce in rec.counterexamples)
+    else:
+        assert rec.counterexamples == []
+
+
+def test_record_numbers_failures_from_the_batch_first_trial():
+    rec = suites._Recorder(("upper_bound",))
+    report = CheckReport(
+        check_name="upper_bound", passed=True, residual_min_eig=0.0, scalar_gap=None,
+        tolerance=1e-9, shape=(2, 2),
+    )
+    failing = replace(report, passed=False, residual_min_eig=-1.0)
+    inputs = [np.eye(4) * k for k in (1, 2, 3)]
+    got = rec.record("upper_bound", [report, failing, failing], inputs, ["a", "b", "c"], 10)
+    assert [rep.seed_info for rep in got] == ["a", "b", "c"]
+    assert rec.reports["upper_bound"] == got
+    assert [(ce.trial, ce.report.seed_info) for ce in rec.counterexamples] == [(11, "b"), (12, "c")]
+    assert [doc_to_obj(ce.input_doc)[0, 0] for ce in rec.counterexamples] == [2, 3]
+    # one report of one input is a batch of one
+    (single,) = rec.record("upper_bound", failing, np.eye(4), ["d"], 4)
+    assert single.seed_info == "d"
+    assert (rec.counterexamples[-1].trial, rec.counterexamples[-1].report) == (4, single)
+    assert len(rec.reports["upper_bound"]) == 4
 
 
 def test_report_doc_shape_and_json():
