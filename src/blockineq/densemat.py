@@ -13,9 +13,10 @@ targets (dimension <= 64):
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack at once in
   the round-robin (parallel) pair ordering, vectorized over the stack and the
   disjoint pairs of each round. The seeded block suites go through it: they
-  draw, test and check each shape's trials as one stack. So does file
-  verification: it solves all of a document's residuals, for every
-  requested block suite, as one stack.
+  draw, test and check each shape's trials as one stack, and a check solves
+  the residuals of all its sides in one call. So does file verification: it
+  solves all of a document's residuals, for every requested block suite, as
+  one stack.
 
 Both apply the same rules to each matrix: the same Hermiticity check and
 symmetrization, the same skip threshold, the same stopping rule and the same
@@ -165,7 +166,8 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     if n == 0:
         return EigenResult(np.empty(0, dtype=np.float64), 0.0, 0)
     x = np.asarray(x, dtype=np.complex128)
-    norm = frobenius(x)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        norm = frobenius(x)
     if not math.isfinite(norm):
         raise NormOverflowError(f"matrix is too large to solve: ||X||_F = {norm} overflows float64")
     scale = max(1.0, norm)
@@ -295,7 +297,8 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     sweeps = np.zeros(count, dtype=np.int64)
     if count == 0 or n == 0:
         return EigenResult(np.empty((count, n)), np.zeros(count), sweeps)
-    norm = np.linalg.norm(x, axis=(1, 2))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        norm = np.linalg.norm(x, axis=(1, 2))
     bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
         k = bad[0]

@@ -55,7 +55,14 @@ from .densemat import (
     kron,
     require_square,
 )
-from .errors import PreconditionError, ShapeError, UsageError
+from .errors import (
+    ConvergenceError,
+    HermiticityError,
+    NormOverflowError,
+    PreconditionError,
+    ShapeError,
+    UsageError,
+)
 
 
 @dataclass(frozen=True)
@@ -253,13 +260,32 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0
 
 
+def _side_minima(residuals: list[np.ndarray]) -> list[np.ndarray]:
+    """The minimum eigenvalues of each ``(B, d, d)`` residual stack, in one solve.
+
+    The residuals of every side are solved as one stack by
+    :func:`blockineq.densemat.hermitian_eigenvalues_stack`. A member's
+    rotations do not depend on its stack-mates, so each side's minima are
+    those of solving that side alone. A solver error names a member of the
+    merged stack; solving side by side then names it by its index in the
+    check's own stack.
+    """
+    try:
+        mins = hermitian_eigenvalues_stack(np.concatenate(residuals)).values[:, 0]
+    except (ConvergenceError, HermiticityError, NormOverflowError):
+        for residual in residuals:
+            hermitian_eigenvalues_stack(residual)
+        raise
+    return np.split(mins, len(residuals))
+
+
 def _check_block(check_name: str, a, tol: float):
     """One block inequality on a BlockMatrix (a report) or a BlockStack (a list).
 
     The hypothesis (PSD, or PPT) is tested on the whole stack first; the
-    first member outside it raises. Each residual of a stack is then one
-    stack, solved by :func:`blockineq.densemat.hermitian_eigenvalues_stack`.
-    Each residual of one matrix is read through :func:`is_psd`'s memo, which
+    first member outside it raises. The residuals of every side of a stack
+    are then one solve per check (:func:`_side_minima`). Each residual of
+    one matrix is read through :func:`is_psd`'s memo, which
     :func:`_presolve` may have filled for several checks of that matrix.
     """
     if isinstance(a, BlockMatrix):
@@ -292,21 +318,20 @@ def _check_block(check_name: str, a, tol: float):
         )
     sides, gaps = terms(stack)
     count = len(stack)
+    residuals = [_residual(lhs, rhs) for _, lhs, rhs in sides]
+    if stack is a:
+        side_mins = _side_minima(residuals)
+    else:
+        side_mins = [is_psd(r, tol)[1] for r in residuals]
     details = {}
     passed = np.ones(count, dtype=bool)
-    side_mins = []
     gap_mins = []
-    for label, lhs, rhs in sides:
-        if stack is a:
-            min_eig = hermitian_eigenvalues_stack(_residual(lhs, rhs)).values[:, 0]
-        else:
-            min_eig = is_psd(_residual(lhs, rhs), tol)[1]
+    for (label, lhs, rhs), min_eig in zip(sides, side_mins):
         norms = np.linalg.norm(lhs, axis=(1, 2)), np.linalg.norm(rhs, axis=(1, 2))
         scale = np.maximum(1.0, np.maximum(*norms))
         passed &= min_eig >= -tol * scale
         details[f"min_eig_{label}"] = min_eig.tolist()
         details[f"scale_{label}"] = scale.tolist()
-        side_mins.append(min_eig)
     for label, lhs, rhs in gaps:
         gap = rhs - lhs
         scale, ok = _verdict(gap, (lhs, rhs), tol)
@@ -347,6 +372,9 @@ def _presolve(a: BlockMatrix, check_names, tol: float) -> None:
 
     Nothing is solved unless ``a`` is PSD (tested alone, as the checkers
     test it): otherwise the first checker refuses it, and needs no residual.
+    A solver error in the stack memoizes nothing, so that each checker
+    raises what it raises alone: a PPT check refuses a document that is not
+    PPT before solving a residual that another check would fail on.
     ``check_block2``'s residual is left out unless ``a`` has two block rows.
     """
     names = [name for name in check_names if name != "block2" or a.m == 2]
@@ -359,7 +387,11 @@ def _presolve(a: BlockMatrix, check_names, tol: float) -> None:
     for name in names:
         sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
         mats.extend(_residual(lhs, rhs) for _, lhs, rhs in sides)
-    is_psd(np.concatenate(mats), tol)
+    try:
+        is_psd(np.concatenate(mats), tol)
+    except (ConvergenceError, HermiticityError, NormOverflowError):
+        # memoizes nothing: the checkers then solve, and refuse, one at a time
+        return
 
 
 def check_copositive_partial_trace(a, tol: float = DEFAULT_TOL):

@@ -19,6 +19,7 @@ and NaN/Inf are rejected on both sides.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -81,19 +82,6 @@ def _require_positive_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
-def _parse_entry(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
-    ):
-        raise ParseError(f"{where}: each data entry must be a [re, im] number pair, got {entry!r}")
-    re, im = float(entry[0]), float(entry[1])
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise ValidationError(f"{where}: non-finite value {entry!r}")
-    return complex(re, im)
-
-
 def _parse_dense(doc: dict, where: str) -> np.ndarray:
     rows = _require_positive_int(doc, "rows", where)
     cols = _require_positive_int(doc, "cols", where)
@@ -104,7 +92,25 @@ def _parse_dense(doc: dict, where: str) -> np.ndarray:
         raise ValidationError(
             f"{where}: 'data' has {len(data)} entries, expected rows*cols = {rows * cols}"
         )
-    values = [_parse_entry(entry, f"{where}: data[{idx}]") for idx, entry in enumerate(data)]
+    values = []
+    # the location of an entry is spelled out only when it is refused
+    for idx, entry in enumerate(data):
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or isinstance(entry[0], bool)
+            or isinstance(entry[1], bool)
+            or not isinstance(entry[0], (int, float))
+            or not isinstance(entry[1], (int, float))
+        ):
+            raise ParseError(
+                f"{where}: data[{idx}]: each data entry must be a [re, im] number pair, "
+                f"got {entry!r}"
+            )
+        re, im = float(entry[0]), float(entry[1])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValidationError(f"{where}: data[{idx}]: non-finite value {entry!r}")
+        values.append(complex(re, im))
     return np.array(values, dtype=np.complex128).reshape(rows, cols)
 
 

@@ -169,6 +169,10 @@ def random_separable(
     seeds (and ``terms`` one integer, or one per seed) returns a
     :class:`BlockStack` of the draws.
 
+    The factors of all draws are self-checked in one solve per factor size:
+    when ``m == n`` the left and right factors are drawn by one
+    :func:`random_psd` call, so one solve checks them all.
+
     Raises
     ------
     SelfCheckError
@@ -180,8 +184,12 @@ def random_separable(
     if any(c < 1 for c in counts):
         raise UsageError(f"terms must be positive, got {min(counts)}")
     terms_of = [(k, t) for k, c in enumerate(counts) for t in range(c)]
-    p = random_psd(m, m, [derive_seed(seeds[k], "separable-left", t) for k, t in terms_of])
-    q = random_psd(n, n, [derive_seed(seeds[k], "separable-right", t) for k, t in terms_of])
+    left = [derive_seed(seeds[k], "separable-left", t) for k, t in terms_of]
+    right = [derive_seed(seeds[k], "separable-right", t) for k, t in terms_of]
+    if m == n:
+        p, q = np.split(random_psd(m, m, left + right), 2)
+    else:
+        p, q = random_psd(m, m, left), random_psd(n, n, right)
     total = np.zeros((len(seeds), m * n, m * n), dtype=np.complex128)
     # adds each draw's terms in order t = 0, 1, ..., as one draw alone would
     np.add.at(total, [k for k, _ in terms_of], kron(p, q))

@@ -8,9 +8,12 @@ runtime budget, and prints exactly one ``criterion N: PASS/FAIL`` line
 
 import itertools
 import json
+import os
 import re
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +366,22 @@ def test_criterion_8_cli_determinism():
     assert identical, "reports differ beyond the duration field"
     assert doc["summary"]["passed"] is True
     assert doc["summary"]["failed"] == 0
+
+
+def test_module_cli_determinism_from_source():
+    """Criterion 8's check at 20 trials, through ``python -m`` on the source tree.
+
+    Needs no installed console script, so it runs wherever the tests do.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-m", "blockineq", "verify", "--suite", "all", "--seed", "42"]
+    cmd += ["--trials", "20", "--format", "json"]
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(re.sub(rb'"duration_seconds":[0-9eE.+-]+', b"", proc.stdout))
+    assert outs[0] == outs[1], "reports differ beyond the duration field"
+    assert json.loads(proc.stdout)["summary"]["passed"] is True

@@ -276,6 +276,7 @@ def test_stacked_eigenvalues_raise_as_the_scalar_solver(monkeypatch):
     assert stack_err.value.offdiag_residual >= threshold
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error is the only report
 def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
     # entries of 1e200 are finite, but ||X||_F overflows: the solvers must not
     # spend their sweep budget on inf and then report non-convergence

@@ -12,6 +12,7 @@ from blockineq import (
     CheckReport,
     HermiticityError,
     IndexSet,
+    NormOverflowError,
     PairReports,
     PreconditionError,
     ShapeError,
@@ -33,7 +34,9 @@ from blockineq import (
     random_separable,
     submatrix,
 )
-from blockineq.inequalities import _residual, _verdict
+from blockineq import inequalities
+from blockineq.densemat import hermitian_eigenvalues_stack
+from blockineq.inequalities import _BLOCK_INEQUALITIES, _residual, _verdict
 from oracles import (
     STACK_AGREEMENT_RTOL,
     det_cofactor,
@@ -609,6 +612,81 @@ def test_block_checker_on_a_stack_names_the_member_outside_the_hypothesis():
         check_block2(BlockStack(1, 4, stack.mat))
     with pytest.raises(UsageError):
         check_upper_bound(stack.mat)
+
+
+_BLOCK_CHECKERS = {
+    "copositive_partial_trace": check_copositive_partial_trace,
+    "ppt_reduction": check_ppt_reduction,
+    "combined_reduction": check_combined_reduction,
+    "upper_bound": check_upper_bound,
+    "phi_lower": check_phi_lower,
+    "block2": check_block2,
+}
+
+
+def _ppt_stack(count: int) -> BlockStack:
+    return random_separable(2, 3, 2, [700 + k for k in range(count)])
+
+
+def _count_residual_solves(monkeypatch) -> list:
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return hermitian_eigenvalues_stack(x)
+
+    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_on_a_stack_solves_every_side_in_one_call(name, monkeypatch):
+    stack = _ppt_stack(25)
+    sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
+    shapes = _count_residual_solves(monkeypatch)
+    reports = _BLOCK_CHECKERS[name](stack)
+    assert len(reports) == 25
+    assert shapes == [(len(sides) * 25, 6, 6)]
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_side_minima_equal_each_side_solved_alone(name):
+    stack = _ppt_stack(25)
+    sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
+    reports = _BLOCK_CHECKERS[name](stack)
+    for label, lhs, rhs in sides:
+        alone = hermitian_eigenvalues_stack(_residual(lhs, rhs)).values[:, 0]
+        got = np.array([rep.details[f"min_eig_{label}"] for rep in reports])
+        assert np.array_equal(got, alone), label
+
+
+def test_block_check_names_a_member_that_overflows_in_a_later_side():
+    # member 1 = diag(x, 0, ..., 0) with x^2 just below the float64 maximum:
+    # the input and the tr1 side (norm x) solve, the tr2 side (norm sqrt(2) x)
+    # overflows; in the merged stack of both sides it is member 3 + 1
+    big = np.zeros((6, 6), dtype=np.complex128)
+    big[0, 0] = 1e154
+    stack = BlockStack(2, 3, np.stack([np.eye(6), big, np.eye(6)]))
+    with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve"):
+        check_ppt_reduction(stack)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, monkeypatch):
+    # a one-member stack with two sides is a merged stack of two, which the
+    # stacked solver takes; one BlockMatrix reads each side through is_psd,
+    # which solves one matrix with the scalar solver
+    one = _ppt_stack(1)
+    sides, _ = _BLOCK_INEQUALITIES[name][1](one)
+    shapes = _count_residual_solves(monkeypatch)
+    (got,) = _BLOCK_CHECKERS[name](one)
+    assert shapes == [(len(sides), 6, 6)]
+    want = _BLOCK_CHECKERS[name](one[0])
+    assert got.passed == want.passed
+    for label, _, _ in sides:
+        bound = STACK_AGREEMENT_RTOL * want.details[f"scale_{label}"]
+        drift = abs(got.details[f"min_eig_{label}"] - want.details[f"min_eig_{label}"])
+        assert drift <= bound, label
 
 
 # ------------------------------------------------ batched submatrix checks

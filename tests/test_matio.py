@@ -248,6 +248,32 @@ def test_parse_error_names_offending_entry_index():
         parse('{"rows":1,"cols":3,"data":[[1,0],[2,0],[3]]}')
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (
+            '{"rows":1,"cols":3,"data":[[1,0],[2,0],[3,true]]}',
+            ParseError,
+            "doc.json: data[2]: each data entry must be a [re, im] number pair, got [3, True]",
+        ),
+        (
+            '{"rows":1,"cols":2,"data":[[1,0],[0,-Infinity]]}',
+            ValidationError,
+            "doc.json: data[1]: non-finite value [0, -inf]",
+        ),
+        (
+            '{"n":1,"k":1,"basis_images":[{"rows":1,"cols":1,"data":[[NaN,0]]}]}',
+            ValidationError,
+            "doc.json: basis_images[0]: data[0]: non-finite value [nan, 0]",
+        ),
+    ],
+)
+def test_parse_entry_errors_keep_their_exact_messages(text, error, message):
+    with pytest.raises(error) as exc:
+        parse(text, where="doc.json")
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_nan_literal_as_validation_error():
     # Python's json.loads accepts bare NaN/Infinity tokens, so rejection
     # happens at value validation rather than at JSON parsing.

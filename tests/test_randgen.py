@@ -12,11 +12,12 @@ from blockineq import (
     generate,
     is_ppt,
     is_psd,
+    kron,
     random_ppt,
     random_psd,
     random_separable,
 )
-from blockineq import randgen
+from blockineq import densemat, randgen
 from blockineq.errors import SelfCheckError
 from blockineq.randgen import MAX_SEED
 from oracles import eigvalsh_lapack
@@ -297,6 +298,32 @@ def test_stacked_random_ppt_equals_each_seed_on_both_paths():
         one, path = random_ppt(2, 2, s, max_attempts=2)
         assert path == paths[k]
         assert np.array_equal(stack.mat[k], one.mat)
+
+
+@pytest.mark.parametrize("m, n, solves", [(2, 2, [(6, 2, 2)]), (2, 3, [(3, 2, 2), (3, 3, 3)])])
+def test_separable_factors_are_self_checked_in_one_solve_per_size(m, n, solves, monkeypatch):
+    shapes = []
+    solve = densemat.hermitian_eigenvalues_stack
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return solve(x)
+
+    densemat._solved.cache_clear()
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counted)
+    seeds = [11, 12]
+    out = random_separable(m, n, [1, 2], seeds)
+    # the factor solves, then the one PPT solve of the draws and their partial transposes
+    assert shapes == solves + [(4, m * n, m * n)]
+    for k, (count, seed) in enumerate(zip([1, 2], seeds)):
+        want = sum(
+            kron(
+                random_psd(m, m, derive_seed(seed, "separable-left", t)),
+                random_psd(n, n, derive_seed(seed, "separable-right", t)),
+            )
+            for t in range(count)
+        )
+        assert np.array_equal(out.mat[k], want)
 
 
 def test_stacked_draws_validate_per_seed_arguments():

@@ -850,12 +850,44 @@ def test_cli_verify_exit3_on_overflowing_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: matrix is too large to solve: ||X||_F = inf overflows" in err
     assert "did not converge" not in err
-    # a finite norm, but block2's products overflow in the document's stacked solve
+    # a finite norm, but block2's products overflow: the document's stacked
+    # solve gives up, and block2's own solve of its residual refuses it
     path = tmp_path / "products.json"
     save(path, BlockMatrix(2, 2, random_psd(4, 4, 3) * 1e100))
     assert main(["verify", "--suite", "theorem2", "--suite", "block2", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure: stack member" in err and "overflows float64" in err
+    want = "numerical failure: matrix is too large to solve: ||X||_F = inf overflows float64\n"
+    assert err == want
+
+
+def test_cli_verify_refuses_a_non_ppt_document_before_another_suite_overflows(tmp_path, capsys):
+    # block2's residual overflows on this rank-1 document, which is not PPT;
+    # with corollary3 requested the run must refuse it as corollary3 alone does
+    path = tmp_path / "rank1.json"
+    save(path, BlockMatrix(2, 2, random_psd(4, 1, 5) * 1e100))
+    assert main(["verify", "--suite", "corollary3", str(path)]) == 2
+    alone = capsys.readouterr().err
+    assert "error: input is not PPT within tol 1e-09" in alone
+    suites_ = ["--suite", "theorem2", "--suite", "corollary3", "--suite", "block2"]
+    assert main(["verify", *suites_, str(path)]) == 2
+    assert capsys.readouterr().err == alone
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "theorem2", "big.json"],
+        ["--suite", "theorem2", "--suite", "block2", "products.json"],
+        ["--suite", "all", "big.json"],
+    ],
+)
+def test_cli_overflow_is_reported_without_a_numpy_warning(tmp_path, args, capsys):
+    save(tmp_path / "big.json", BlockMatrix(2, 2, np.full((4, 4), 1e200)))
+    save(tmp_path / "products.json", BlockMatrix(2, 2, random_psd(4, 4, 3) * 1e100))
+    densemat._solved.cache_clear()
+    assert main(["verify", *args[:-1], str(tmp_path / args[-1])]) == 3
+    assert "too large to solve" in capsys.readouterr().err
 
 
 def test_cli_bad_shape_token_is_argparse_error():
