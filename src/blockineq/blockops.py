@@ -1,5 +1,5 @@
 """Block-matrix views and operators: partial transpose, partial traces,
-realignment, and the PPT predicate.
+the swap of the tensor factors, and the PPT predicate.
 
 A :class:`BlockMatrix` is an ``mn x mn`` complex matrix read as an ``m x m``
 array of ``n x n`` blocks. The block shape travels with the matrix;
@@ -150,7 +150,11 @@ def realign(a: BlockMatrix) -> BlockMatrix:
     Block ``(r, s)`` of the result is the ``m x m`` matrix whose ``(i, j)``
     entry is row ``r``, column ``s`` of input block ``(i, j)``. It is a pure
     permutation of entries (so Frobenius norm is preserved exactly), an
-    involution, and sends ``kron(X, Y)`` to ``kron(Y, X)``.
+    involution, and sends ``kron(X, Y)`` to ``kron(Y, X)``. It is the
+    conjugation of ``a`` by the swap permutation, so it preserves the
+    spectrum; it is not the realignment map of the computable cross-norm
+    (CCNR) criterion, which sends ``kron(X, Y)`` to an outer product of the
+    vectorized factors and changes the spectrum.
     """
     moved = a._as_blocks().transpose(1, 0, 3, 2).reshape(a.dim, a.dim)
     return BlockMatrix(a.n, a.m, moved)

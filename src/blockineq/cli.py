@@ -1,10 +1,12 @@
 """Command-line interface: ``blockineq verify | choi | gen``.
 
 Exit codes: 0 all checks passed; 1 at least one inequality check failed;
-2 usage or parse error (including violated check preconditions on explicit
-inputs); 3 numerical failure (eigensolver did not converge or rejected its
-input: not Hermitian, or a norm that overflows); 4 internal error (an
-unexpected exception, a defect of the program).
+2 usage or parse error (including an output path that cannot be written,
+and an input, explicit or seeded, outside its check's hypothesis at the
+run's ``--tol``); 3 numerical failure (eigensolver did not converge or
+rejected its input: not Hermitian, or a norm that overflows; or a broken
+consistency chain); 4 internal error (an unexpected exception, a defect of
+the program).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .maps import (
     choi_matrix,
     co_choi_matrix,
 )
-from .matio import block_to_doc, load, save, to_doc
+from .densemat import DEFAULT_TOL
+from .matio import block_to_doc, load, save, to_doc, write_text
 from .randgen import GEN_KINDS, GenSpec, generate
 from .suites import (
     DEFAULT_DIMS,
@@ -104,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="matrix dimensions for the submatrix suites, e.g. 4,5",
     )
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="write the report here instead of stdout")
     verify.add_argument(
@@ -120,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     choi.add_argument("--map", choices=BUILTIN_MAPS, help="builtin map name")
     choi.add_argument("--n", type=int, default=2, help="domain dimension for a builtin map")
     choi.add_argument("--map-file", help="JSON document of a linear map")
-    choi.add_argument("--tol", type=float, default=1e-9)
+    choi.add_argument("--tol", type=float, default=DEFAULT_TOL)
     choi.add_argument("--format", choices=("text", "json"), default="text")
     choi.add_argument("--out", help="write the result here instead of stdout")
 
@@ -142,10 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        write_text(out, text)
     else:
         print(text)
 
@@ -164,9 +164,7 @@ def _write_counterexamples(report, out: str | None) -> None:
             )
             break
         path = directory / f"counterexample-{ce.suite}-{idx:03d}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(ce.to_doc(), fh, allow_nan=False, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(ce.to_doc(), allow_nan=False, indent=2))
         written += 1
     if written:
         print(f"wrote {written} counterexample file(s) to {directory}", file=sys.stderr)

@@ -39,10 +39,11 @@ class NormOverflowError(BlockineqError, OverflowError):
 
 
 class SelfCheckError(BlockineqError, RuntimeError):
-    """The package contradicted itself: a generator's output lacks the
-    property its construction guarantees (PSD, PPT), or a verdict that must
-    follow from another one did not. This is a numerical failure of the
-    package, not a verdict on the inequality being checked.
+    """The package contradicted itself: a verdict that must follow from
+    another one did not (block2's traced scalar bounds, given ``G >= 0``).
+    This is a numerical failure of the package, not a verdict on the
+    inequality being checked. A seeded draw outside its hypothesis is not
+    one: its checker refuses it with :class:`PreconditionError`.
     """
 
 

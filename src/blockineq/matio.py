@@ -25,7 +25,7 @@ import numpy as np
 
 from .blockops import BlockMatrix
 from .densemat import as_matrix
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UsageError, ValidationError
 from .maps import LinearMapRep
 
 # Largest magnitude at which every integer is an exact double; values beyond
@@ -178,10 +178,21 @@ def parse(text: str, where: str = "document"):
     return doc_to_obj(doc, where)
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, ending in a newline.
+
+    A path that cannot be written is a :class:`UsageError` naming it, as a
+    path that cannot be read is a :class:`ParseError` in :func:`load`.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def save(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(obj))
-        fh.write("\n")
+    write_text(path, serialize(obj))
 
 
 def load(path):

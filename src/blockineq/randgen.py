@@ -9,6 +9,11 @@ Complex Gaussians are produced by Box-Muller on the uniform stream rather
 than the generator's built-in normal sampler, so the mapping from uniforms
 to entries is pinned by this module and not by the numpy version.
 
+The PSD and separable generators solve nothing: their outputs are PSD or
+PPT by construction, and each checker tests its own hypothesis on every
+draw, at the run's tolerance. Only :func:`random_ppt` solves, to accept or
+reject its candidates.
+
 Each thread keeps one Philox generator and re-keys it for every draw, since
 building a keyed ``Philox`` first seeds it from OS entropy, which costs more
 than the draw itself.
@@ -25,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockops import BlockMatrix, BlockStack, is_ppt
-from .densemat import is_psd, kron
-from .errors import SelfCheckError, UsageError
+from .densemat import kron
+from .errors import UsageError
 
 MAX_SEED = 2**64 - 1
 DEFAULT_PPT_ATTEMPTS = 50
@@ -117,13 +122,6 @@ def _draws(seed, **per_draw) -> tuple[bool, list, dict]:
     return single, seeds, values
 
 
-def _self_check(ok, describe) -> None:
-    """Raise :class:`SelfCheckError` for the first draw whose verdict ``ok`` is false."""
-    bad = np.flatnonzero(~np.asarray(ok))
-    if bad.size:
-        raise SelfCheckError(describe(int(bad[0])))
-
-
 def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -> np.ndarray:
     """A random ``dim x dim`` PSD matrix of the given rank.
 
@@ -132,12 +130,8 @@ def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -
 
     With a sequence of seeds (and ``rank`` one integer, or one per seed)
     the draws come back as a ``(B, dim, dim)`` stack, each member the matrix
-    its seed gives alone; their self-checks are one stacked solve.
-
-    Raises
-    ------
-    SelfCheckError
-        If a draw fails :func:`blockineq.densemat.is_psd`.
+    its seed gives alone. Nothing is solved here: a checker tests each draw
+    for its hypothesis, at the run's tolerance.
     """
     single, seeds, per = _draws(seed, rank=rank)
     ranks = per["rank"]
@@ -150,12 +144,6 @@ def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -
         g = complex_gaussians(r, dim, s)
         a = g.conj().T @ g
         out[k] = (a + a.conj().T) / 2.0
-    ok, min_eig = is_psd(out)
-    _self_check(
-        ok,
-        lambda k: f"random_psd(dim={dim}, rank={ranks[k]}, seed={seeds[k]}): Gram construction "
-        f"failed its own PSD self-check: min eigenvalue {min_eig[k]:.6e}",
-    )
     return out[0] if single else out
 
 
@@ -167,17 +155,8 @@ def random_separable(
     The output is PSD and stays PSD under partial transpose (each term maps
     to ``kron(P^T, Q)``), so it is PPT by construction. With a sequence of
     seeds (and ``terms`` one integer, or one per seed) returns a
-    :class:`BlockStack` of the draws.
-
-    The factors of all draws are self-checked in one solve per factor size:
-    when ``m == n`` the left and right factors are drawn by one
-    :func:`random_psd` call, so one solve checks them all.
-
-    Raises
-    ------
-    SelfCheckError
-        If a factor fails :func:`random_psd`'s self-check, or a draw fails
-        :func:`blockineq.blockops.is_ppt`.
+    :class:`BlockStack` of the draws. As in :func:`random_psd`, nothing is
+    solved here.
     """
     single, seeds, per = _draws(seed, terms=terms)
     counts = per["terms"]
@@ -186,21 +165,11 @@ def random_separable(
     terms_of = [(k, t) for k, c in enumerate(counts) for t in range(c)]
     left = [derive_seed(seeds[k], "separable-left", t) for k, t in terms_of]
     right = [derive_seed(seeds[k], "separable-right", t) for k, t in terms_of]
-    if m == n:
-        p, q = np.split(random_psd(m, m, left + right), 2)
-    else:
-        p, q = random_psd(m, m, left), random_psd(n, n, right)
+    p, q = random_psd(m, m, left), random_psd(n, n, right)
     total = np.zeros((len(seeds), m * n, m * n), dtype=np.complex128)
     # adds each draw's terms in order t = 0, 1, ..., as one draw alone would
     np.add.at(total, [k for k, _ in terms_of], kron(p, q))
     out = BlockStack(m, n, total)
-    ok, min_a, min_t = is_ppt(out)
-    _self_check(
-        ok,
-        lambda k: f"random_separable(m={m}, n={n}, terms={counts[k]}, seed={seeds[k]}): "
-        "separable construction failed its own PPT self-check: min eigenvalue "
-        f"{min_a[k]:.6e} (matrix), {min_t[k]:.6e} (partial transpose)",
-    )
     return out[0] if single else out
 
 

@@ -123,8 +123,8 @@ class SuiteConfig:
         object.__setattr__(self, "dims", dims)
         if not 0 <= int(self.seed) <= MAX_SEED:
             raise UsageError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.tol > 0:
-            raise UsageError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise UsageError(f"tol must be positive and finite, got {self.tol}")
         if self.output_format not in ("text", "json"):
             raise UsageError(f"output format must be 'text' or 'json', got {self.output_format!r}")
 

@@ -1,5 +1,7 @@
 """Dense arithmetic and the Jacobi eigensolver against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from blockineq import (
     HermiticityError,
     NormOverflowError,
     ShapeError,
+    UsageError,
     as_matrix,
     densemat,
     determinant,
@@ -351,6 +354,14 @@ def test_is_psd_rejects_negative_tolerance():
         is_psd(np.eye(2), tol=-1e-9)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_is_psd_rejects_a_non_finite_tolerance(tol):
+    with pytest.raises(UsageError, match="tolerance must be finite and nonnegative"):
+        is_psd(np.eye(2), tol=tol)
+    with pytest.raises(UsageError):
+        is_psd(np.eye(2)[np.newaxis], tol=tol)
+
+
 def test_is_psd_of_a_stack_is_per_member():
     rng = np.random.default_rng(61)
     v = random_complex(rng, 5, 1)
@@ -374,8 +385,8 @@ def test_is_psd_of_a_stack_is_per_member():
 
 
 def test_is_psd_solves_each_matrix_once(monkeypatch):
-    # a generator's self-check and a checker's hypothesis at another
-    # tolerance, on the whole stack or on one member, share one solve
+    # tests at another tolerance, on the whole stack or on one member,
+    # share one solve
     solved = []
     real = densemat.hermitian_eigenvalues_stack
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockineq import (
     BlockMatrix,
@@ -658,6 +660,51 @@ def test_block_check_side_minima_equal_each_side_solved_alone(name):
         alone = hermitian_eigenvalues_stack(_residual(lhs, rhs)).values[:, 0]
         got = np.array([rep.details[f"min_eig_{label}"] for rep in reports])
         assert np.array_equal(got, alone), label
+
+
+def _unitary(rng, k: int) -> np.ndarray:
+    """The unitary factor of the QR decomposition of a complex Gaussian."""
+    q, r = np.linalg.qr(random_complex(rng, k, k))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _conjugated(a: BlockMatrix, w: np.ndarray) -> BlockMatrix:
+    return BlockMatrix(a.m, a.n, w @ a.mat @ w.conj().T)
+
+
+def _assert_same_check(want: CheckReport, got: CheckReport, gaps=()) -> None:
+    """Equal verdicts; residual minima (and the named gaps) equal to rounding."""
+    scale = max(v for key, v in want.details.items() if key.startswith("scale_"))
+    assert got.passed == want.passed
+    assert got.residual_min_eig == pytest.approx(
+        want.residual_min_eig, abs=STACK_AGREEMENT_RTOL * scale
+    )
+    for key in gaps:
+        assert got.details[key] == pytest.approx(want.details[key], abs=STACK_AGREEMENT_RTOL * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.sampled_from((2, 3)),
+    n=st.sampled_from((2, 3)),
+    terms=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_checks_are_invariant_under_local_unitaries(m, n, terms, seed):
+    # the partial traces and the partial transpose of (U (x) V) A (U (x) V)*
+    # are those of A conjugated by V, U, or conj(U) (x) V: every residual keeps
+    # its spectrum
+    a = random_separable(m, n, terms, seed)
+    rng = np.random.default_rng(seed)
+    u, v = _unitary(rng, m), _unitary(rng, n)
+    b = _conjugated(a, kron(u, v))
+    for name, checker in _BLOCK_CHECKERS.items():
+        if name != "block2":
+            _assert_same_check(checker(a), checker(b))
+    # block2's G is built blockwise, so it keeps its spectrum under I (x) V only
+    if m == 2:
+        b = _conjugated(a, kron(np.eye(2), v))
+        _assert_same_check(check_block2(a), check_block2(b), gaps=("gap_eq8", "gap_eq9"))
 
 
 def test_block_check_names_a_member_that_overflows_in_a_later_side():

@@ -17,8 +17,7 @@ from blockineq import (
     random_psd,
     random_separable,
 )
-from blockineq import densemat, randgen
-from blockineq.errors import SelfCheckError
+from blockineq import densemat
 from blockineq.randgen import MAX_SEED
 from oracles import eigvalsh_lapack
 
@@ -140,28 +139,8 @@ def test_random_psd_validates_arguments():
         random_psd(3, 4, 0)
 
 
-def test_random_psd_self_check_is_a_typed_error(monkeypatch):
-    # a raised error, unlike an assert, survives python -O
-    def fails(x):
-        return np.zeros(len(x), dtype=bool), -np.ones(len(x))
-
-    monkeypatch.setattr(randgen, "is_psd", fails)
-    with pytest.raises(SelfCheckError, match=r"random_psd\(dim=3, rank=3, seed=0\).*PSD self-check"):
-        random_psd(3, 3, 0)
-    with pytest.raises(SelfCheckError, match=r"seed=5\).*PSD self-check"):
-        random_psd(3, [3, 1], [5, 6])
-
-
 # ------------------------------------------------------------ random_separable
 
-
-def test_random_separable_self_check_is_a_typed_error(monkeypatch):
-    def fails(a):
-        return np.zeros(len(a), dtype=bool), np.ones(len(a)), -np.ones(len(a))
-
-    monkeypatch.setattr(randgen, "is_ppt", fails)
-    with pytest.raises(SelfCheckError, match="PPT self-check"):
-        random_separable(2, 2, 1, 0)
 
 def test_separable_single_term_is_ppt():
     out = random_separable(2, 2, 1, 21)
@@ -300,21 +279,51 @@ def test_stacked_random_ppt_equals_each_seed_on_both_paths():
         assert np.array_equal(stack.mat[k], one.mat)
 
 
-@pytest.mark.parametrize("m, n, solves", [(2, 2, [(6, 2, 2)]), (2, 3, [(3, 2, 2), (3, 3, 3)])])
-def test_separable_factors_are_self_checked_in_one_solve_per_size(m, n, solves, monkeypatch):
-    shapes = []
-    solve = densemat.hermitian_eigenvalues_stack
+@pytest.fixture
+def solves(monkeypatch):
+    """The sizes of the eigensolves made while the test runs: 1 for a scalar solve."""
+    sizes = []
+    scalar = densemat.hermitian_eigenvalues
+    stacked = densemat.hermitian_eigenvalues_stack
 
-    def counted(x):
-        shapes.append(np.shape(x))
-        return solve(x)
+    def counted_scalar(x):
+        sizes.append(1)
+        return scalar(x)
+
+    def counted_stack(x):
+        if len(x) > 1:  # a stack of one goes on to the scalar solver
+            sizes.append(len(x))
+        return stacked(x)
 
     densemat._solved.cache_clear()
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counted)
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues", counted_scalar)
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counted_stack)
+    return sizes
+
+
+def test_psd_and_separable_draws_solve_nothing(solves):
+    # PSD and PPT by construction; each checker tests its own hypothesis
+    random_psd(4, 2, 3)
+    random_psd(4, [4, 1, 2], [3, 4, 5])
+    random_separable(2, 3, 2, 7)
+    random_separable(3, 3, [1, 2, 3], [7, 8, 9])
+    generate(GenSpec("separable", 2, 2, 11))
+    assert solves == []
+
+
+def test_random_ppt_makes_one_stacked_solve_per_attempt(solves):
+    seeds = list(range(40, 52))
+    _, paths = random_ppt(2, 2, seeds, max_attempts=3)
+    assert "separable" in paths  # every attempt ran on some seed
+    # the pending candidates and their partial transposes, per attempt
+    assert len(solves) == 3 and solves[0] == 2 * len(seeds)
+    assert solves == sorted(solves, reverse=True)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+def test_separable_members_are_their_kron_sums(m, n):
     seeds = [11, 12]
     out = random_separable(m, n, [1, 2], seeds)
-    # the factor solves, then the one PPT solve of the draws and their partial transposes
-    assert shapes == solves + [(4, m * n, m * n)]
     for k, (count, seed) in enumerate(zip([1, 2], seeds)):
         want = sum(
             kron(

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockineq import densemat, inequalities, randgen, suites
+from blockineq import densemat, inequalities, suites
 from blockineq.blockops import BlockMatrix, BlockStack, is_ppt, partial_transpose
 from blockineq.cli import _build_parser, main
 from blockineq.densemat import is_psd
@@ -118,6 +119,8 @@ def test_config_defaults():
         ({"tol": 0.0}, "tol must be positive"),
         ({"output_format": "xml"}, "output format"),
         ({"suites": ("bogus",)}, "unknown suite"),
+        ({"tol": math.inf}, "tol must be positive and finite"),
+        ({"tol": math.nan}, "tol must be positive and finite"),
     ],
 )
 def test_config_validation(kwargs, msg):
@@ -299,21 +302,33 @@ def test_stacked_suite_path_equals_single_check_replay(suite):
         assert any(i.startswith("fixed entangled pattern") for i in infos)
 
 
-@pytest.mark.parametrize("suite, verdict", [("upper_bound", "is_psd"), ("corollary3", "is_ppt")])
-def test_generator_self_check_in_a_suite_is_a_typed_error(monkeypatch, suite, verdict):
-    # a draw that misses the property its construction guarantees is the
-    # package's own numerical failure (exit 3), not a precondition or a verdict
-    real = getattr(randgen, verdict)
+def _shifted_by_minus_two(draw):
+    """``draw``, with every drawn matrix ``A`` replaced by ``A - 2I``."""
 
-    def fails(x, *args):
-        ok, *mins = real(x, *args)
-        return (np.zeros_like(ok), *mins)
+    def shifted(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        if isinstance(out, BlockStack):
+            return BlockStack(out.m, out.n, out.mat - 2.0 * np.eye(out.mat.shape[-1]))
+        return out - 2.0 * np.eye(out.shape[-1])
 
-    monkeypatch.setattr(randgen, verdict, fails)
-    with pytest.raises(SelfCheckError, match="self-check"):
+    return shifted
+
+
+@pytest.mark.parametrize(
+    "suite, draw, hypothesis",
+    [("upper_bound", "random_psd", "PSD"), ("corollary3", "random_separable", "PPT")],
+)
+def test_seeded_draw_outside_the_hypothesis_is_the_checkers_precondition_error(
+    monkeypatch, capsys, suite, draw, hypothesis
+):
+    # the generators solve nothing: the checker tests each draw, at the run's tol
+    monkeypatch.setattr(suites, draw, _shifted_by_minus_two(getattr(suites, draw)))
+    message = f"stack member 0 is not {hypothesis} within tol 1e-09"
+    with pytest.raises(PreconditionError, match=message):
         run_suite(SuiteConfig(suites=(suite,), trials=3, shapes=((2, 2),)))
     argv = ["verify", "--suite", suite, "--trials", "3", "--shapes", "2x2"]
-    assert main(argv) == 3
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_block2_consistency_chain_is_a_typed_error(monkeypatch):
@@ -603,6 +618,20 @@ def test_run_files_reports_are_byte_identical_run_to_run(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_run_files_on_a_fresh_draw_reports_as_a_fresh_process(tmp_path):
+    # a generator solves nothing, so it leaves no memoized value of its draw
+    # for the checker to read in place of the checker's own solve
+    densemat._solved.cache_clear()
+    path = tmp_path / "draw.json"
+    save(path, random_separable(3, 3, [2, 3, 1], [101, 102, 103])[0])
+    cfg = SuiteConfig(suites=("theorem2",))
+    first = run_files(cfg, [path]).reports["theorem2"][0]
+    densemat._solved.cache_clear()  # as in a fresh process
+    again = run_files(cfg, [path]).reports["theorem2"][0]
+    assert first.details["input_min_eig"] == again.details["input_min_eig"]
+    assert report_to_doc(first) == report_to_doc(again)
+
+
 def _errors_one_suite_at_a_time(a, names, tol):
     """The suites completed, and the error raised, when each suite's checker runs
     alone in turn from an empty memo, as run_files ran them before it solved a
@@ -690,6 +719,29 @@ def test_run_files_block2_alone_on_three_block_rows_is_a_usage_error(tmp_path, m
     with pytest.raises(UsageError, match="check_block2 requires block shape m=2, got m=3"):
         run_files(SuiteConfig(suites=("block2",)), [path])
     assert solves.counts() == (0, [])
+
+
+_PSD_BLOCK_SUITES = ("theorem2", "upper_bound", "corollary6", "block2")
+_PPT_BLOCK_SUITES = ("corollary3", "combined")
+
+
+@pytest.mark.parametrize(
+    "suite, shape",
+    [
+        pytest.param(suite, shape, id=f"{suite}-{shape[0]}x{shape[1]}")
+        for suite in _PSD_BLOCK_SUITES + _PPT_BLOCK_SUITES
+        for shape in ((2, 2), (3, 3))
+        if suite != "block2" or shape[0] == 2
+    ],
+)
+def test_block_suite_solve_budget(monkeypatch, suite, shape):
+    # each seeded draw is solved once, by its checker's hypothesis test: a PSD
+    # suite makes that solve and one of the residuals; a PPT suite adds one
+    # per rejection attempt (two here). A duplicated solve fails this test.
+    densemat._solved.cache_clear()
+    solves = _Solves(monkeypatch)
+    run_suite(SuiteConfig(suites=(suite,), trials=25, shapes=(shape,), seed=42))
+    assert len(solves.stacked) == (2 if suite in _PSD_BLOCK_SUITES else 4)
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +870,38 @@ def test_cli_verify_exit2_on_missing_file(capsys):
     rc = main(["verify", "--suite", "thm8_9", "/nonexistent/mat.json"])
     assert rc == 2
     assert "error: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["choi", "--map", "psi", "--n", "2", "--tol=nan"],
+        ["choi", "--map", "psi", "--n", "2", "--tol=inf"],
+        ["choi", "--map", "psi", "--n", "2", "--tol=-1"],
+        ["verify", "--suite", "theorem2", "--trials", "2", "--tol=inf"],
+    ],
+    ids=["choi_nan", "choi_inf", "choi_negative", "verify_inf"],
+)
+def test_cli_non_finite_or_negative_tol_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "theorem2", "--trials", "1", "--shapes", "2x2"],
+        ["gen", "--kind", "separable", "--m", "2", "--n", "2"],
+        ["choi", "--map", "psi", "--n", "2"],
+    ],
+    ids=["verify", "gen", "choi"],
+)
+def test_cli_unwritable_out_path_exits_2(tmp_path, argv, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
 
 
 def test_cli_verify_exit2_on_malformed_json(tmp_path, capsys):
