@@ -13,21 +13,22 @@ targets (dimension <= 64):
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack at once in
   the round-robin (parallel) pair ordering, vectorized over the stack and the
   disjoint pairs of each round. The seeded block suites go through it: they
-  draw, test and check each shape's trials as one stack, and a check solves
-  the residuals of all its sides in one call. So does file verification: it
-  solves all of a document's residuals, for every requested block suite, as
-  one stack.
+  draw and check each shape's trials as one stack, and a check solves its
+  inputs (with their partial transposes, for a PPT check) and the residuals
+  of all its sides in one call. So does file verification: it solves all of
+  a document's residuals, for every requested block suite, as one stack.
 
 Both apply the same rules to each matrix: the same Hermiticity check and
 symmetrization, the same skip threshold, the same stopping rule and the same
 errors, including a refusal of any matrix whose Frobenius norm overflows.
 
-:func:`is_psd` decides one matrix or a stack with the matching solver. It
-memoizes the minimum eigenvalues of up to 8192 recently tested matrices,
-so a matrix is solved once however often it is tested meanwhile. Two
-callers read it back: the checkers on an input file, whose residuals
-``run_files`` solved as one stack beforehand, and the PPT suites' checkers
-on a draw that ``random_ppt`` accepted after solving it.
+:func:`is_psd` decides one matrix or a stack with the matching solver, by
+the rule :func:`psd_verdict` states, at :func:`psd_scale`; a checker that
+solved its inputs in its own stack decides them by the same rule. :func:`is_psd` memoizes the minimum
+eigenvalues of up to 8192 recently tested matrices, so a matrix is solved
+once however often it is tested meanwhile. One caller reads it back: the
+checkers on an input file, whose residuals ``run_files`` solved as one stack
+beforehand.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
@@ -417,25 +418,23 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     """Decide positive semidefiniteness of a Hermitian matrix or of a stack.
 
     For a ``(d, d)`` matrix returns ``(ok, min_eig)`` where ``ok`` is true
-    iff the minimum eigenvalue is at least ``-tol * max(1, ||x||_F)``. The
-    eigenvalue is returned for reporting either way. For a ``(B, d, d)``
-    stack returns the same per member, as a boolean and a float array of
-    length ``B``; the members not solved before are solved together by
-    :func:`hermitian_eigenvalues_stack`, whose errors name a member by its
-    index in ``x``.
+    iff the minimum eigenvalue is at least ``-tol * max(1, ||x||_F)``
+    (:func:`psd_verdict`). The eigenvalue is returned for reporting either
+    way. For a ``(B, d, d)`` stack returns the same per member, as a boolean
+    and a float array of length ``B``; the members not solved before are
+    solved together by :func:`hermitian_eigenvalues_stack`, whose errors
+    name a member by its index in ``x``.
 
     Each solved matrix's minimum eigenvalue and scale are memoized on its
     bytes, whatever the tolerance, because a file's checkers read the
-    residuals that were solved for them as one stack, and a PPT checker
-    tests the draws that :func:`blockineq.randgen.random_ppt` accepted.
+    residuals that were solved for them as one stack.
 
     Raises
     ------
     UsageError
         If ``tol`` is negative, infinite or NaN.
     """
-    if not 0 <= tol < math.inf:
-        raise UsageError(f"tolerance must be finite and nonnegative, got {tol}")
+    _require_tol(tol)
     mat = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
     if mat.ndim == 2:
         require_square(mat)
@@ -443,7 +442,7 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
         if not slot:
             slot[:] = _margins(mat[np.newaxis])[0]
         min_eig, scale = slot
-        return min_eig >= -tol * scale, min_eig
+        return psd_verdict(min_eig, scale, tol), min_eig
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
         raise ShapeError(f"expected a square matrix or a (B, d, d) stack, got shape {mat.shape}")
     slots = [_solved(member.tobytes()) for member in mat]
@@ -459,7 +458,33 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
         for k, margins in zip(todo, solved):
             slots[k][:] = margins
     min_eig, scale = np.array(slots, dtype=np.float64).reshape(len(mat), 2).T
-    return min_eig >= -tol * scale, min_eig
+    return psd_verdict(min_eig, scale, tol), min_eig
+
+
+def psd_scale(x: np.ndarray) -> np.ndarray:
+    """``max(1, ||X||_F)`` of each member of a ``(B, d, d)`` stack: :func:`is_psd`'s scale."""
+    return np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
+
+
+def psd_verdict(min_eig, scale, tol: float):
+    """:func:`is_psd`'s rule: PSD within ``tol`` when ``min_eig >= -tol * scale``.
+
+    ``scale`` is the matrix's :func:`psd_scale`. Takes floats or arrays of
+    them, one entry per matrix, so that a caller that solved its matrices
+    itself decides them as :func:`is_psd` would.
+
+    Raises
+    ------
+    UsageError
+        If ``tol`` is negative, infinite or NaN.
+    """
+    _require_tol(tol)
+    return min_eig >= -tol * scale
+
+
+def _require_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
 @lru_cache(maxsize=8192)
@@ -467,12 +492,13 @@ def _solved(key: bytes) -> list:
     """The memo slot of the matrix whose bytes are ``key``.
 
     Empty until :func:`is_psd` fills it with ``[min eigenvalue, max(1,
-    ||X||_F)]``. In ``verify --suite all --seed 42`` at the default 1000
-    trials, only the PPT suites read it back: about 500 of their 15 000 or
-    so memoized matrices (draws accepted by rejection, and their partial
-    transposes), each at most about 2900 matrices after it was solved. A
-    file's checkers read their residuals a few dozen matrices after the
-    file's stacked solve. The size leaves room for both at a few MiB.
+    ||X||_F)]``. Its only reader is a file's checkers:
+    :func:`blockineq.inequalities._presolve` solves a document's residuals
+    as one stack, and the checkers on the document read them a few dozen
+    matrices later, well within the size. The seeded suites never read it
+    back: a checker on a stack solves its inputs and residuals itself, and
+    a draw that :func:`blockineq.randgen.random_ppt` accepted is solved
+    again in its check's stack.
     """
     return []
 
@@ -486,5 +512,4 @@ def _margins(x: np.ndarray) -> list[tuple[float, float]]:
         mins = [0.0] * len(x)
     else:
         mins = hermitian_eigenvalues_stack(x).values[:, 0].tolist()
-    scales = np.maximum(1.0, np.linalg.norm(x, axis=(1, 2))).tolist()
-    return list(zip(mins, scales))
+    return list(zip(mins, psd_scale(x).tolist()))

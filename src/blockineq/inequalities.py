@@ -53,6 +53,8 @@ from .densemat import (
     hermitian_eigenvalues_stack,
     is_psd,
     kron,
+    psd_scale,
+    psd_verdict,
     require_square,
 )
 from .errors import (
@@ -260,33 +262,66 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0
 
 
-def _side_minima(residuals: list[np.ndarray]) -> list[np.ndarray]:
-    """The minimum eigenvalues of each ``(B, d, d)`` residual stack, in one solve.
+def _hypothesis_minima(a, hypothesis: str, tol: float):
+    """``(ok, minima)`` of ``a``'s hypothesis test by :func:`is_psd` or :func:`is_ppt`.
 
-    The residuals of every side are solved as one stack by
-    :func:`blockineq.densemat.hermitian_eigenvalues_stack`. A member's
-    rotations do not depend on its stack-mates, so each side's minima are
-    those of solving that side alone. A solver error names a member of the
-    merged stack; solving side by side then names it by its index in the
-    check's own stack.
+    ``minima`` holds the members' minimum eigenvalues, then those of their
+    partial transposes for a PPT test.
     """
+    if hypothesis == "ppt":
+        ok, input_min, tau_min = (np.atleast_1d(v) for v in is_ppt(a, tol))
+        return ok, [input_min, tau_min]
+    ok, input_min = (np.atleast_1d(v) for v in is_psd(a.mat, tol))
+    return ok, [input_min]
+
+
+def _solve_stack(stack: BlockStack, hypothesis: str, residuals: list, tol: float):
+    """``(ok, minima, side minima)`` of a check on a stack, in one solve.
+
+    The members, their partial transposes for a PPT check, and every side's
+    residuals are one :func:`~blockineq.densemat.hermitian_eigenvalues_stack`
+    call; the hypothesis is decided from those minima by :func:`is_psd`'s
+    rule (:func:`~blockineq.densemat.psd_verdict`). A member's rotations do
+    not depend on its stack-mates, so each value is the same in a stack of
+    any size, one member included.
+
+    A solver error falls back to separate solves: the hypothesis first
+    (:func:`_hypothesis_minima`), then, if every member meets it, each
+    side's residuals. So a member outside the hypothesis is refused before
+    a residual of another member raises, and an error names a member by its
+    index in the check's own stack.
+    """
+    tested = [stack.mat]
+    if hypothesis == "ppt":
+        tested.append(partial_transpose(stack).mat)
+    mats = tested + residuals
     try:
-        mins = hermitian_eigenvalues_stack(np.concatenate(residuals)).values[:, 0]
+        mins = hermitian_eigenvalues_stack(np.concatenate(mats)).values[:, 0]
     except (ConvergenceError, HermiticityError, NormOverflowError):
-        for residual in residuals:
-            hermitian_eigenvalues_stack(residual)
-        raise
-    return np.split(mins, len(residuals))
+        ok, minima = _hypothesis_minima(stack, hypothesis, tol)
+        if ok.all():
+            for residual in residuals:
+                hermitian_eigenvalues_stack(residual)
+            raise
+        return ok, minima, None
+    mins = np.split(mins, len(mats))
+    ok = np.ones(len(stack), dtype=bool)
+    for mat, min_eig in zip(tested, mins):
+        ok &= psd_verdict(min_eig, psd_scale(mat), tol)
+    return ok, mins[: len(tested)], mins[len(tested) :]
 
 
 def _check_block(check_name: str, a, tol: float):
     """One block inequality on a BlockMatrix (a report) or a BlockStack (a list).
 
-    The hypothesis (PSD, or PPT) is tested on the whole stack first; the
-    first member outside it raises. The residuals of every side of a stack
-    are then one solve per check (:func:`_side_minima`). Each residual of
-    one matrix is read through :func:`is_psd`'s memo, which
-    :func:`_presolve` may have filled for several checks of that matrix.
+    On a stack, the members (with their partial transposes, for a PPT
+    check) and the residuals of every side are one solve
+    (:func:`_solve_stack`), and the first member outside the hypothesis
+    (PSD, or PPT) raises; the check reads nothing from :func:`is_psd`'s
+    memo, unless that solve raises. One matrix is tested for its hypothesis
+    first, and then each residual, both through :func:`is_psd`'s memo,
+    which :func:`_presolve` may have filled for several checks of that
+    matrix.
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -295,34 +330,33 @@ def _check_block(check_name: str, a, tol: float):
     else:
         raise UsageError(f"expected a BlockMatrix or a BlockStack, got {type(a).__name__}")
     hypothesis, terms = _BLOCK_INEQUALITIES[check_name]
-    # tested on ``a`` itself, so that one matrix goes to the scalar solver
-    if hypothesis == "ppt":
-        ok, input_min, tau_min = (np.atleast_1d(v) for v in is_ppt(a, tol))
-        mins = {"input_min_eig": input_min, "input_tau_min_eig": tau_min}
+    if stack is a:
+        sides, gaps = terms(stack)
+        residuals = [_residual(lhs, rhs) for _, lhs, rhs in sides]
+        ok, minima, side_mins = _solve_stack(stack, hypothesis, residuals, tol)
     else:
-        ok, input_min = (np.atleast_1d(v) for v in is_psd(a.mat, tol))
-        mins = {"input_min_eig": input_min}
+        ok, minima = _hypothesis_minima(a, hypothesis, tol)
+    mins = dict(zip(("input_min_eig", "input_tau_min_eig"), minima))
     outside = np.flatnonzero(~ok)
     if outside.size:
         k = outside[0]
         where = "input" if stack is not a else f"stack member {k}"
+        input_min = mins["input_min_eig"][k]
         if hypothesis == "ppt":
+            tau_min = mins["input_tau_min_eig"][k]
             raise PreconditionError(
-                f"{where} is not PPT within tol {tol:g}: min eigenvalue {input_min[k]:.6e} "
-                f"(input), {tau_min[k]:.6e} (partial transpose)",
-                min_eig=float(min(input_min[k], tau_min[k])),
+                f"{where} is not PPT within tol {tol:g}: min eigenvalue {input_min:.6e} "
+                f"(input), {tau_min:.6e} (partial transpose)",
+                min_eig=float(min(input_min, tau_min)),
             )
         raise PreconditionError(
-            f"{where} is not PSD within tol {tol:g}: min eigenvalue {input_min[k]:.6e}",
-            min_eig=float(input_min[k]),
+            f"{where} is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
+            min_eig=float(input_min),
         )
-    sides, gaps = terms(stack)
+    if stack is not a:
+        sides, gaps = terms(stack)
+        side_mins = [is_psd(_residual(lhs, rhs), tol)[1] for _, lhs, rhs in sides]
     count = len(stack)
-    residuals = [_residual(lhs, rhs) for _, lhs, rhs in sides]
-    if stack is a:
-        side_mins = _side_minima(residuals)
-    else:
-        side_mins = [is_psd(r, tol)[1] for r in residuals]
     details = {}
     passed = np.ones(count, dtype=bool)
     gap_mins = []

@@ -200,5 +200,5 @@ def load(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse(text, where=str(path))

@@ -301,3 +301,24 @@ def det_submatrix_scalar(a, alpha, beta, tol):
         "desnanot_case": len(set(alpha) - set(beta)) == 1,
     }
     return gap >= -tol * scale, gap, details
+
+
+def refusal_order_stack(hypothesis: str) -> np.ndarray:
+    """``[I, diag(x, 0, ..., 0), outside]``: three ``(2, 3)`` block matrices.
+
+    Member 1, with ``x = 1e154`` (``x^2`` just below the float64 maximum),
+    is PSD and PPT and solves, but every residual of the block checks other
+    than block2 holds ``x`` at least twice on its diagonal, so its Frobenius
+    norm overflows. Member 2 is outside ``hypothesis``: ``-I`` for ``"PSD"``;
+    for ``"PPT"`` the projector onto ``e_1 (x) f_1 + e_2 (x) f_2``, which is
+    PSD but not PPT.
+    """
+    big = np.zeros((6, 6), dtype=np.complex128)
+    big[0, 0] = 1e154
+    if hypothesis == "PSD":
+        outside = -np.eye(6)
+    else:
+        v = np.zeros(6)
+        v[[0, 4]] = 1.0
+        outside = np.outer(v, v)
+    return np.stack([np.eye(6), big, outside]).astype(np.complex128)

@@ -46,6 +46,7 @@ from oracles import (
     eigvalsh_lapack,
     random_complex,
     random_psd_lapack,
+    refusal_order_stack,
     submatrix_loops,
     trace_submatrix_scalar,
 )
@@ -641,14 +642,21 @@ def _count_residual_solves(monkeypatch) -> list:
     return shapes
 
 
+def _tested(name: str) -> int:
+    """How many matrices a check tests per member: it, and its partial transpose for PPT."""
+    return 2 if _BLOCK_INEQUALITIES[name][0] == "ppt" else 1
+
+
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
 def test_block_check_on_a_stack_solves_every_side_in_one_call(name, monkeypatch):
+    # the members, their partial transposes (PPT checks) and every side's
+    # residuals are one solve
     stack = _ppt_stack(25)
     sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
     shapes = _count_residual_solves(monkeypatch)
     reports = _BLOCK_CHECKERS[name](stack)
     assert len(reports) == 25
-    assert shapes == [(len(sides) * 25, 6, 6)]
+    assert shapes == [((_tested(name) + len(sides)) * 25, 6, 6)]
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
@@ -710,7 +718,8 @@ def test_block_checks_are_invariant_under_local_unitaries(m, n, terms, seed):
 def test_block_check_names_a_member_that_overflows_in_a_later_side():
     # member 1 = diag(x, 0, ..., 0) with x^2 just below the float64 maximum:
     # the input and the tr1 side (norm x) solve, the tr2 side (norm sqrt(2) x)
-    # overflows; in the merged stack of both sides it is member 3 + 1
+    # overflows; in the merged stack of the inputs, their partial transposes
+    # and both sides it is member 3 * 3 + 1
     big = np.zeros((6, 6), dtype=np.complex128)
     big[0, 0] = 1e154
     stack = BlockStack(2, 3, np.stack([np.eye(6), big, np.eye(6)]))
@@ -718,16 +727,49 @@ def test_block_check_names_a_member_that_overflows_in_a_later_side():
         check_ppt_reduction(stack)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+    size=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_check_on_a_stack_reports_each_member_as_its_own_stack(shape, size, seed):
+    # a member's values do not depend on its stack-mates, a lone one included:
+    # every report equals that of the member checked as a one-member stack
+    m, n = shape
+    stack = random_separable(m, n, [1 + k % 3 for k in range(size)], [seed + k for k in range(size)])
+    for name, checker in _BLOCK_CHECKERS.items():
+        if name == "block2" and m != 2:
+            continue
+        reports = checker(stack)
+        for k, got in enumerate(reports):
+            (alone,) = checker(BlockStack(m, n, stack.mat[k : k + 1]))
+            assert got == alone, (name, k)
+
+
+@pytest.mark.parametrize("name", sorted(set(_BLOCK_CHECKERS) - {"block2"}))
+def test_block_check_refuses_a_member_outside_the_hypothesis_before_an_overflow(name):
+    # the merged solve of inputs and residuals overflows on member 1's
+    # residual; member 2, outside the hypothesis, is still what is refused
+    hypothesis = _BLOCK_INEQUALITIES[name][0].upper()
+    checker = _BLOCK_CHECKERS[name]
+    mats = refusal_order_stack(hypothesis)
+    with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve"):
+        checker(BlockStack(2, 3, mats[:2]))
+    with pytest.raises(PreconditionError, match=f"^stack member 2 is not {hypothesis}"):
+        checker(BlockStack(2, 3, mats))
+
+
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
 def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, monkeypatch):
-    # a one-member stack with two sides is a merged stack of two, which the
-    # stacked solver takes; one BlockMatrix reads each side through is_psd,
-    # which solves one matrix with the scalar solver
+    # a one-member stack solves its input and its residuals as one merged
+    # stack of at least two, which the stacked solver takes; one BlockMatrix
+    # reads each through is_psd, which solves one matrix with the scalar solver
     one = _ppt_stack(1)
     sides, _ = _BLOCK_INEQUALITIES[name][1](one)
     shapes = _count_residual_solves(monkeypatch)
     (got,) = _BLOCK_CHECKERS[name](one)
-    assert shapes == [(len(sides), 6, 6)]
+    assert shapes == [(_tested(name) + len(sides), 6, 6)]
     want = _BLOCK_CHECKERS[name](one[0])
     assert got.passed == want.passed
     for label, _, _ in sides:

@@ -49,7 +49,7 @@ from blockineq.suites import (
     run_files,
     run_suite,
 )
-from oracles import STACK_AGREEMENT_RTOL
+from oracles import STACK_AGREEMENT_RTOL, refusal_order_stack
 
 TINY = SuiteConfig(
     suites=("all",), trials=2, shapes=((2, 2),), dims=(3,), seed=42, tol=1e-9
@@ -329,6 +329,24 @@ def test_seeded_draw_outside_the_hypothesis_is_the_checkers_precondition_error(
     argv = ["verify", "--suite", suite, "--trials", "3", "--shapes", "2x2"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, hypothesis", [("theorem2", "PSD"), ("corollary3", "PPT")])
+def test_member_outside_the_hypothesis_is_refused_before_another_members_overflow(
+    monkeypatch, capsys, suite, hypothesis
+):
+    mats = refusal_order_stack(hypothesis)
+    if suite == "theorem2":
+        monkeypatch.setattr(suites, "random_psd", lambda *args: mats)
+    else:  # trials 0 and 2 are separable draws, trial 1 a PPT draw
+        monkeypatch.setattr(suites, "random_separable", lambda *args: BlockStack(2, 3, mats[0::2]))
+        monkeypatch.setattr(
+            suites, "random_ppt", lambda *args, **kw: (BlockStack(2, 3, mats[1:2]), ("rejection",))
+        )
+    argv = ["verify", "--suite", suite, "--trials", "3", "--shapes", "2x3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stack member 2 is not {hypothesis} within tol 1e-09"), err
 
 
 def test_block2_consistency_chain_is_a_typed_error(monkeypatch):
@@ -735,13 +753,13 @@ _PPT_BLOCK_SUITES = ("corollary3", "combined")
     ],
 )
 def test_block_suite_solve_budget(monkeypatch, suite, shape):
-    # each seeded draw is solved once, by its checker's hypothesis test: a PSD
-    # suite makes that solve and one of the residuals; a PPT suite adds one
-    # per rejection attempt (two here). A duplicated solve fails this test.
+    # a check solves its draws and their residuals as one stack: a PSD suite
+    # makes that one solve; a PPT suite adds one per rejection attempt (two
+    # here). A duplicated solve fails this test.
     densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     run_suite(SuiteConfig(suites=(suite,), trials=25, shapes=(shape,), seed=42))
-    assert len(solves.stacked) == (2 if suite in _PSD_BLOCK_SUITES else 4)
+    assert len(solves.stacked) == (1 if suite in _PSD_BLOCK_SUITES else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +888,14 @@ def test_cli_verify_exit2_on_missing_file(capsys):
     rc = main(["verify", "--suite", "thm8_9", "/nonexistent/mat.json"])
     assert rc == 2
     assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_cli_unreadable_input_names_its_path_once(tmp_path, capsys):
+    path = tmp_path / "missing" / "mat.json"
+    assert main(["verify", "--suite", "thm8_9", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+    assert err.count(str(path)) == 1
 
 
 @pytest.mark.parametrize(
