@@ -24,11 +24,9 @@ errors, including a refusal of any matrix whose Frobenius norm overflows.
 
 :func:`is_psd` decides one matrix or a stack with the matching solver, by
 the rule :func:`psd_verdict` states, at :func:`psd_scale`; a checker that
-solved its inputs in its own stack decides them by the same rule. :func:`is_psd` memoizes the minimum
-eigenvalues of up to 8192 recently tested matrices, so a matrix is solved
-once however often it is tested meanwhile. One caller reads it back: the
-checkers on an input file, whose residuals ``run_files`` solved as one stack
-beforehand.
+solved its inputs in its own stack, or that was handed the minima of an
+input file's stacked solve, decides them by the same rule. :func:`is_psd`
+keeps no state: every call solves what it is given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
@@ -421,13 +419,9 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     iff the minimum eigenvalue is at least ``-tol * max(1, ||x||_F)``
     (:func:`psd_verdict`). The eigenvalue is returned for reporting either
     way. For a ``(B, d, d)`` stack returns the same per member, as a boolean
-    and a float array of length ``B``; the members not solved before are
-    solved together by :func:`hermitian_eigenvalues_stack`, whose errors
-    name a member by its index in ``x``.
-
-    Each solved matrix's minimum eigenvalue and scale are memoized on its
-    bytes, whatever the tolerance, because a file's checkers read the
-    residuals that were solved for them as one stack.
+    and a float array of length ``B``, all solved together by
+    :func:`hermitian_eigenvalues_stack`, whose errors name a member by its
+    index in ``x``. Every call solves: nothing is kept between calls.
 
     Raises
     ------
@@ -435,34 +429,25 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
         If ``tol`` is negative, infinite or NaN.
     """
     _require_tol(tol)
-    mat = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
-    if mat.ndim == 2:
+    mat = np.asarray(x, dtype=np.complex128)
+    one = mat.ndim == 2
+    if one:
         require_square(mat)
-        slot = _solved(mat.tobytes())
-        if not slot:
-            slot[:] = _margins(mat[np.newaxis])[0]
-        min_eig, scale = slot
-        return psd_verdict(min_eig, scale, tol), min_eig
-    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+        mat = mat[np.newaxis]
+    elif mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
         raise ShapeError(f"expected a square matrix or a (B, d, d) stack, got shape {mat.shape}")
-    slots = [_solved(member.tobytes()) for member in mat]
-    todo = [k for k, slot in enumerate(slots) if not slot]
-    if todo:
-        try:
-            solved = _margins(mat[todo])
-        except (ConvergenceError, HermiticityError, NormOverflowError):
-            # the error names a member of the unsolved rest; solving the
-            # whole stack names it by its index in the caller's stack
-            _margins(mat)
-            raise
-        for k, margins in zip(todo, solved):
-            slots[k][:] = margins
-    min_eig, scale = np.array(slots, dtype=np.float64).reshape(len(mat), 2).T
-    return psd_verdict(min_eig, scale, tol), min_eig
+    # the minimum eigenvalue of an empty matrix is taken as 0
+    min_eig = hermitian_eigenvalues_stack(mat).values[:, 0] if mat.shape[1] else np.zeros(len(mat))
+    ok = psd_verdict(min_eig, psd_scale(mat), tol)
+    return (bool(ok[0]), float(min_eig[0])) if one else (ok, min_eig)
 
 
 def psd_scale(x: np.ndarray) -> np.ndarray:
-    """``max(1, ||X||_F)`` of each member of a ``(B, d, d)`` stack: :func:`is_psd`'s scale."""
+    """``max(1, ||X||_F)`` of each member of a ``(B, d, d)`` stack: :func:`is_psd`'s scale.
+
+    A caller that holds a matrix's minimum eigenvalue from an earlier solve
+    decides it at this scale, as :func:`is_psd` would have.
+    """
     return np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
 
 
@@ -485,31 +470,3 @@ def psd_verdict(min_eig, scale, tol: float):
 def _require_tol(tol: float) -> None:
     if not 0 <= tol < math.inf:
         raise UsageError(f"tolerance must be finite and nonnegative, got {tol}")
-
-
-@lru_cache(maxsize=8192)
-def _solved(key: bytes) -> list:
-    """The memo slot of the matrix whose bytes are ``key``.
-
-    Empty until :func:`is_psd` fills it with ``[min eigenvalue, max(1,
-    ||X||_F)]``. Its only reader is a file's checkers:
-    :func:`blockineq.inequalities._presolve` solves a document's residuals
-    as one stack, and the checkers on the document read them a few dozen
-    matrices later, well within the size. The seeded suites never read it
-    back: a checker on a stack solves its inputs and residuals itself, and
-    a draw that :func:`blockineq.randgen.random_ppt` accepted is solved
-    again in its check's stack.
-    """
-    return []
-
-
-def _margins(x: np.ndarray) -> list[tuple[float, float]]:
-    """``(min eigenvalue, max(1, ||X||_F))`` of each member of a stack.
-
-    The minimum eigenvalue of an empty matrix is taken as 0.
-    """
-    if x.shape[1] == 0:
-        mins = [0.0] * len(x)
-    else:
-        mins = hermitian_eigenvalues_stack(x).values[:, 0].tolist()
-    return list(zip(mins, psd_scale(x).tolist()))

@@ -263,16 +263,33 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _hypothesis_minima(a, hypothesis: str, tol: float):
-    """``(ok, minima)`` of ``a``'s hypothesis test by :func:`is_psd` or :func:`is_ppt`.
+    """``(ok, minima)`` of ``a``'s hypothesis test.
 
     ``minima`` holds the members' minimum eigenvalues, then those of their
-    partial transposes for a PPT test.
+    partial transposes for a PPT test. A stack is tested by :func:`is_psd`
+    or :func:`is_ppt`; one matrix by :func:`_min_eig`, the input first.
     """
+    if isinstance(a, BlockStack):
+        ok, *minima = is_ppt(a, tol) if hypothesis == "ppt" else is_psd(a.mat, tol)
+        return ok, minima
+    tested = {"input": a.mat}
     if hypothesis == "ppt":
-        ok, input_min, tau_min = (np.atleast_1d(v) for v in is_ppt(a, tol))
-        return ok, [input_min, tau_min]
-    ok, input_min = (np.atleast_1d(v) for v in is_psd(a.mat, tol))
-    return ok, [input_min]
+        tested["input_tau"] = partial_transpose(a).mat
+    oks, minima = zip(*(_min_eig(a, key, mat[np.newaxis], tol) for key, mat in tested.items()))
+    return np.logical_and.reduce(oks), list(minima)
+
+
+def _min_eig(a: BlockMatrix, key, mat: np.ndarray, tol: float):
+    """``(ok, min_eig)`` of a one-member stack ``mat`` that belongs to ``a``.
+
+    Read from ``a.minima[key]`` if :func:`_presolve` solved it, decided by
+    :func:`is_psd`'s rule; otherwise solved alone by :func:`is_psd`.
+    """
+    minima = a.minima if isinstance(a, _Presolved) else {}
+    if key not in minima:
+        return is_psd(mat, tol)
+    min_eig = np.array([minima[key]])
+    return psd_verdict(min_eig, psd_scale(mat), tol), min_eig
 
 
 def _solve_stack(stack: BlockStack, hypothesis: str, residuals: list, tol: float):
@@ -317,11 +334,9 @@ def _check_block(check_name: str, a, tol: float):
     On a stack, the members (with their partial transposes, for a PPT
     check) and the residuals of every side are one solve
     (:func:`_solve_stack`), and the first member outside the hypothesis
-    (PSD, or PPT) raises; the check reads nothing from :func:`is_psd`'s
-    memo, unless that solve raises. One matrix is tested for its hypothesis
-    first, and then each residual, both through :func:`is_psd`'s memo,
-    which :func:`_presolve` may have filled for several checks of that
-    matrix.
+    (PSD, or PPT) raises. One matrix is tested for its hypothesis first,
+    and then each residual is solved, each matrix alone; a minimum that
+    :func:`_presolve` solved for the matrix is read instead (:func:`_min_eig`).
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -355,7 +370,10 @@ def _check_block(check_name: str, a, tol: float):
         )
     if stack is not a:
         sides, gaps = terms(stack)
-        side_mins = [is_psd(_residual(lhs, rhs), tol)[1] for _, lhs, rhs in sides]
+        side_mins = [
+            _min_eig(a, (check_name, label), _residual(lhs, rhs), tol)[1]
+            for label, lhs, rhs in sides
+        ]
     count = len(stack)
     details = {}
     passed = np.ones(count, dtype=bool)
@@ -394,38 +412,53 @@ def _check_block(check_name: str, a, tol: float):
     return reports if stack is a else reports[0]
 
 
-def _presolve(a: BlockMatrix, check_names, tol: float) -> None:
-    """Solve every residual the named block checks build for ``a`` in one stack.
+@dataclass(frozen=True)
+class _Presolved(BlockMatrix):
+    """A block matrix with the minimum eigenvalues :func:`_presolve` solved for its checkers.
 
-    The stack also holds ``a``'s partial transpose when a check needs PPT.
-    The minimum eigenvalues go to :func:`is_psd`'s memo, where the checkers
-    on ``a`` then read them: the residuals are built by the same code on the
-    same one-member stack, so they are the same bytes. The stacked solver
-    rotates in another order than the scalar one, so each value agrees with
-    a lone check's to rounding, not bitwise.
+    ``minima`` maps ``"input"``, ``"input_tau"`` (the partial transpose) and
+    ``(check name, side label)`` (a residual) to a minimum eigenvalue.
+    """
 
-    Nothing is solved unless ``a`` is PSD (tested alone, as the checkers
-    test it): otherwise the first checker refuses it, and needs no residual.
-    A solver error in the stack memoizes nothing, so that each checker
-    raises what it raises alone: a PPT check refuses a document that is not
-    PPT before solving a residual that another check would fail on.
-    ``check_block2``'s residual is left out unless ``a`` has two block rows.
+    minima: dict = field(default_factory=dict)
+
+
+def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
+    """``a`` with the minima of what the named block checks solve for it.
+
+    ``a`` is tested for PSD alone, as the checkers test it. Only if it is
+    PSD, its partial transpose (when a check needs PPT) and every residual
+    the checks build are then solved as one stack: otherwise the first
+    checker refuses it, and needs no residual. The stacked solver rotates in
+    another order than the scalar one, so each such value agrees with a lone
+    check's to rounding, not bitwise.
+
+    If that stack raises a solver error, only the input's minimum is kept,
+    so that each checker raises what it raises alone: a PPT check refuses a
+    document that is not PPT before solving a residual that another check
+    would fail on. ``check_block2``'s residual is left out unless ``a`` has
+    two block rows.
     """
     names = [name for name in check_names if name != "block2" or a.m == 2]
-    if not names or not is_psd(a.mat, tol)[0]:
-        return
+    presolved = _Presolved(a.m, a.n, a.mat)
+    if not names:
+        return presolved
+    ok, presolved.minima["input"] = is_psd(a.mat, tol)
+    if not ok:
+        return presolved
     stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
-    mats = []
+    mats = {}
     if any(_BLOCK_INEQUALITIES[name][0] == "ppt" for name in names):
-        mats.append(partial_transpose(stack).mat)
+        mats["input_tau"] = partial_transpose(stack).mat
     for name in names:
         sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
-        mats.extend(_residual(lhs, rhs) for _, lhs, rhs in sides)
+        mats.update(((name, label), _residual(lhs, rhs)) for label, lhs, rhs in sides)
     try:
-        is_psd(np.concatenate(mats), tol)
+        solved = hermitian_eigenvalues_stack(np.concatenate(list(mats.values())))
     except (ConvergenceError, HermiticityError, NormOverflowError):
-        # memoizes nothing: the checkers then solve, and refuse, one at a time
-        return
+        return presolved  # each checker then solves, and refuses, alone
+    presolved.minima.update(zip(mats, solved.values[:, 0].tolist()))
+    return presolved
 
 
 def check_copositive_partial_trace(a, tol: float = DEFAULT_TOL):

@@ -8,8 +8,10 @@ wall-clock duration is the only nondeterministic field in a serialized run.
 
 :func:`run_files` checks explicit documents instead, through the same
 runners (``_RUNNERS``). It solves all of a document's block-suite residuals
-as one stack, so their values agree with a lone ``check_*`` call on the
-document to rounding, not bitwise.
+as one stack and hands the document to the checkers together with those
+minima, so their values agree with a lone ``check_*`` call on the document
+to rounding, not bitwise, and do not depend on what the process solved
+before.
 """
 
 from __future__ import annotations
@@ -504,9 +506,11 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
 
     A document is tested for PSD alone; if it is PSD, the residuals of all
     its requested block suites (and its partial transpose, for the PPT
-    suites) are then solved as one stack before the checkers run, and the
-    checkers read their values from that solve. Those values agree with a
-    lone ``check_*`` call on the document to rounding, not bitwise.
+    suites) are then solved as one stack before the checkers run. The
+    document goes to its checkers carrying those minima, which they read
+    instead of solving again. Those values agree with a lone ``check_*``
+    call on the document to rounding, not bitwise. Every run solves the
+    same: nothing is kept from one document, or one run, to the next.
     """
     start = time.perf_counter()
     if "choi_certs" in config.suites:
@@ -523,7 +527,7 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     for idx, path in enumerate(paths):
         obj = load(path)
         if isinstance(obj, BlockMatrix):
-            _presolve(obj, block_checks, config.tol)
+            obj = _presolve(obj, block_checks, config.tol)
             mat = obj.mat
         elif isinstance(obj, LinearMapRep):
             raise UsageError(f"{path}: expected a matrix document, found a linear map")

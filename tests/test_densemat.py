@@ -297,7 +297,6 @@ def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
         hermitian_eigenvalues_stack(np.stack([np.full((4, 4), np.nan), np.eye(4)]))
     with pytest.raises(NormOverflowError, match="^matrix is too large"):
         is_psd(big)
-    densemat._solved.cache_clear()  # a memoized member would leave a stack of one
     with pytest.raises(NormOverflowError, match="^stack member 1 "):
         is_psd(np.stack([np.eye(4), big]))
     # large but finite norms still solve
@@ -305,17 +304,16 @@ def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
 
 
 def test_is_psd_names_a_failing_member_by_its_index_in_the_stack(monkeypatch):
-    # is_psd solves only the members it has not solved before; an error must
-    # still name the member by its index in the caller's stack
+    # an error names the member by its index in the caller's stack, even
+    # where the members before it were solved by an earlier call
     big = np.full((4, 4), 1e200, dtype=np.complex128)
     bad = np.eye(4, dtype=np.complex128)
     bad[0, 1] = 1.0
-    densemat._solved.cache_clear()
     is_psd(np.eye(4))
-    # a remainder of one member, which alone goes to the scalar solver
+    # one member past a member solved before
     with pytest.raises(NormOverflowError, match="^stack member 1 is too large"):
         is_psd(np.stack([np.eye(4), big]))
-    # a remainder of two members
+    # two members past one solved before
     with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
         is_psd(np.stack([np.eye(4), 2 * np.eye(4), bad]))
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
@@ -384,9 +382,9 @@ def test_is_psd_of_a_stack_is_per_member():
         is_psd(np.zeros((2, 3, 4)))
 
 
-def test_is_psd_solves_each_matrix_once(monkeypatch):
-    # tests at another tolerance, on the whole stack or on one member,
-    # share one solve
+def test_is_psd_solves_on_every_call(monkeypatch):
+    # is_psd keeps nothing between calls: each call solves all it is given,
+    # at any tolerance, and the same input gives the same values every time
     solved = []
     real = densemat.hermitian_eigenvalues_stack
 
@@ -395,15 +393,15 @@ def test_is_psd_solves_each_matrix_once(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counting)
-    densemat._solved.cache_clear()
     rng = np.random.default_rng(67)
     stack = np.stack([random_psd_lapack(rng, 4) for _ in range(5)])
     first = is_psd(stack)
-    assert solved == [5]
     again = is_psd(stack, tol=1e-3)
-    assert is_psd(stack[2]) == (True, first[1][2])
-    assert solved == [5]
+    assert solved == [5, 5]
     assert np.array_equal(again[1], first[1])
+    assert is_psd(stack[2]) == is_psd(stack[2], tol=1e-3)
+    assert solved == [5, 5, 1, 1]
     fresh = random_psd_lapack(rng, 4)
-    is_psd(np.stack([stack[0], fresh, stack[1]]))
-    assert solved == [5, 1]
+    repeat = is_psd(np.stack([stack[0], fresh, stack[1]]))
+    assert solved == [5, 5, 1, 1, 3]
+    assert np.array_equal(repeat[1], is_psd(np.stack([stack[0], fresh, stack[1]]))[1])

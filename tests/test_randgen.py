@@ -295,7 +295,6 @@ def solves(monkeypatch):
             sizes.append(len(x))
         return stacked(x)
 
-    densemat._solved.cache_clear()
     monkeypatch.setattr(densemat, "hermitian_eigenvalues", counted_scalar)
     monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counted_stack)
     return sizes

@@ -19,3 +19,35 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _cache_decorator(node: ast.expr) -> bool:
+    """Whether ``node`` is ``functools.lru_cache``/``cache``, bare, called, or by its module."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_caches_in_the_package_are_keyed_on_integers_and_flags():
+    # a cache keyed on matrix data (its bytes, say) would make a report
+    # depend on what the process solved before; a cache may only hold what
+    # a few integers or flags determine
+    paths = sorted(SRC.glob("*.py"))
+    cached, found = [], []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(_cache_decorator(dec) for dec in node.decorator_list):
+                continue
+            cached.append(node.name)
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if args.vararg or args.kwarg or not all(
+                isinstance(p.annotation, ast.Name) and p.annotation.id in ("int", "bool")
+                for p in params
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert cached  # the rule sees the caches there are
+    assert found == []

@@ -13,7 +13,7 @@ import pytest
 from blockineq import densemat, inequalities, suites
 from blockineq.blockops import BlockMatrix, BlockStack, is_ppt, partial_transpose
 from blockineq.cli import _build_parser, main
-from blockineq.densemat import is_psd
+from blockineq.densemat import hermitian_eigenvalues, is_psd
 from blockineq.errors import (
     BlockineqError,
     HermiticityError,
@@ -602,21 +602,21 @@ class _Solves:
 def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind):
     path, a, names = _file_document(tmp_path, kind, m, n)
     tol = 1e-9
-    densemat._solved.cache_clear()
     wants = {name: _REPLAY[name][0](a, tol) for name in names}
-    densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     after_presolve = []
     real_presolve = suites._presolve
 
     def presolve(*args):
-        real_presolve(*args)
+        presolved = real_presolve(*args)
         after_presolve.append(solves.counts())
+        return presolved
 
     monkeypatch.setattr(suites, "_presolve", presolve)
     report = run_files(SuiteConfig(suites=tuple(names), tol=tol), [path])
     # the input alone, then every residual (and the partial transpose) in one
-    # stack; the checkers read those values and solve nothing more
+    # stack; the checkers read those values from the document they are handed
+    # and solve nothing more
     assert after_presolve == [solves.counts()]
     scalar, stacked = solves.counts()
     assert scalar == 1 and len(stacked) == 1
@@ -626,35 +626,56 @@ def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind)
         _assert_agrees(got, wants[name], a, exact=("input_min_eig",))
 
 
-def test_run_files_reports_are_byte_identical_run_to_run(tmp_path):
+def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
+    # each run makes the same solves: the input alone, then one stack of its
+    # partial transpose and the ten residuals of the six block suites
     path, _, names = _file_document(tmp_path, "separable", 2, 4)
     cfg = SuiteConfig(suites=tuple(names))
+    sizes = []
+    real = densemat.hermitian_eigenvalues_stack
+
+    def counting(x):
+        sizes.append(len(x))
+        return real(x)
+
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counting)
+    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", counting)
     runs = []
     for _ in range(2):
-        densemat._solved.cache_clear()  # as in a fresh process
+        sizes.clear()
         runs.append(_doc_without_duration(run_files(cfg, [path])))
+        assert sizes == [1, 11]
     assert runs[0] == runs[1]
 
 
 def test_run_files_on_a_fresh_draw_reports_as_a_fresh_process(tmp_path):
-    # a generator solves nothing, so it leaves no memoized value of its draw
-    # for the checker to read in place of the checker's own solve
-    densemat._solved.cache_clear()
+    # the checker reads no value of the draw from an earlier solve in the
+    # process, in place of the checker's own solve
     path = tmp_path / "draw.json"
     save(path, random_separable(3, 3, [2, 3, 1], [101, 102, 103])[0])
     cfg = SuiteConfig(suites=("theorem2",))
     first = run_files(cfg, [path]).reports["theorem2"][0]
-    densemat._solved.cache_clear()  # as in a fresh process
     again = run_files(cfg, [path]).reports["theorem2"][0]
     assert first.details["input_min_eig"] == again.details["input_min_eig"]
     assert report_to_doc(first) == report_to_doc(again)
 
 
+def test_run_files_on_an_accepted_ppt_draw_reports_as_a_fresh_process(tmp_path):
+    # random_ppt solves its candidates in a stack, which rotates in another
+    # order than the scalar solver; the document's report must not carry
+    # the stacked value of its draw in place of the input's own solve
+    draws, paths = random_ppt(2, 2, range(200, 240), max_attempts=2)
+    assert paths[1] == "rejection"
+    path = tmp_path / "accepted.json"
+    save(path, draws[1])
+    (got,) = run_files(SuiteConfig(suites=("corollary3",)), [path]).reports["corollary3"]
+    assert got.details["input_min_eig"] == hermitian_eigenvalues(draws[1].mat).values[0]
+
+
 def _errors_one_suite_at_a_time(a, names, tol):
     """The suites completed, and the error raised, when each suite's checker runs
-    alone in turn from an empty memo, as run_files ran them before it solved a
-    document's residuals together."""
-    densemat._solved.cache_clear()
+    alone in turn, as run_files ran them before it solved a document's
+    residuals together."""
     done = []
     for name in names:
         try:
@@ -700,7 +721,6 @@ def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, erro
             completed.append(name)
 
         monkeypatch.setitem(suites._RUNNERS, name, recording)
-    densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     with pytest.raises(error) as got:
         run_files(SuiteConfig(suites=tuple(names)), [path])
@@ -716,13 +736,12 @@ def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, caps
     # checkers share) the run exits 3, "not Hermitian".
     path = tmp_path / "rank1.json"
     save(path, BlockMatrix(2, 2, random_psd(4, 1, derive_seed(9, "b", 2, 2, 3)) * 1e3))
-    densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     assert main(["verify", "--suite", "block2", str(path)]) == 0
     assert "suite block2: checks=1 failed=0" in capsys.readouterr().out
-    # the input, then its one residual; the checker reads both from the memo
+    # the input, then its one residual; the checker reads both from the
+    # document it is handed
     assert solves.counts() == (2, [])
-    densemat._solved.cache_clear()
     solves.scalar, solves.stacked = 0, []
     names = ("theorem2", "upper_bound", "corollary6", "block2")
     assert run_files(SuiteConfig(suites=names), [path]).passed
@@ -732,7 +751,6 @@ def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, caps
 def test_run_files_block2_alone_on_three_block_rows_is_a_usage_error(tmp_path, monkeypatch):
     path = tmp_path / "sep.json"
     save(path, random_separable(3, 2, 2, 5))
-    densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     with pytest.raises(UsageError, match="check_block2 requires block shape m=2, got m=3"):
         run_files(SuiteConfig(suites=("block2",)), [path])
@@ -756,7 +774,6 @@ def test_block_suite_solve_budget(monkeypatch, suite, shape):
     # a check solves its draws and their residuals as one stack: a PSD suite
     # makes that one solve; a PPT suite adds one per rejection attempt (two
     # here). A duplicated solve fails this test.
-    densemat._solved.cache_clear()
     solves = _Solves(monkeypatch)
     run_suite(SuiteConfig(suites=(suite,), trials=25, shapes=(shape,), seed=42))
     assert len(solves.stacked) == (1 if suite in _PSD_BLOCK_SUITES else 3)
@@ -995,7 +1012,6 @@ def test_cli_verify_refuses_a_non_ppt_document_before_another_suite_overflows(tm
 def test_cli_overflow_is_reported_without_a_numpy_warning(tmp_path, args, capsys):
     save(tmp_path / "big.json", BlockMatrix(2, 2, np.full((4, 4), 1e200)))
     save(tmp_path / "products.json", BlockMatrix(2, 2, random_psd(4, 4, 3) * 1e100))
-    densemat._solved.cache_clear()
     assert main(["verify", *args[:-1], str(tmp_path / args[-1])]) == 3
     assert "too large to solve" in capsys.readouterr().err
 
