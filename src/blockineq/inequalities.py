@@ -11,7 +11,11 @@ The block-matrix checkers take one :class:`~blockineq.blockops.BlockMatrix`
 and return one report, or a :class:`~blockineq.blockops.BlockStack` and
 return a list of reports, one per member. Each inequality is written once,
 over the stack axis; a single matrix is a stack of one. The seeded suites
-check each shape's trials as one stack.
+check each shape's trials as one stack. Every block check goes one way: it
+lists the matrices it solves (the input, its partial transpose for a PPT
+check, each side's residual), reads those an input file's document already
+carries, and solves the rest, on a stack as one stacked eigensolve and on
+one matrix each alone with the scalar solver, which is the faster there.
 
 The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
 and return one report, or a :class:`PairBatch` and return
@@ -41,13 +45,13 @@ import numpy as np
 from .blockops import (
     BlockMatrix,
     BlockStack,
-    is_ppt,
     partial_trace_1,
     partial_trace_2,
     partial_transpose,
 )
 from .densemat import (
     DEFAULT_TOL,
+    _require_tol,
     as_matrix,
     determinant,
     hermitian_eigenvalues_stack,
@@ -133,16 +137,6 @@ class CheckReport:
     shape: tuple[int, int] | int
     seed_info: str | None = None
     details: dict = field(default_factory=dict)
-
-
-def _require_psd(mat: np.ndarray, tol: float) -> float:
-    ok, min_eig = is_psd(mat, tol)
-    if not ok:
-        raise PreconditionError(
-            f"input is not PSD within tol {tol:g}: min eigenvalue {min_eig:.6e}",
-            min_eig=min_eig,
-        )
-    return min_eig
 
 
 def _verdict(gap: np.ndarray, terms, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,81 +256,45 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (r + np.conj(np.swapaxes(r, -1, -2))) / 2.0
 
 
-def _hypothesis_minima(a, hypothesis: str, tol: float):
-    """``(ok, minima)`` of ``a``'s hypothesis test.
+def _to_solve(stack: BlockStack, check_names) -> tuple[dict, dict]:
+    """What the named block checks solve on ``stack``, in solve order, and their terms.
 
-    ``minima`` holds the members' minimum eigenvalues, then those of their
-    partial transposes for a PPT test. A stack is tested by :func:`is_psd`
-    or :func:`is_ppt`; one matrix by :func:`_min_eig`, the input first.
+    ``mats`` maps ``"input"`` (the members), ``"input_tau"`` (their partial
+    transposes, when a check needs PPT) and then ``(check name, side
+    label)`` (a side's residual) to a ``(B, d, d)`` stack. ``terms`` maps
+    each check name to its ``(sides, gaps)``.
+
+    A term that overflows leaves a residual whose norm is not finite, which
+    the solvers refuse by name (``NormOverflowError``), so numpy's overflow
+    warning is not shown before that error.
     """
-    if isinstance(a, BlockStack):
-        ok, *minima = is_ppt(a, tol) if hypothesis == "ppt" else is_psd(a.mat, tol)
-        return ok, minima
-    tested = {"input": a.mat}
-    if hypothesis == "ppt":
-        tested["input_tau"] = partial_transpose(a).mat
-    oks, minima = zip(*(_min_eig(a, key, mat[np.newaxis], tol) for key, mat in tested.items()))
-    return np.logical_and.reduce(oks), list(minima)
-
-
-def _min_eig(a: BlockMatrix, key, mat: np.ndarray, tol: float):
-    """``(ok, min_eig)`` of a one-member stack ``mat`` that belongs to ``a``.
-
-    Read from ``a.minima[key]`` if :func:`_presolve` solved it, decided by
-    :func:`is_psd`'s rule; otherwise solved alone by :func:`is_psd`.
-    """
-    minima = a.minima if isinstance(a, _Presolved) else {}
-    if key not in minima:
-        return is_psd(mat, tol)
-    min_eig = np.array([minima[key]])
-    return psd_verdict(min_eig, psd_scale(mat), tol), min_eig
-
-
-def _solve_stack(stack: BlockStack, hypothesis: str, residuals: list, tol: float):
-    """``(ok, minima, side minima)`` of a check on a stack, in one solve.
-
-    The members, their partial transposes for a PPT check, and every side's
-    residuals are one :func:`~blockineq.densemat.hermitian_eigenvalues_stack`
-    call; the hypothesis is decided from those minima by :func:`is_psd`'s
-    rule (:func:`~blockineq.densemat.psd_verdict`). A member's rotations do
-    not depend on its stack-mates, so each value is the same in a stack of
-    any size, one member included.
-
-    A solver error falls back to separate solves: the hypothesis first
-    (:func:`_hypothesis_minima`), then, if every member meets it, each
-    side's residuals. So a member outside the hypothesis is refused before
-    a residual of another member raises, and an error names a member by its
-    index in the check's own stack.
-    """
-    tested = [stack.mat]
-    if hypothesis == "ppt":
-        tested.append(partial_transpose(stack).mat)
-    mats = tested + residuals
-    try:
-        mins = hermitian_eigenvalues_stack(np.concatenate(mats)).values[:, 0]
-    except (ConvergenceError, HermiticityError, NormOverflowError):
-        ok, minima = _hypothesis_minima(stack, hypothesis, tol)
-        if ok.all():
-            for residual in residuals:
-                hermitian_eigenvalues_stack(residual)
-            raise
-        return ok, minima, None
-    mins = np.split(mins, len(mats))
-    ok = np.ones(len(stack), dtype=bool)
-    for mat, min_eig in zip(tested, mins):
-        ok &= psd_verdict(min_eig, psd_scale(mat), tol)
-    return ok, mins[: len(tested)], mins[len(tested) :]
+    mats = {"input": stack.mat}
+    if any(_BLOCK_INEQUALITIES[name][0] == "ppt" for name in check_names):
+        mats["input_tau"] = partial_transpose(stack).mat
+    terms = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in check_names:
+            sides, _ = terms[name] = _BLOCK_INEQUALITIES[name][1](stack)
+            mats.update(((name, label), _residual(lhs, rhs)) for label, lhs, rhs in sides)
+    return mats, terms
 
 
 def _check_block(check_name: str, a, tol: float):
     """One block inequality on a BlockMatrix (a report) or a BlockStack (a list).
 
-    On a stack, the members (with their partial transposes, for a PPT
-    check) and the residuals of every side are one solve
-    (:func:`_solve_stack`), and the first member outside the hypothesis
-    (PSD, or PPT) raises. One matrix is tested for its hypothesis first,
-    and then each residual is solved, each matrix alone; a minimum that
-    :func:`_presolve` solved for the matrix is read instead (:func:`_min_eig`).
+    A wrong type or a bad ``tol`` is refused before any solve. The check
+    solves what :func:`_to_solve` lists for it, less what a
+    :class:`_Presolved` document already carries. On a stack that rest is
+    one :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call. A
+    member's rotations do not depend on its stack-mates, so each value is
+    the same in a stack of any size, one member included.
+
+    If that call raises a solver error, and always on one matrix, what is
+    still missing is solved one entry at a time: the hypothesis first, so
+    that the first member outside it (PSD, or PPT) is refused before any
+    residual is solved, and then each side's residual. An error so names a
+    member by its index in the check's own stack, and one matrix makes
+    only scalar solves, which on one matrix are the faster.
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -344,21 +302,35 @@ def _check_block(check_name: str, a, tol: float):
         stack = a
     else:
         raise UsageError(f"expected a BlockMatrix or a BlockStack, got {type(a).__name__}")
-    hypothesis, terms = _BLOCK_INEQUALITIES[check_name]
-    if stack is a:
-        sides, gaps = terms(stack)
-        residuals = [_residual(lhs, rhs) for _, lhs, rhs in sides]
-        ok, minima, side_mins = _solve_stack(stack, hypothesis, residuals, tol)
-    else:
-        ok, minima = _hypothesis_minima(a, hypothesis, tol)
-    mins = dict(zip(("input_min_eig", "input_tau_min_eig"), minima))
+    _require_tol(tol)
+    hypothesis, _ = _BLOCK_INEQUALITIES[check_name]
+    mats, terms = _to_solve(stack, [check_name])
+    sides, gaps = terms[check_name]
+    known = a.minima if isinstance(a, _Presolved) else {}
+    minima = {key: np.array([known[key]]) for key in mats if key in known}
+    missing = [key for key in mats if key not in minima]
+    if stack is a and missing:
+        try:
+            solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in missing]))
+        except (ConvergenceError, HermiticityError, NormOverflowError):
+            pass  # solved below, one entry at a time
+        else:
+            minima.update(zip(missing, np.split(solved.values[:, 0], len(missing))))
+
+    def minimum(key) -> np.ndarray:
+        if key not in minima:
+            minima[key] = hermitian_eigenvalues_stack(mats[key]).values[:, 0]
+        return minima[key]
+
+    tested = [key for key in ("input", "input_tau") if key in mats]
+    ok = np.logical_and.reduce([psd_verdict(minimum(k), psd_scale(mats[k]), tol) for k in tested])
     outside = np.flatnonzero(~ok)
     if outside.size:
         k = outside[0]
-        where = "input" if stack is not a else f"stack member {k}"
-        input_min = mins["input_min_eig"][k]
+        where = f"stack member {k}" if stack is a else "input"
+        input_min = minima["input"][k]
         if hypothesis == "ppt":
-            tau_min = mins["input_tau_min_eig"][k]
+            tau_min = minima["input_tau"][k]
             raise PreconditionError(
                 f"{where} is not PPT within tol {tol:g}: min eigenvalue {input_min:.6e} "
                 f"(input), {tau_min:.6e} (partial transpose)",
@@ -368,12 +340,7 @@ def _check_block(check_name: str, a, tol: float):
             f"{where} is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
             min_eig=float(input_min),
         )
-    if stack is not a:
-        sides, gaps = terms(stack)
-        side_mins = [
-            _min_eig(a, (check_name, label), _residual(lhs, rhs), tol)[1]
-            for label, lhs, rhs in sides
-        ]
+    side_mins = [minimum((check_name, label)) for label, _, _ in sides]
     count = len(stack)
     details = {}
     passed = np.ones(count, dtype=bool)
@@ -393,8 +360,8 @@ def _check_block(check_name: str, a, tol: float):
         gap_mins.append(gap)
     if check_name == "upper_bound":
         details["base_case_m2"] = [stack.m == 2] * count
-    for key, values in mins.items():
-        details[key] = values.tolist()
+    for key in tested:
+        details[f"{key}_min_eig"] = minima[key].tolist()
     residual = np.min(side_mins, axis=0).tolist()
     scalar_gap = np.min(gap_mins, axis=0).tolist() if gap_mins else [None] * count
     reports = [
@@ -416,8 +383,11 @@ def _check_block(check_name: str, a, tol: float):
 class _Presolved(BlockMatrix):
     """A block matrix with the minimum eigenvalues :func:`_presolve` solved for its checkers.
 
-    ``minima`` maps ``"input"``, ``"input_tau"`` (the partial transpose) and
-    ``(check name, side label)`` (a residual) to a minimum eigenvalue.
+    ``minima`` maps the keys :func:`_to_solve` lists, ``"input"``,
+    ``"input_tau"`` (the partial transpose) and ``(check name, side
+    label)`` (a residual), to a minimum eigenvalue. A block checker reads
+    each key it holds in place of a solve, and a submatrix checker reads
+    ``"input"``.
     """
 
     minima: dict = field(default_factory=dict)
@@ -426,12 +396,13 @@ class _Presolved(BlockMatrix):
 def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
     """``a`` with the minima of what the named block checks solve for it.
 
-    ``a`` is tested for PSD alone, as the checkers test it. Only if it is
-    PSD, its partial transpose (when a check needs PPT) and every residual
-    the checks build are then solved as one stack: otherwise the first
-    checker refuses it, and needs no residual. The stacked solver rotates in
-    another order than the scalar one, so each such value agrees with a lone
-    check's to rounding, not bitwise.
+    ``a`` is tested for PSD alone, as a lone check tests it. Only if it is
+    PSD, the rest of what :func:`_to_solve` lists for the checks, its
+    partial transpose (when a check needs PPT) and every residual, is then
+    solved as one stack: otherwise the first checker refuses it, and needs
+    no residual. The stacked solver rotates in another order than the scalar
+    one, so each such value agrees with a lone check's to rounding, not
+    bitwise; the input's minimum is the lone check's, bitwise.
 
     If that stack raises a solver error, only the input's minimum is kept,
     so that each checker raises what it raises alone: a PPT check refuses a
@@ -446,13 +417,8 @@ def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
     ok, presolved.minima["input"] = is_psd(a.mat, tol)
     if not ok:
         return presolved
-    stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
-    mats = {}
-    if any(_BLOCK_INEQUALITIES[name][0] == "ppt" for name in names):
-        mats["input_tau"] = partial_transpose(stack).mat
-    for name in names:
-        sides, _ = _BLOCK_INEQUALITIES[name][1](stack)
-        mats.update(((name, label), _residual(lhs, rhs)) for label, lhs, rhs in sides)
+    mats, _ = _to_solve(BlockStack(a.m, a.n, a.mat[np.newaxis]), names)
+    del mats["input"]  # solved above, alone
     try:
         solved = hermitian_eigenvalues_stack(np.concatenate(list(mats.values())))
     except (ConvergenceError, HermiticityError, NormOverflowError):
@@ -673,10 +639,26 @@ def _as_batch(alpha, beta) -> PairBatch:
 
 
 def _psd_matrix(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, float]:
-    """The input as a matrix and its minimum eigenvalue, once for the whole batch."""
+    """The input as a matrix and its minimum eigenvalue, once for the whole batch.
+
+    A :class:`_Presolved` document is checked as its matrix, and the input's
+    minimum that :func:`_presolve` solved is read instead of solved again.
+    """
+    known = {}
+    if isinstance(a, _Presolved):
+        a, known = a.mat, a.minima
     mat = as_matrix(a)
     n = require_square(mat)
-    input_min = _require_psd(mat, tol)
+    if "input" in known:
+        input_min = known["input"]
+        ok = psd_verdict(input_min, psd_scale(mat[np.newaxis])[0], tol)
+    else:
+        ok, input_min = is_psd(mat, tol)
+    if not ok:
+        raise PreconditionError(
+            f"input is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
+            min_eig=input_min,
+        )
     if batch.universe != n:
         raise ShapeError(
             f"index-set universe {batch.universe} does not match matrix dimension {n}"

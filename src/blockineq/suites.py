@@ -298,8 +298,9 @@ def _rank_for_trial(dim: int, trial: int) -> int:
 
 # A batch is what a runner's checker takes, the provenance of each report it
 # yields and the trial number of the first: a BlockStack (or one BlockMatrix)
-# for the block suites, one matrix for the submatrix suites. A runner checks
-# the batches it is given; given none, it draws its seeded stream.
+# for the block suites, one matrix (or a file's presolved block document,
+# whose matrix is checked) for the submatrix suites. A runner checks the
+# batches it is given; given none, it draws its seeded stream.
 
 
 def _gram_inputs(cfg: SuiteConfig, suite: str, include_pattern: bool):
@@ -419,19 +420,21 @@ def _record_exhaustive(rec, suite, check_name, reports, mat, infos, trial, **ext
 
 def _run_thm8_9(cfg, rec, batches=None):
     """The trace bounds on every (alpha, beta) pair of each matrix, as one batch of pairs."""
-    for mat, infos, trial in batches or _psd_inputs(cfg, "thm8_9"):
-        reports = check_trace_submatrix(mat, exhaustive_pairs(mat.shape[0]), tol=cfg.tol)
+    for a, infos, trial in batches or _psd_inputs(cfg, "thm8_9"):
+        mat = a.mat if isinstance(a, BlockMatrix) else a
+        reports = check_trace_submatrix(a, exhaustive_pairs(mat.shape[0]), tol=cfg.tol)
         _record_exhaustive(rec, "thm8_9", "trace_submatrix_exhaustive", reports, mat, infos, trial)
 
 
 def _run_eqlin(cfg, rec, batches=None):
     """The determinant bound on every pair with alpha != beta of each matrix, as one batch."""
-    for mat, infos, trial in batches or _psd_inputs(cfg, "eqlin"):
+    for a, infos, trial in batches or _psd_inputs(cfg, "eqlin"):
+        mat = a.mat if isinstance(a, BlockMatrix) else a
         n = mat.shape[0]
         pairs = exhaustive_pairs(n, distinct=True)
         if not len(pairs):
             raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
-        reports = check_det_submatrix(mat, pairs, tol=cfg.tol)
+        reports = check_det_submatrix(a, pairs, tol=cfg.tol)
         desnanot = reports.details["desnanot_case"]
         relgap = np.abs(reports.scalar_gap[desnanot]) / reports.details["scale"][desnanot]
         _record_exhaustive(
@@ -507,10 +510,12 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     A document is tested for PSD alone; if it is PSD, the residuals of all
     its requested block suites (and its partial transpose, for the PPT
     suites) are then solved as one stack before the checkers run. The
-    document goes to its checkers carrying those minima, which they read
-    instead of solving again. Those values agree with a lone ``check_*``
-    call on the document to rounding, not bitwise. Every run solves the
-    same: nothing is kept from one document, or one run, to the next.
+    document goes to every checker carrying those minima, which they read
+    instead of solving again: the submatrix suites read its input's, so a
+    document is solved once however many suites check it. The residual
+    values agree with a lone ``check_*`` call on the document to rounding,
+    not bitwise. Every run solves the same: nothing is kept from one
+    document, or one run, to the next.
     """
     start = time.perf_counter()
     if "choi_certs" in config.suites:
@@ -528,7 +533,6 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
         obj = load(path)
         if isinstance(obj, BlockMatrix):
             obj = _presolve(obj, block_checks, config.tol)
-            mat = obj.mat
         elif isinstance(obj, LinearMapRep):
             raise UsageError(f"{path}: expected a matrix document, found a linear map")
         elif block_names:
@@ -536,9 +540,7 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
                 f"{path}: suite {block_names[0]!r} needs a block-matrix document "
                 "(with fields 'm' and 'n')"
             )
-        else:
-            mat = obj
         infos = [f"file {path}"]
         for name in names:
-            _RUNNERS[name](config, rec, [(obj if name in _BLOCK_SUITES else mat, infos, idx)])
+            _RUNNERS[name](config, rec, [(obj, infos, idx)])
     return RunReport(config, rec.reports, rec.counterexamples, time.perf_counter() - start)

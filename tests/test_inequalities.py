@@ -36,8 +36,9 @@ from blockineq import (
     random_separable,
     submatrix,
 )
-from blockineq import inequalities
-from blockineq.densemat import hermitian_eigenvalues_stack
+from blockineq import densemat, inequalities
+from blockineq.blockops import partial_transpose
+from blockineq.densemat import hermitian_eigenvalues, hermitian_eigenvalues_stack
 from blockineq.inequalities import _BLOCK_INEQUALITIES, _residual, _verdict
 from oracles import (
     STACK_AGREEMENT_RTOL,
@@ -764,7 +765,8 @@ def test_block_check_refuses_a_member_outside_the_hypothesis_before_an_overflow(
 def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, monkeypatch):
     # a one-member stack solves its input and its residuals as one merged
     # stack of at least two, which the stacked solver takes; one BlockMatrix
-    # reads each through is_psd, which solves one matrix with the scalar solver
+    # solves each alone, and the stacked solver hands a stack of one to the
+    # scalar solver
     one = _ppt_stack(1)
     sides, _ = _BLOCK_INEQUALITIES[name][1](one)
     shapes = _count_residual_solves(monkeypatch)
@@ -776,6 +778,84 @@ def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, mon
         bound = STACK_AGREEMENT_RTOL * want.details[f"scale_{label}"]
         drift = abs(got.details[f"min_eig_{label}"] - want.details[f"min_eig_{label}"])
         assert drift <= bound, label
+
+
+def _count_solves(monkeypatch) -> tuple[list, list]:
+    """The matrices the scalar solver solved, and the sizes of stacked solves of several."""
+    scalar, stacked = [], []
+
+    def solve_one(x):
+        scalar.append(np.array(x))
+        return hermitian_eigenvalues(x)
+
+    def solve_stack(x):
+        if len(x) > 1:
+            stacked.append(len(x))
+        return hermitian_eigenvalues_stack(x)  # a stack of one calls solve_one above
+
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues", solve_one)
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", solve_stack)
+    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", solve_stack)
+    return scalar, stacked
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_on_one_matrix_makes_only_scalar_solves(name, monkeypatch):
+    # one BlockMatrix solves its input, its partial transpose (PPT checks) and
+    # each side's residual alone, with the scalar solver, which is the faster
+    # on one matrix; each reported minimum is that solver's, bitwise
+    one = _ppt_stack(1)
+    a = one[0]
+    sides, _ = _BLOCK_INEQUALITIES[name][1](one)
+    want = {"input": a.mat}
+    if _BLOCK_INEQUALITIES[name][0] == "ppt":
+        want["input_tau"] = partial_transpose(a).mat
+    want.update(((name, label), _residual(lhs, rhs)[0]) for label, lhs, rhs in sides)
+    scalar, stacked = _count_solves(monkeypatch)
+    got = _BLOCK_CHECKERS[name](a)
+    assert stacked == []
+    assert len(scalar) == len(want) == _tested(name) + len(sides)
+    for solved, mat in zip(scalar, want.values()):
+        assert np.array_equal(solved, mat)
+    details = {"input": "input_min_eig", "input_tau": "input_tau_min_eig"}
+    details.update(((name, label), f"min_eig_{label}") for label, _, _ in sides)
+    for key, mat in want.items():
+        assert got.details[details[key]] == hermitian_eigenvalues(mat).values[0], key
+    # a document that carries every minimum is checked without a solve
+    scalar.clear()
+    minima = {key: got.details[detail] for key, detail in details.items() if key in want}
+    presolved = inequalities._Presolved(a.m, a.n, a.mat, minima)
+    assert _BLOCK_CHECKERS[name](presolved) == got
+    assert (scalar, stacked) == ([], [])
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_refuses_a_bad_tol_before_any_solve(name, tol, monkeypatch):
+    # the member of 1e160 entries has a norm that overflows: a solve would
+    # raise NormOverflowError (exit 3) in place of the usage error (exit 2)
+    def no_solve(x):
+        raise AssertionError("a matrix was solved before tol was refused")
+
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues", no_solve)
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", no_solve)
+    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", no_solve)
+    big = np.full((4, 4), 1e160, dtype=np.complex128)
+    for a in (BlockMatrix(2, 2, big), BlockStack(2, 2, np.stack([np.eye(4), big]))):
+        with pytest.raises(UsageError, match="^tolerance must be finite and nonnegative"):
+            _BLOCK_CHECKERS[name](a, tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_overflow_is_reported_without_a_numpy_warning(name):
+    # block2's products of 1e200 entries overflow while its residual is
+    # built; the solver's refusal is the only report, on a stack as alone
+    big = np.full((4, 4), 1e200, dtype=np.complex128)
+    alone, stack = BlockMatrix(2, 2, big), BlockStack(2, 2, np.stack([big, big]))
+    for a, where in ((alone, "matrix"), (stack, "stack member 0")):
+        with pytest.raises(NormOverflowError, match=f"^{where} is too large to solve"):
+            _BLOCK_CHECKERS[name](a)
 
 
 # ------------------------------------------------ batched submatrix checks

@@ -51,3 +51,29 @@ def test_caches_in_the_package_are_keyed_on_integers_and_flags():
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert cached  # the rule sees the caches there are
     assert found == []
+
+
+def test_every_private_helper_in_the_package_is_used():
+    # a module-level private function or class that no code in src/ names
+    # (by a call, an attribute or an import) is dead, as a helper is that a
+    # refactor made unnecessary and left behind
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = [
+        (name, node.name)
+        for name, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert private  # the rule sees the helpers there are
+    assert [f"{name} {helper}" for name, helper in private if helper not in used] == []

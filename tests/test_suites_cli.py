@@ -33,7 +33,7 @@ from blockineq.inequalities import (
     check_upper_bound,
     exhaustive_pairs,
 )
-from blockineq.matio import doc_to_obj, load, save
+from blockineq.matio import doc_to_obj, load, save, to_doc
 from blockineq.randgen import derive_seed, random_ppt, random_psd, random_separable
 from blockineq.suites import (
     DEFAULT_DIMS,
@@ -646,6 +646,27 @@ def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
         runs.append(_doc_without_duration(run_files(cfg, [path])))
         assert sizes == [1, 11]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("suite", ["thm8_9", "eqlin"])
+def test_run_files_solves_a_block_document_once_for_a_submatrix_suite(tmp_path, monkeypatch, suite):
+    # the submatrix checker reads the input minimum the document carries from
+    # its block suites' presolve. A tol far below rounding fails the pairs
+    # whose gap rounds below 0, so there are counterexample documents; they
+    # and every report are those of the suite run alone
+    path = tmp_path / "sep.json"
+    a = random_separable(2, 2, 2, 4)
+    save(path, a)
+    alone = run_files(SuiteConfig(suites=(suite,), tol=1e-300), [path])
+    solves = _Solves(monkeypatch)
+    both = run_files(SuiteConfig(suites=("theorem2", suite), tol=1e-300), [path])
+    assert solves.counts() == (1, [2])  # the input, then theorem2's two residuals
+    assert both.reports[suite] == alone.reports[suite]
+    got = [ce.to_doc() for ce in both.counterexamples if ce.suite == suite]
+    assert got and got == [ce.to_doc() for ce in alone.counterexamples]
+    want = hermitian_eigenvalues(a.mat).values[0]
+    assert all(doc["check"]["details"]["input_min_eig"] == want for doc in got)
+    assert all(doc["input"] == to_doc(a.mat) for doc in got)
 
 
 def test_run_files_on_a_fresh_draw_reports_as_a_fresh_process(tmp_path):
