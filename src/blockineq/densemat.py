@@ -10,13 +10,15 @@ targets (dimension <= 64):
   runs whenever one matrix is solved: the input of an explicit input file,
   the submatrix suites, the public ``check_*`` functions on one block
   matrix, and any stack of one, for which it is the faster of the two.
-- :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack at once in
-  the round-robin (parallel) pair ordering, vectorized over the stack and the
-  disjoint pairs of each round. The seeded block suites go through it: they
-  draw and check each shape's trials as one stack, and a check solves its
-  inputs (with their partial transposes, for a PPT check) and the residuals
-  of all its sides in one call. So does file verification: it solves all of
-  a document's residuals, for every requested block suite, as one stack.
+- :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack in one
+  call, in the round-robin (parallel) pair ordering, vectorized over the
+  disjoint pairs of each round and over chunks of members, stack axis last.
+  The seeded block suites go through it: they draw and check each shape's
+  trials as one stack, ``random_ppt`` tests all its attempts in one call, and
+  a check solves its inputs (with their partial transposes, for a PPT check)
+  and the residuals of all its sides in one call. So does file verification:
+  it solves all of a document's residuals, for every requested block suite,
+  as one stack.
 
 Both apply the same rules to each matrix: the same Hermiticity check and
 symmetrization, the same skip threshold, the same stopping rule and the same
@@ -48,6 +50,8 @@ HERMITICITY_RTOL = 1e-10
 # Off-diagonal Frobenius mass at which the Jacobi sweep loop stops.
 JACOBI_RTOL = 1e-13
 MAX_SWEEPS = 100
+# Bytes, b * d^2 * 16, of the b members the stacked solver sweeps at a time.
+_CHUNK_BYTES = 512 * 1024
 # Default tolerance for positivity decisions, relative to max(1, ||X||_F).
 DEFAULT_TOL = 1e-9
 
@@ -76,6 +80,19 @@ def as_matrix(x, allow_empty: bool = False) -> np.ndarray:
 def frobenius(x: np.ndarray) -> float:
     """Frobenius norm of a matrix."""
     return float(np.linalg.norm(x))
+
+
+def frobenius_stack(x: np.ndarray) -> np.ndarray:
+    """``||X||_F`` of each member of a ``(B, d, d)`` stack, finite wherever the norm is.
+
+    Where the squares overflow it is ``m * ||X / m||_F``, ``m`` the largest |Re| or |Im|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(x, axis=(1, 2))
+        for k in np.flatnonzero(~np.isfinite(norm)):
+            big = max(np.max(np.abs(x[k].real)), np.max(np.abs(x[k].imag)))
+            norm[k] = big * np.linalg.norm(x[k] / big)
+    return norm
 
 
 def require_square(x: np.ndarray) -> int:
@@ -261,12 +278,16 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     ``MAX_SWEEPS`` sweeps, each relative to that matrix's own norm. The
     sweeps use the round-robin pair ordering of Brent and Luk (SIAM J. Sci.
     Stat. Comput. 6, 1985): each round rotates ``d // 2`` disjoint pairs, so
-    one round is a handful of array operations over the whole stack. A
+    one round is a handful of array operations over a chunk of members. A
     matrix leaves the sweep loop as soon as it has converged.
 
-    The ordering differs from the scalar cyclic ordering, so eigenvalues
-    agree with :func:`hermitian_eigenvalues` to rounding, not bitwise. A
-    stack of one matrix is solved by :func:`hermitian_eigenvalues` itself.
+    Members are swept in chunks of ``_CHUNK_BYTES`` (``b * d^2 * 16``), each
+    a contiguous ``(d, d, b)`` array, stack axis last. A member's rotations
+    and sums use only its own entries, in a fixed order, so its values,
+    sweeps and off-diagonal mass are bitwise the same in any stack or chunk
+    (a zero's sign aside), and those of the tests' ``(B, d, d)`` reference
+    kernel. Eigenvalues agree with :func:`hermitian_eigenvalues`, whose order
+    differs, to rounding. A stack of one is solved by that scalar solver.
 
     Returns
     -------
@@ -284,8 +305,8 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     HermiticityError
         If any member is not Hermitian within tolerance; names the first.
     ConvergenceError
-        If any member exhausts the sweep budget; carries the off-diagonal
-        mass of the first such member.
+        If any member exhausts the sweep budget; names the first (by its
+        index in ``x``, not in its chunk) and carries its off-diagonal mass.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
@@ -323,18 +344,12 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
 
     threshold = JACOBI_RTOL * scale
     skip = threshold / (2.0 * n)
-    upper = np.triu_indices(n, 1)
-    offdiag = _offdiag_mass_stack(a, upper)
-    active = np.flatnonzero((offdiag >= threshold) & (sweeps < MAX_SWEEPS))
-    while active.size:
-        sub = a[active]
-        sub_skip = skip[active, np.newaxis]
-        for p, q in _round_robin(n):
-            _rotate_stack(sub, p, q, sub_skip)
-        a[active] = sub
-        sweeps[active] += 1
-        offdiag[active] = _offdiag_mass_stack(sub, upper)
-        active = active[(offdiag[active] >= threshold[active]) & (sweeps[active] < MAX_SWEEPS)]
+    values, offdiag = np.empty((count, n)), np.empty(count)
+    size = max(1, _CHUNK_BYTES // (16 * n * n))
+    for lo in range(0, count, size):
+        part = slice(lo, lo + size)
+        work = np.ascontiguousarray(a[part].transpose(1, 2, 0))
+        values[part], offdiag[part], sweeps[part] = _sweep_chunk(work, threshold[part], skip[part])
     failed = np.flatnonzero(offdiag >= threshold)
     if failed.size:
         k = failed[0]
@@ -343,17 +358,44 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
             f"(off-diagonal mass {offdiag[k]:.3e} >= {threshold[k]:.3e})",
             offdiag_residual=float(offdiag[k]),
         )
-    values = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
-    return EigenResult(values, offdiag, sweeps)
+    return EigenResult(np.sort(values, axis=1), offdiag, sweeps)
+
+
+def _sweep_chunk(a: np.ndarray, threshold: np.ndarray, skip: np.ndarray):
+    """Sweep a ``(d, d, b)`` chunk until each member stops; a stopped one leaves ``a``.
+
+    Returns each member's diagonal (``(b, d)``, unsorted), off-diagonal mass and sweeps.
+    """
+    n, count = a.shape[0], a.shape[2]
+    upper = np.triu_indices(n, 1)
+    diagonal = np.empty((count, n))
+    offdiag = _offdiag_mass_stack(a, upper)
+    sweeps = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    # two gathers of a round's p and q columns (or rows), reused every round
+    scratch = np.empty((2, n * len(_round_robin(n)[0][2]) * count), dtype=np.complex128)
+    while True:
+        going = (offdiag[active] >= threshold[active]) & (sweeps[active] < MAX_SWEEPS)
+        if not going.all():
+            diagonal[active[~going]] = np.diagonal(a, axis1=0, axis2=1)[~going].real
+            a, active = a[:, :, going], active[going]
+        if not active.size:
+            return diagonal, offdiag, sweeps
+        active_skip = skip[active]
+        for rnd in _round_robin(n):
+            _rotate_stack(a, rnd, active_skip, scratch)
+        sweeps[active] += 1
+        offdiag[active] = _offdiag_mass_stack(a, upper)
 
 
 @lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The ``(p, q)`` index arrays (``p < q``) of each round of one sweep.
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The index arrays ``(p, q, concat(p, q), concat(q, p))`` of each round of one sweep.
 
     Circle method: player 0 stays put while the others rotate one seat per
-    round, so every pair meets exactly once in ``n - 1`` rounds (``n`` rounds
-    with a bye for odd ``n``) and the pairs of a round are disjoint.
+    round, so every pair ``p < q`` meets exactly once in ``n - 1`` rounds
+    (``n`` rounds with a bye for odd ``n``) and the pairs of a round are
+    disjoint. The concatenations gather a round's columns (or rows) at once.
     """
     seats = list(range(n + n % 2))
     half = len(seats) // 2
@@ -364,52 +406,52 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             for i, j in zip(seats[:half], reversed(seats[half:]))
             if max(i, j) < n
         ]
-        p, q = zip(*pairs)
-        rounds.append((np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)))
+        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        rounds.append((p, q, np.concatenate([p, q]), np.concatenate([q, p])))
         seats = [seats[0], seats[-1]] + seats[1:-1]
     return tuple(rounds)
 
 
 def _offdiag_mass_stack(a: np.ndarray, upper: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    v = a[:, upper[0], upper[1]]
-    return np.sqrt(2.0 * np.sum(v.real * v.real + v.imag * v.imag, axis=1))
+    """Off-diagonal mass of each member of a chunk, summed left to right whatever its size."""
+    v = a[upper]
+    return np.sqrt(2.0 * np.cumsum(v.real * v.real + v.imag * v.imag, axis=0)[-1])
 
 
-def _rotate_stack(a: np.ndarray, p: np.ndarray, q: np.ndarray, skip: np.ndarray) -> None:
-    """One round: the plane rotations of the disjoint pairs ``(p, q)``, in place.
+def _rotate_stack(a: np.ndarray, rnd: tuple, skip: np.ndarray, scratch: np.ndarray) -> None:
+    """One round on a ``(d, d, b)`` chunk: the rotations of the disjoint pairs ``(p, q)``, in place.
 
     The same rotation as :func:`_rotate`, per matrix and pair; a pair whose
-    pivot is at most ``skip`` (per matrix) gets the identity instead.
+    pivot is at most ``skip`` (per matrix) gets the identity instead. The
+    gathers go to ``scratch`` (``np.take`` writes ``out`` in place only when
+    it need not check bounds), so a round allocates no chunk-sized array.
     """
-    apq = a[:, p, q]
+    p, q, pq, qp = rnd
+    apq = a[p, q]
     mag = np.abs(apq)
     rot = mag > skip
     if not rot.any():
         return
     safe = np.where(rot, mag, 1.0)
     phase = apq / safe
-    tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe)
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * safe)
     t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
     c = np.where(rot, 1.0 / np.sqrt(1.0 + t * t), 1.0)
     s = np.where(rot, t * c, 0.0)
     u12 = s * phase
     u21 = -s * np.conj(phase)
-    # columns: A <- A U
-    col_p = a[:, :, p]
-    col_q = a[:, :, q]
-    cc = c[:, np.newaxis, :]
-    a[:, :, p] = col_p * cc + col_q * u21[:, np.newaxis, :]
-    a[:, :, q] = col_p * u12[:, np.newaxis, :] + col_q * cc
-    # rows: A <- U* A
-    row_p = a[:, p, :]
-    row_q = a[:, q, :]
-    cr = c[:, :, np.newaxis]
-    a[:, p, :] = row_p * cr + row_q * np.conj(u21)[:, :, np.newaxis]
-    a[:, q, :] = row_p * np.conj(u12)[:, :, np.newaxis] + row_q * cr
+    cc = np.concatenate([c, c])[:, np.newaxis]
+    u = np.concatenate([u21, u12])[:, np.newaxis]
+    x, y = (buf.reshape(len(pq), *a.shape[1:]) for buf in scratch[:, : len(pq) * a[0].size])
+    # columns (A <- A U), then rows (A <- U* A): [p, q] * c + [q, p] * [u21, u12]
+    for view, coef in ((a.swapaxes(0, 1), u), (a, np.conj(u))):
+        np.take(view, pq, axis=0, out=x, mode="clip")
+        np.take(view, qp, axis=0, out=y, mode="clip")
+        np.multiply(x, cc, out=x)
+        np.multiply(y, coef, out=y)
+        view[pq] = np.add(x, y, out=x)
     # the pivot pairs are zero by construction; pin them to kill rounding residue
-    b, k = np.nonzero(rot)
-    a[b, p[k], q[k]] = 0.0
-    a[b, q[k], p[k]] = 0.0
+    a[pq, qp] = np.where(np.concatenate([rot, rot]), 0.0, a[pq, qp])
 
 
 def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):

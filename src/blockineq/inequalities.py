@@ -54,6 +54,7 @@ from .densemat import (
     _require_tol,
     as_matrix,
     determinant,
+    frobenius_stack,
     hermitian_eigenvalues_stack,
     is_psd,
     kron,
@@ -346,8 +347,7 @@ def _check_block(check_name: str, a, tol: float):
     passed = np.ones(count, dtype=bool)
     gap_mins = []
     for (label, lhs, rhs), min_eig in zip(sides, side_mins):
-        norms = np.linalg.norm(lhs, axis=(1, 2)), np.linalg.norm(rhs, axis=(1, 2))
-        scale = np.maximum(1.0, np.maximum(*norms))
+        scale = np.maximum(1.0, np.maximum(frobenius_stack(lhs), frobenius_stack(rhs)))
         passed &= min_eig >= -tol * scale
         details[f"min_eig_{label}"] = min_eig.tolist()
         details[f"scale_{label}"] = scale.tolist()

@@ -185,30 +185,26 @@ def random_ppt(
     the path that produced it (``"rejection"`` or ``"separable"``).
 
     With a sequence of seeds returns a :class:`BlockStack` and a tuple of
-    paths; each attempt is drawn and tested as one stack over the seeds
-    still without a PPT draw. The stacked solver rotates in another order
-    than the scalar one, so a candidate whose minimum eigenvalue lies within
-    rounding of the threshold may be judged differently in a stack than
-    alone; otherwise each member is what its seed gives alone.
+    paths. Every attempt of every seed is drawn up front, and all of them
+    are tested as one stack; each seed keeps its first accepted attempt.
+    Attempt ``t`` of a seed depends only on ``derive_seed(seed,
+    "ppt-attempt", t)`` and the stacked solver treats each member as if it
+    were alone, so each member is what its seed gives alone. The stacked
+    solver rotates in another order than the scalar one, so a candidate whose
+    minimum eigenvalue lies within rounding of the threshold may be judged
+    differently here than by :func:`is_ppt` on one :class:`BlockMatrix`.
     """
     if max_attempts < 1:
         raise UsageError(f"max_attempts must be positive, got {max_attempts}")
     single, seeds, _ = _draws(seed)
     d = m * n
-    out = np.empty((len(seeds), d, d), dtype=np.complex128)
-    paths = ["separable"] * len(seeds)
-    pending = list(range(len(seeds)))
-    for attempt in range(max_attempts):
-        if not pending:
-            break
-        attempt_seeds = [derive_seed(seeds[k], "ppt-attempt", attempt) for k in pending]
-        candidates = BlockStack(m, n, random_psd(d, d, attempt_seeds))
-        ok, _, _ = is_ppt(candidates)
-        for k, candidate, accepted in zip(pending, candidates.mat, ok):
-            if accepted:
-                out[k] = candidate
-                paths[k] = "rejection"
-        pending = [k for k, accepted in zip(pending, ok) if not accepted]
+    attempt_seeds = [derive_seed(s, "ppt-attempt", t) for s in seeds for t in range(max_attempts)]
+    candidates = random_psd(d, d, attempt_seeds).reshape(len(seeds), max_attempts, d, d)
+    ok, _, _ = is_ppt(BlockStack(m, n, candidates.reshape(-1, d, d)))
+    ok = ok.reshape(len(seeds), max_attempts)
+    out = candidates[np.arange(len(seeds)), ok.argmax(axis=1)]
+    paths = ["rejection" if accepted else "separable" for accepted in ok.any(axis=1)]
+    pending = [k for k, path in enumerate(paths) if path == "separable"]
     if pending:
         fallback_seeds = [derive_seed(seeds[k], "ppt-fallback") for k in pending]
         out[pending] = random_separable(m, n, _FALLBACK_TERMS, fallback_seeds).mat

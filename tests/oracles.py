@@ -322,3 +322,101 @@ def refusal_order_stack(hypothesis: str) -> np.ndarray:
         v[[0, 4]] = 1.0
         outside = np.outer(v, v)
     return np.stack([np.eye(6), big, outside]).astype(np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# The stacked Jacobi sweep in its first layout: the working stack held as
+# (B, d, d), each round's columns and rows updated by four fancy gathers and
+# four fancy scatters, and the whole stack swept at once. The library's
+# chunked, stack-axis-last kernel must return bitwise the same values,
+# sweeps and off-diagonal mass for every member.
+# ---------------------------------------------------------------------------
+
+
+def round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brent-Luk round-robin rounds of one sweep, as ``(p, q)`` index arrays."""
+    seats = list(range(n + n % 2))
+    half = len(seats) // 2
+    rounds = []
+    for _ in range(len(seats) - 1):
+        pairs = [
+            (min(i, j), max(i, j))
+            for i, j in zip(seats[:half], reversed(seats[half:]))
+            if max(i, j) < n
+        ]
+        p, q = zip(*pairs)
+        rounds.append((np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return rounds
+
+
+def jacobi_stack_reference(x, rtol: float, max_sweeps: int):
+    """``(values, offdiag_residual, sweeps)`` of a Hermitian ``(B, d, d)`` stack.
+
+    Stops each member at ``rtol * max(1, ||X||_F)`` or ``max_sweeps``
+    sweeps, and returns what the loop left without raising.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    count, n = x.shape[0], x.shape[1]
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
+    a = (x + np.conj(np.swapaxes(x, 1, 2))) / 2.0
+    threshold = rtol * scale
+    skip = threshold / (2.0 * n)
+    upper = np.triu_indices(n, 1)
+    sweeps = np.zeros(count, dtype=np.int64)
+    offdiag = _offdiag_mass_reference(a, upper)
+    active = np.flatnonzero((offdiag >= threshold) & (sweeps < max_sweeps))
+    while active.size:
+        sub = a[active]
+        sub_skip = skip[active, np.newaxis]
+        for p, q in round_robin_pairs(n):
+            _rotate_reference(sub, p, q, sub_skip)
+        a[active] = sub
+        sweeps[active] += 1
+        offdiag[active] = _offdiag_mass_reference(sub, upper)
+        active = active[(offdiag[active] >= threshold[active]) & (sweeps[active] < max_sweeps)]
+    values = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
+    return values, offdiag, sweeps
+
+
+def _offdiag_mass_reference(a, upper) -> np.ndarray:
+    # Left to right over the upper triangle in row order: the order numpy
+    # summed the first layout's F-ordered gather in whenever two or more
+    # members were still sweeping (a lone member it summed pairwise).
+    v = a[:, upper[0], upper[1]]
+    squares = v.real * v.real + v.imag * v.imag
+    total = np.zeros(len(a))
+    for j in range(squares.shape[1]):
+        total += squares[:, j]
+    return np.sqrt(2.0 * total)
+
+
+def _rotate_reference(a, p, q, skip) -> None:
+    apq = a[:, p, q]
+    mag = np.abs(apq)
+    rot = mag > skip
+    if not rot.any():
+        return
+    safe = np.where(rot, mag, 1.0)
+    phase = apq / safe
+    tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe)
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    c = np.where(rot, 1.0 / np.sqrt(1.0 + t * t), 1.0)
+    s = np.where(rot, t * c, 0.0)
+    u12 = s * phase
+    u21 = -s * np.conj(phase)
+    # columns: A <- A U
+    col_p = a[:, :, p]
+    col_q = a[:, :, q]
+    cc = c[:, np.newaxis, :]
+    a[:, :, p] = col_p * cc + col_q * u21[:, np.newaxis, :]
+    a[:, :, q] = col_p * u12[:, np.newaxis, :] + col_q * cc
+    # rows: A <- U* A
+    row_p = a[:, p, :]
+    row_q = a[:, q, :]
+    cr = c[:, :, np.newaxis]
+    a[:, p, :] = row_p * cr + row_q * np.conj(u21)[:, :, np.newaxis]
+    a[:, q, :] = row_p * np.conj(u12)[:, :, np.newaxis] + row_q * cr
+    b, k = np.nonzero(rot)
+    a[b, p[k], q[k]] = 0.0
+    a[b, q[k], p[k]] = 0.0

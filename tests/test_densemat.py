@@ -27,6 +27,7 @@ from oracles import (
     dyadic_complex,
     eig_closed_form,
     eigvalsh_lapack,
+    jacobi_stack_reference,
     kron_loops,
     random_complex,
     random_hermitian,
@@ -277,6 +278,89 @@ def test_stacked_eigenvalues_raise_as_the_scalar_solver(monkeypatch):
     threshold = densemat.JACOBI_RTOL * np.linalg.norm(good)
     assert scalar_err.value.offdiag_residual >= threshold
     assert stack_err.value.offdiag_residual >= threshold
+
+
+def _reference_stack(rng, d, count):
+    """Hermitian, Gram (of any rank) and diagonal members; some with exact-zero
+    rows and columns, some all zero, some scaled by 2^400 or 2^-400."""
+    members = []
+    for k in range(count):
+        g = random_complex(rng, d, d)
+        kind = k % 4
+        if kind == 0:
+            a = g + g.conj().T
+        elif kind == 1:
+            h = g[: 1 + k % d]
+            a = h.conj().T @ h
+        elif kind == 2:
+            a = np.diag(rng.standard_normal(d)) + 1e-20 * (g + g.conj().T)
+        else:
+            a = g + g.conj().T
+            zero = rng.integers(0, d, size=1 + k % 2)
+            a[zero, :] = 0.0
+            a[:, zero] = 0.0
+        if k % 7 == 6:
+            a = np.zeros((d, d))
+        members.append(a * 2.0 ** rng.choice([-400, 0, 400]))
+    return np.array(members, dtype=np.complex128).reshape(count, d, d)
+
+
+def _assert_bitwise_as_reference(x):
+    res = hermitian_eigenvalues_stack(x)
+    values, offdiag, sweeps = jacobi_stack_reference(x, densemat.JACOBI_RTOL, densemat.MAX_SWEEPS)
+    assert res.values.tobytes() == values.tobytes()
+    assert res.offdiag_residual.tobytes() == offdiag.tobytes()
+    assert res.sweeps.tolist() == sweeps.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 16),
+    chunk=st.integers(1, 6),
+    chunks=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_solver_is_bitwise_the_reference_sweep(d, chunk, chunks, seed):
+    # chunks of ``chunk`` members, so that a stack spans one to three of them
+    count = math.ceil(chunks * chunk)
+    if count == 1:
+        count = 0  # a stack of one is the scalar solver's (tested above)
+    x = _reference_stack(np.random.default_rng(seed), d, count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(densemat, "_CHUNK_BYTES", 16 * d * d * chunk)
+        if count == 0:
+            assert hermitian_eigenvalues_stack(x).values.shape == (0, d)
+        else:
+            _assert_bitwise_as_reference(x)
+
+
+@pytest.mark.parametrize("d, count", [(4, 4200), (9, 900), (16, 300)])
+def test_stacked_solver_is_bitwise_the_reference_sweep_over_chunks_of_the_budget(d, count):
+    # past two chunks of the module's own byte budget
+    assert count > 2 * (densemat._CHUNK_BYTES // (16 * d * d))
+    _assert_bitwise_as_reference(_reference_stack(np.random.default_rng(d), d, count))
+
+
+def test_an_error_in_a_later_chunk_names_the_member_in_the_whole_stack(monkeypatch):
+    # chunks of two members: member 3 is the second member of the second chunk
+    monkeypatch.setattr(densemat, "_CHUNK_BYTES", 16 * 6 * 6 * 2)
+    rng = np.random.default_rng(61)
+    good = [random_hermitian(rng, 6) for _ in range(5)]
+    bad = good[3].copy()
+    bad[0, 1] += 1.0
+    with pytest.raises(HermiticityError, match="^stack member 3 is not Hermitian"):
+        hermitian_eigenvalues_stack(np.stack(good[:3] + [bad, good[4]]))
+    big = np.full((6, 6), 1e200, dtype=np.complex128)
+    with pytest.raises(NormOverflowError, match="^stack member 3 is too large to solve"):
+        hermitian_eigenvalues_stack(np.stack(good[:3] + [big, good[4]]))
+    # one sweep cannot diagonalize a dense 6x6; the diagonal members stop at once
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    diagonal = np.diag(np.arange(6.0)).astype(np.complex128)
+    stack = np.stack([diagonal, 2 * diagonal, 3 * diagonal, good[3], good[4]])
+    with pytest.raises(ConvergenceError, match="for stack member 3 ") as err:
+        hermitian_eigenvalues_stack(stack)
+    _, offdiag, _ = jacobi_stack_reference(stack, densemat.JACOBI_RTOL, 1)
+    assert err.value.offdiag_residual == offdiag[3]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error is the only report

@@ -1,6 +1,7 @@
 """Inequality checkers: documented cases, oracles, and precondition gates."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from blockineq import (
 from blockineq import densemat, inequalities
 from blockineq.blockops import partial_transpose
 from blockineq.densemat import hermitian_eigenvalues, hermitian_eigenvalues_stack
+from blockineq.suites import RunReport, SuiteConfig
 from blockineq.inequalities import _BLOCK_INEQUALITIES, _residual, _verdict
 from oracles import (
     STACK_AGREEMENT_RTOL,
@@ -726,6 +728,25 @@ def test_block_check_names_a_member_that_overflows_in_a_later_side():
     stack = BlockStack(2, 3, np.stack([np.eye(6), big, np.eye(6)]))
     with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve"):
         check_ppt_reduction(stack)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("checker", [check_copositive_partial_trace, check_upper_bound])
+def test_block_check_side_scale_is_finite_where_the_squares_overflow(checker):
+    # member 1 = diag(x, 0, 0, 0) with x^2 just below the float64 maximum:
+    # every entry of its sides is finite and every residual solves, but the
+    # squares of a side holding x twice overflow. Its scale is still that
+    # side's norm, not inf (under which any minimum passes), and the report
+    # writes as JSON.
+    big = np.zeros((4, 4), dtype=np.complex128)
+    big[0, 0] = 1e154
+    reports = checker(BlockStack(2, 2, np.stack([np.eye(4), big, 2 * np.eye(4)])))
+    assert [r.passed for r in reports] == [True, True, True]
+    scales = [v for key, v in reports[1].details.items() if key.startswith("scale_")]
+    assert scales and all(1e154 < v < 1e155 for v in scales)
+    config = SuiteConfig(suites=("theorem2",), shapes=((2, 2),))
+    doc = json.loads(RunReport(config, {"theorem2": reports}, [], 0.0).to_json())
+    assert doc["suites"]["theorem2"]["passed"] is True
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,7 +18,7 @@ from blockineq import (
     random_separable,
 )
 from blockineq import densemat
-from blockineq.randgen import MAX_SEED
+from blockineq.randgen import DEFAULT_PPT_ATTEMPTS, MAX_SEED
 from oracles import eigvalsh_lapack
 
 
@@ -310,13 +310,43 @@ def test_psd_and_separable_draws_solve_nothing(solves):
     assert solves == []
 
 
-def test_random_ppt_makes_one_stacked_solve_per_attempt(solves):
+def test_random_ppt_makes_one_stacked_solve_per_call(solves):
     seeds = list(range(40, 52))
     _, paths = random_ppt(2, 2, seeds, max_attempts=3)
-    assert "separable" in paths  # every attempt ran on some seed
-    # the pending candidates and their partial transposes, per attempt
-    assert len(solves) == 3 and solves[0] == 2 * len(seeds)
-    assert solves == sorted(solves, reverse=True)
+    assert set(paths) == {"rejection", "separable"}
+    # every attempt of every seed and their partial transposes, in one stack
+    assert solves == [2 * len(seeds) * 3]
+    solves.clear()
+    random_ppt(3, 3, 7)
+    assert solves == [2 * DEFAULT_PPT_ATTEMPTS]
+
+
+def _random_ppt_attempt_by_attempt(m, n, seed, max_attempts):
+    """``random_ppt`` for one seed as a loop: draw, test, stop at the first PPT draw."""
+    for t in range(max_attempts):
+        candidate = random_psd(m * n, m * n, derive_seed(seed, "ppt-attempt", t))
+        # a one-member stack: the candidate and its partial transpose go to
+        # the stacked solver, as they do in random_ppt's stack
+        ok, _, _ = is_ppt(BlockStack(m, n, candidate[np.newaxis]))
+        if ok[0]:
+            return candidate, "rejection"
+    fallback = random_separable(m, n, 3, derive_seed(seed, "ppt-fallback"))
+    return fallback.mat, "separable"
+
+
+@pytest.mark.parametrize(
+    "m, n, max_attempts",
+    [(2, 2, DEFAULT_PPT_ATTEMPTS), (3, 3, DEFAULT_PPT_ATTEMPTS), (2, 2, 1), (3, 3, 1)],
+)
+def test_random_ppt_equals_an_attempt_by_attempt_loop(m, n, max_attempts):
+    seeds = list(range(60, 72))
+    stack, paths = random_ppt(m, n, seeds, max_attempts=max_attempts)
+    for k, s in enumerate(seeds):
+        want, path = _random_ppt_attempt_by_attempt(m, n, s, max_attempts)
+        assert paths[k] == path, s
+        assert np.array_equal(stack.mat[k], want), s
+        one, one_path = random_ppt(m, n, s, max_attempts=max_attempts)
+        assert one_path == path and np.array_equal(one.mat, want), s
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
