@@ -13,6 +13,9 @@ targets (dimension <= 64):
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack in one
   call, in the round-robin (parallel) pair ordering, vectorized over the
   disjoint pairs of each round and over chunks of members, stack axis last.
+  A chunk is held in the current round's pair order, so a round updates
+  strided views in place and gathers nothing; one flat ``take`` moves the
+  chunk into the next round's order.
   The seeded block suites go through it: they draw and check each shape's
   trials as one stack, ``random_ppt`` tests all its attempts in one call, and
   a check solves its inputs (with their partial transposes, for a PPT check)
@@ -282,12 +285,16 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     matrix leaves the sweep loop as soon as it has converged.
 
     Members are swept in chunks of ``_CHUNK_BYTES`` (``b * d^2 * 16``), each
-    a contiguous ``(d, d, b)`` array, stack axis last. A member's rotations
-    and sums use only its own entries, in a fixed order, so its values,
-    sweeps and off-diagonal mass are bitwise the same in any stack or chunk
-    (a zero's sign aside), and those of the tests' ``(B, d, d)`` reference
-    kernel. Eigenvalues agree with :func:`hermitian_eigenvalues`, whose order
-    differs, to rounding. A stack of one is solved by that scalar solver.
+    a contiguous ``(d, d, b)`` array, stack axis last, whose rows and columns
+    are held in the current round's pair order (:func:`_round_robin`): a
+    round's rotations update strided views in place, with no per-round
+    gathers, and one flat ``take`` moves the chunk into the next round's
+    order. A member's rotations and sums use only its own entries, in a
+    fixed order, so its values, sweeps and off-diagonal mass are bitwise the
+    same in any stack or chunk (a zero's sign aside), and those of the
+    tests' ``(B, d, d)`` reference kernel. Eigenvalues agree with
+    :func:`hermitian_eigenvalues`, whose order differs, to rounding. A stack
+    of one is solved by that scalar solver.
 
     Returns
     -------
@@ -338,7 +345,9 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
             f"stack member {k} is not Hermitian: ||X - X*||_F = {defect[k]:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * {scale[k]:.3e}"
         )
-    a = (x + xh) / 2.0
+    a = x + xh
+    a /= 2.0
+    del xh  # the sweeps hold one copy of the stack
     if n == 1:
         return EigenResult(a[:, 0, :].real.copy(), np.zeros(count), sweeps)
 
@@ -346,10 +355,14 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     skip = threshold / (2.0 * n)
     values, offdiag = np.empty((count, n)), np.empty(count)
     size = max(1, _CHUNK_BYTES // (16 * n * n))
+    # two chunk-sized buffers that a round's move ping-pongs between (the idle
+    # one also takes products), and one for a round's products, reused by every chunk
+    buffers = np.empty((3, n * n * min(size, count)), dtype=np.complex128)
     for lo in range(0, count, size):
         part = slice(lo, lo + size)
-        work = np.ascontiguousarray(a[part].transpose(1, 2, 0))
-        values[part], offdiag[part], sweeps[part] = _sweep_chunk(work, threshold[part], skip[part])
+        values[part], offdiag[part], sweeps[part] = _sweep_chunk(
+            a[part], threshold[part], skip[part], buffers
+        )
     failed = np.flatnonzero(offdiag >= threshold)
     if failed.size:
         k = failed[0]
@@ -361,41 +374,54 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     return EigenResult(np.sort(values, axis=1), offdiag, sweeps)
 
 
-def _sweep_chunk(a: np.ndarray, threshold: np.ndarray, skip: np.ndarray):
-    """Sweep a ``(d, d, b)`` chunk until each member stops; a stopped one leaves ``a``.
+def _sweep_chunk(x: np.ndarray, threshold: np.ndarray, skip: np.ndarray, buffers: np.ndarray):
+    """Sweep a ``(b, d, d)`` chunk until each member stops; a stopped one leaves the sweep.
 
+    The chunk is held as a ``(d, d, b)`` array in the current round's pair
+    order (:func:`_round_robin`), in ``buffers[0]`` or ``buffers[1]``; one
+    flat ``take`` moves it into the next round's order, in the other.
     Returns each member's diagonal (``(b, d)``, unsorted), off-diagonal mass and sweeps.
     """
-    n, count = a.shape[0], a.shape[2]
-    upper = np.triu_indices(n, 1)
+    count, n = x.shape[0], x.shape[1]
+    first, moves, upper = _sweep_plan(n)
+
+    def held(i, b):
+        return buffers[i, : n * n * b].reshape(n * n, b)
+
+    # stack axis last, then round 0's pair order (np.take copies a non-contiguous input)
+    np.copyto(held(1, count), x.reshape(count, n * n).T)
+    cur = 0
+    a = np.take(held(1, count), first, axis=0, out=held(cur, count), mode="clip")
     diagonal = np.empty((count, n))
     offdiag = _offdiag_mass_stack(a, upper)
     sweeps = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
-    # two gathers of a round's p and q columns (or rows), reused every round
-    scratch = np.empty((2, n * len(_round_robin(n)[0][2]) * count), dtype=np.complex128)
     while True:
         going = (offdiag[active] >= threshold[active]) & (sweeps[active] < MAX_SWEEPS)
         if not going.all():
-            diagonal[active[~going]] = np.diagonal(a, axis1=0, axis2=1)[~going].real
-            a, active = a[:, :, going], active[going]
+            diagonal[np.ix_(active[~going], _round_robin(n)[0])] = a[:: n + 1, ~going].real.T
+            active, cur = active[going], 1 - cur
+            a = np.take(a, np.flatnonzero(going), axis=1, out=held(cur, active.size), mode="clip")
         if not active.size:
             return diagonal, offdiag, sweeps
         active_skip = skip[active]
-        for rnd in _round_robin(n):
-            _rotate_stack(a, rnd, active_skip, scratch)
+        for move in moves:
+            _rotate_round(a.reshape(n, n, -1), active_skip, buffers[2], buffers[1 - cur])
+            if move is not None:
+                cur = 1 - cur
+                a = np.take(a, move, axis=0, out=held(cur, active.size), mode="clip")
         sweeps[active] += 1
         offdiag[active] = _offdiag_mass_stack(a, upper)
 
 
 @lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The index arrays ``(p, q, concat(p, q), concat(q, p))`` of each round of one sweep.
+def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+    """Each round of one sweep in pair order: its ``p`` indices, its ``q`` indices, then the bye.
 
     Circle method: player 0 stays put while the others rotate one seat per
     round, so every pair ``p < q`` meets exactly once in ``n - 1`` rounds
     (``n`` rounds with a bye for odd ``n``) and the pairs of a round are
-    disjoint. The concatenations gather a round's columns (or rows) at once.
+    disjoint. Pair ``i`` of a round is ``(order[i], order[n // 2 + i])``.
     """
     seats = list(range(n + n % 2))
     half = len(seats) // 2
@@ -406,52 +432,99 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
             for i, j in zip(seats[:half], reversed(seats[half:]))
             if max(i, j) < n
         ]
-        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-        rounds.append((p, q, np.concatenate([p, q]), np.concatenate([q, p])))
+        p, q = zip(*pairs)
+        bye = sorted(set(range(n)) - set(p) - set(q))
+        rounds.append(np.array(p + q + tuple(bye), dtype=np.intp))
         seats = [seats[0], seats[-1]] + seats[1:-1]
     return tuple(rounds)
 
 
-def _offdiag_mass_stack(a: np.ndarray, upper: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Off-diagonal mass of each member of a chunk, summed left to right whatever its size."""
-    v = a[upper]
+@lru_cache(maxsize=64)
+def _sweep_plan(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Flat indices into a ``(d * d, b)`` chunk held in pair order.
+
+    ``first`` gathers a chunk in natural order into round 0's pair order;
+    ``moves[r]`` takes a chunk from round ``r``'s order into the next
+    round's (round 0's after the last), ``None`` where the two agree; and
+    ``upper`` reads, in round 0's order, entries ``(i, j)``, ``i < j``, of
+    the natural order, row by row.
+    """
+    orders = _round_robin(n)
+    seat = [np.argsort(order) for order in orders]  # seat[r][i]: position of index i in round r
+
+    def flat(rows, cols):
+        return (rows[:, np.newaxis] * n + cols).ravel()
+
+    moves = []
+    for r in range(len(orders)):
+        src = seat[r][orders[(r + 1) % len(orders)]]
+        moves.append(None if np.array_equal(src, np.arange(n)) else flat(src, src))
+    i, j = np.triu_indices(n, 1)
+    return flat(orders[0], orders[0]), tuple(moves), seat[0][i] * n + seat[0][j]
+
+
+def _offdiag_mass_stack(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Off-diagonal mass of each member of a flat chunk, summed left to right whatever its size."""
+    v = np.take(a, upper, axis=0)
     return np.sqrt(2.0 * np.cumsum(v.real * v.real + v.imag * v.imag, axis=0)[-1])
 
 
-def _rotate_stack(a: np.ndarray, rnd: tuple, skip: np.ndarray, scratch: np.ndarray) -> None:
-    """One round on a ``(d, d, b)`` chunk: the rotations of the disjoint pairs ``(p, q)``, in place.
+def _rotate_round(a: np.ndarray, skip: np.ndarray, scratch: np.ndarray, spare: np.ndarray) -> None:
+    """One round on a ``(d, d, b)`` chunk in pair order: the rotations of its pairs, in place.
 
+    Pair ``i`` of the ``k = d // 2`` is at rows and columns ``i`` and
+    ``k + i``, so the ``p`` and ``q`` columns are ``a[:, :k]`` and
+    ``a[:, k:2k]``, and the rows likewise; for odd ``d`` the bye is the last.
     The same rotation as :func:`_rotate`, per matrix and pair; a pair whose
-    pivot is at most ``skip`` (per matrix) gets the identity instead. The
-    gathers go to ``scratch`` (``np.take`` writes ``out`` in place only when
-    it need not check bounds), so a round allocates no chunk-sized array.
+    pivot is at most ``skip`` (per matrix) gets the identity instead. Each
+    update is ``[p, q] * c + [q, p] * [u21, u12]`` on strided views, its
+    products written to ``scratch`` (and, for a view that is not contiguous,
+    ``spare``), so a round allocates no chunk-sized array.
     """
-    p, q, pq, qp = rnd
-    apq = a[p, q]
-    mag = np.abs(apq)
+    n, b = a.shape[0], a.shape[2]
+    k = n // 2
+    flat = a.reshape(n * n, b)
+    # the pivots (i, k + i), their mirrors (k + i, i), and the diagonal
+    pivots = flat[k : k * (n + 1) : n + 1]
+    mirrors = flat[k * n : k * n + k * (n + 1) : n + 1]
+    diagonal = flat[:: n + 1]
+    mag = np.abs(pivots)
     rot = mag > skip
-    if not rot.any():
+    rotating = np.count_nonzero(rot)
+    if not rotating:
         return
-    safe = np.where(rot, mag, 1.0)
-    phase = apq / safe
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * safe)
+    every = rotating == rot.size
+    safe = mag if every else np.where(rot, mag, 1.0)
+    phase = pivots / safe
+    tau = (diagonal[k : 2 * k].real - diagonal[:k].real) / (2.0 * safe)
     t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = np.where(rot, 1.0 / np.sqrt(1.0 + t * t), 1.0)
-    s = np.where(rot, t * c, 0.0)
-    u12 = s * phase
-    u21 = -s * np.conj(phase)
-    cc = np.concatenate([c, c])[:, np.newaxis]
-    u = np.concatenate([u21, u12])[:, np.newaxis]
-    x, y = (buf.reshape(len(pq), *a.shape[1:]) for buf in scratch[:, : len(pq) * a[0].size])
-    # columns (A <- A U), then rows (A <- U* A): [p, q] * c + [q, p] * [u21, u12]
-    for view, coef in ((a.swapaxes(0, 1), u), (a, np.conj(u))):
-        np.take(view, pq, axis=0, out=x, mode="clip")
-        np.take(view, qp, axis=0, out=y, mode="clip")
-        np.multiply(x, cc, out=x)
-        np.multiply(y, coef, out=y)
-        view[pq] = np.add(x, y, out=x)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    if not every:
+        c = np.where(rot, c, 1.0)
+        s = np.where(rot, s, 0.0)
+    u = np.empty((2, k, b), dtype=np.complex128)
+    np.multiply(-s, np.conj(phase), out=u[0])  # u21
+    np.multiply(s, phase, out=u[1])  # u12
+    # columns (A <- A U), then rows (A <- U* A)
+    cols = a[:, : 2 * k].reshape(n, 2, k, b)
+    rows = a[: 2 * k].reshape(2, k, n, b)
+    for view, swapped, cc, coef in (
+        (cols, cols[:, ::-1], c, u),
+        (rows, rows[::-1], c[:, np.newaxis], np.conj(u)[:, :, np.newaxis]),
+    ):
+        prod = scratch[: view.size].reshape(view.shape)
+        np.multiply(swapped, coef, out=prod)
+        if view.flags.c_contiguous:
+            np.multiply(view, cc, out=view)
+            np.add(view, prod, out=view)
+        else:  # the columns at odd d: numpy copies a strided view it updates in place
+            scaled = spare[: view.size].reshape(view.shape)
+            np.multiply(view, cc, out=scaled)
+            np.add(scaled, prod, out=view)
     # the pivot pairs are zero by construction; pin them to kill rounding residue
-    a[pq, qp] = np.where(np.concatenate([rot, rot]), 0.0, a[pq, qp])
+    for pin in (pivots, mirrors):
+        np.copyto(pin, 0.0, where=rot)
 
 
 def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):

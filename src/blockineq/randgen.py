@@ -7,7 +7,11 @@ which keeps trials independent and parallel-safe.
 
 Complex Gaussians are produced by Box-Muller on the uniform stream rather
 than the generator's built-in normal sampler, so the mapping from uniforms
-to entries is pinned by this module and not by the numpy version.
+to entries is pinned by this module and not by the numpy version. A stack
+of draws takes each seed's uniforms from its own stream, then transforms
+them, forms the Gram products and symmetrizes them once per rank group;
+every step is per element or per member, so each member is bitwise the
+draw its seed gives alone.
 
 The PSD and separable generators solve nothing: their outputs are PSD or
 PPT by construction, and each checker tests its own hypothesis on every
@@ -94,13 +98,20 @@ def _keyed_generator(seed: int) -> np.random.Generator:
 def complex_gaussians(rows: int, cols: int, seed: int) -> np.ndarray:
     """A ``rows x cols`` matrix of i.i.d. complex Gaussians (N(0,1) parts)."""
     gen = _keyed_generator(_check_seed(seed))
-    count = rows * cols
-    u = gen.random(2 * count)
+    return _box_muller(gen.random(2 * rows * cols)).reshape(rows, cols)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Complex Gaussians from uniforms along the last axis.
+
+    Its first half gives the radii and its second half the angles, so each
+    row of a stack is transformed as it would be alone.
+    """
+    count = u.shape[-1] // 2
     # 1 - u lies in (0, 1], keeping the log finite
-    radii = np.sqrt(-2.0 * np.log1p(-u[:count]))
-    angles = (2.0 * math.pi) * u[count:]
-    z = radii * np.cos(angles) + 1j * (radii * np.sin(angles))
-    return z.reshape(rows, cols)
+    radii = np.sqrt(-2.0 * np.log1p(-u[..., :count]))
+    angles = (2.0 * math.pi) * u[..., count:]
+    return radii * np.cos(angles) + 1j * (radii * np.sin(angles))
 
 
 def _draws(seed, **per_draw) -> tuple[bool, list, dict]:
@@ -130,21 +141,38 @@ def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -
 
     With a sequence of seeds (and ``rank`` one integer, or one per seed)
     the draws come back as a ``(B, dim, dim)`` stack, each member the matrix
-    its seed gives alone. Nothing is solved here: a checker tests each draw
-    for its hypothesis, at the run's tolerance.
+    its seed gives alone. Every rank and seed is checked before anything is
+    drawn; then each seed's uniforms come from its re-keyed stream, and the
+    Box-Muller transform, the Gram product and the symmetrization run once
+    per rank group of the stack (a single seed is one draw, with no group).
+    Nothing is solved here: a checker tests each draw for its hypothesis, at
+    the run's tolerance.
     """
     single, seeds, per = _draws(seed, rank=rank)
-    ranks = per["rank"]
     if dim < 1:
         raise UsageError(f"dim must be positive, got {dim}")
-    out = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for k, (r, s) in enumerate(zip(ranks, seeds)):
+    for r in per["rank"]:
         if not 1 <= r <= dim:
             raise UsageError(f"rank must satisfy 1 <= rank <= dim, got rank={r}, dim={dim}")
-        g = complex_gaussians(r, dim, s)
-        a = g.conj().T @ g
-        out[k] = (a + a.conj().T) / 2.0
-    return out[0] if single else out
+    seeds = [_check_seed(s) for s in seeds]
+    if single:
+        return _symmetrized_gram(complex_gaussians(per["rank"][0], dim, seeds[0]))
+    groups = {}
+    for k, r in enumerate(per["rank"]):
+        groups.setdefault(r, []).append(k)
+    out = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for r, group in groups.items():
+        u = np.empty((len(group), 2 * r * dim))
+        for i, k in enumerate(group):
+            _keyed_generator(seeds[k]).random(out=u[i])
+        out[group] = _symmetrized_gram(_box_muller(u).reshape(len(group), r, dim))
+    return out
+
+
+def _symmetrized_gram(g: np.ndarray) -> np.ndarray:
+    """``(A + A*) / 2`` for ``A = G* G``, of one matrix or of each member of a stack."""
+    a = np.conj(np.swapaxes(g, -1, -2)) @ g
+    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 
 
 def random_separable(

@@ -363,6 +363,68 @@ def test_an_error_in_a_later_chunk_names_the_member_in_the_whole_stack(monkeypat
     assert err.value.offdiag_residual == offdiag[3]
 
 
+def _layout_stack(rng, d):
+    """Members that stop after 0 sweeps (diagonal, zero, 1e-20 off-diagonals),
+    members that stop at different sweeps, and members whose pivots outside
+    a dense leading block are 1e-20, below the skip threshold."""
+    g = random_complex(rng, d, d)
+    dense = g + g.conj().T
+    diagonal = np.diag(rng.standard_normal(d)).astype(np.complex128)
+    near = diagonal + 1e-20 * dense
+    block = near.copy()
+    block[:2, :2] = dense[:2, :2]  # only the pair (0, 1) ever rotates
+    half = near.copy()
+    half[: d // 2 + 1, : d // 2 + 1] = dense[: d // 2 + 1, : d // 2 + 1]
+    v = random_complex(rng, d, 1)
+    members = [diagonal, np.zeros((d, d)), block, dense, near, half, v @ v.conj().T]
+    return np.stack(members + [diagonal + 1e-6 * dense]).astype(np.complex128)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_stacked_solver_is_bitwise_the_reference_at_every_dimension(monkeypatch, d):
+    # the chunk layout follows each round's pair order: every order is a
+    # permutation, p < q, each pair meets once a sweep, the bye comes last
+    if d > 1:
+        orders = densemat._round_robin(d)
+        k = d // 2
+        assert len(orders) == d - 1 + d % 2
+        assert k == 1 if d in (2, 3) else k > 1
+        pairs = sorted((int(o[i]), int(o[k + i])) for o in orders for i in range(k))
+        assert pairs == [(p, q) for p in range(d) for q in range(p + 1, d)]
+        for o in orders:
+            assert sorted(o.tolist()) == list(range(d))
+            assert all(o[i] < o[k + i] for i in range(k))
+    # three members a chunk, so the stack spans three chunks
+    monkeypatch.setattr(densemat, "_CHUNK_BYTES", 16 * d * d * 3)
+    x = _layout_stack(np.random.default_rng(67 + d), d)
+    _assert_bitwise_as_reference(x)
+    sweeps = hermitian_eigenvalues_stack(x).sweeps
+    assert sweeps[0] == sweeps[1] == sweeps[4] == 0
+    if d > 2:
+        assert len(set(sweeps.tolist())) >= 3, sweeps
+    if d % 2 and d > 1:
+        # a round rotates every pair but the bye, whose diagonal entry it leaves alone
+        before = x[3][np.ix_(orders[0], orders[0])][..., np.newaxis]
+        a = before.copy()
+        densemat._rotate_round(a, np.zeros(1), *np.empty((2, d * d), dtype=np.complex128))
+        assert a[d - 1, d - 1].tobytes() == before[d - 1, d - 1].tobytes()
+        assert not np.array_equal(a[: d - 1, : d - 1], before[: d - 1, : d - 1])
+
+
+def test_an_odd_dimension_names_the_member_that_does_not_converge(monkeypatch):
+    # chunks of two members: member 3 is the second member of the second chunk
+    monkeypatch.setattr(densemat, "_CHUNK_BYTES", 16 * 7 * 7 * 2)
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    rng = np.random.default_rng(71)
+    diagonal = np.diag(np.arange(7.0)).astype(np.complex128)
+    dense = [random_hermitian(rng, 7) for _ in range(2)]
+    stack = np.stack([diagonal, 2 * diagonal, 3 * diagonal] + dense)
+    with pytest.raises(ConvergenceError, match="for stack member 3 ") as err:
+        hermitian_eigenvalues_stack(stack)
+    _, offdiag, _ = jacobi_stack_reference(stack, densemat.JACOBI_RTOL, 1)
+    assert err.value.offdiag_residual == offdiag[3]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error is the only report
 def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
     # entries of 1e200 are finite, but ||X||_F overflows: the solvers must not
@@ -371,7 +433,7 @@ def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
         raise AssertionError("a rotation ran on an overflowing matrix")
 
     monkeypatch.setattr(densemat, "_rotate", no_sweep)
-    monkeypatch.setattr(densemat, "_rotate_stack", no_sweep)
+    monkeypatch.setattr(densemat, "_rotate_round", no_sweep)
     big = np.full((4, 4), 1e200, dtype=np.complex128)
     with pytest.raises(NormOverflowError, match=r"^matrix is too large to solve: .* overflows"):
         hermitian_eigenvalues(big)

@@ -17,7 +17,7 @@ from blockineq import (
     random_psd,
     random_separable,
 )
-from blockineq import densemat
+from blockineq import densemat, randgen
 from blockineq.randgen import DEFAULT_PPT_ATTEMPTS, MAX_SEED
 from oracles import eigvalsh_lapack
 
@@ -266,6 +266,44 @@ def test_stacked_draws_equal_the_draws_of_each_seed():
     assert isinstance(sep, BlockStack) and len(sep) == 2
     assert np.array_equal(sep.mat[1], random_separable(2, 3, 3, 17).mat)
     assert random_psd(3, [], []).shape == (0, 3, 3)
+
+
+def _gram_of_each_seed(dim, rank, seed):
+    g = complex_gaussians(rank, dim, seed)
+    a = g.conj().T @ g
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_stacked_draws_under_the_suites_rank_schedule_equal_each_seed_alone(dim):
+    # ranks d, ceil(d/2), d, 1 interleaved, as the block suites draw them:
+    # one Box-Muller pass and one Gram product per rank group of the stack
+    seeds = [0, MAX_SEED] + [derive_seed(dim, "rank-schedule", t) for t in range(14)]
+    ranks = [(dim, -(-dim // 2), dim, 1)[t % 4] for t in range(len(seeds))]
+    stack = random_psd(dim, ranks, seeds)
+    assert stack.shape == (len(seeds), dim, dim)
+    for k, (rank, s) in enumerate(zip(ranks, seeds)):
+        assert stack[k].tobytes() == random_psd(dim, rank, s).tobytes()
+        assert stack[k].tobytes() == _gram_of_each_seed(dim, rank, s).tobytes()
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("bad", [0, 5])
+def test_a_bad_rank_anywhere_in_a_stack_is_refused_before_anything_is_drawn(
+    monkeypatch, where, bad
+):
+    with pytest.raises(UsageError) as alone:
+        random_psd(4, bad, 1)
+
+    def no_draw(seed):
+        raise AssertionError("a draw ran before every rank was checked")
+
+    monkeypatch.setattr(randgen, "_keyed_generator", no_draw)
+    ranks = [4, 2, 4, 1, 4]
+    ranks[where] = bad
+    with pytest.raises(UsageError) as stacked:
+        random_psd(4, ranks, [11, 12, 13, 14, 15])
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_stacked_random_ppt_equals_each_seed_on_both_paths():
