@@ -35,7 +35,7 @@ keeps no state: every call solves what it is given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
-minors of a matrix in a few stacked calls.
+minors of a chunk of matrices in a few stacked calls.
 """
 
 from __future__ import annotations

@@ -19,9 +19,14 @@ one matrix each alone with the scalar solver, which is the faster there.
 
 The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
 and return one report, or a :class:`PairBatch` and return
-:class:`PairReports`, one column entry per pair. Each inequality is written
-once, over the pairs of each cardinality; a single pair is a batch of one.
-The exhaustive suites check all pairs of a matrix as one batch.
+:class:`PairReports`, one column entry per pair; on a ``(T, n, n)`` stack of
+matrices they return a list of those, one per member. Each inequality is
+written once, over the pairs of each cardinality and the members of a
+chunk of the stack; a single pair is a batch of one and a single matrix a
+stack of one. Each member is tested for PSD alone, by the scalar solver.
+A batch keeps the gather indices its checks derive from its pairs
+(:meth:`PairBatch.plan`). The exhaustive suites check all pairs of a chunk
+of trials as one batch.
 
 Tolerance conventions (uniform relative testing across magnitudes): a
 quantity passes when it is at least ``-tol`` times the scale of the terms
@@ -540,11 +545,22 @@ class PairBatch:
     :meth:`of` the batch of one pair.
     """
 
-    __slots__ = ("universe", "groups")
+    __slots__ = ("universe", "groups", "_plans")
 
     def __init__(self, universe: int, groups: tuple):
         self.universe = universe
         self.groups = groups
+        self._plans = {}
+
+    def plan(self, build):
+        """``build(self)``, built on its first use for this batch and kept with it.
+
+        A check's plan is what it derives from the pairs alone, the indices
+        it gathers and looks up at; it holds no value of any matrix.
+        """
+        if build not in self._plans:
+            self._plans[build] = build(self)
+        return self._plans[build]
 
     @classmethod
     def of(cls, alpha: IndexSet, beta: IndexSet) -> "PairBatch":
@@ -638,37 +654,118 @@ def _as_batch(alpha, beta) -> PairBatch:
     return PairBatch.of(alpha, beta)
 
 
-def _psd_matrix(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, float]:
-    """The input as a matrix and its minimum eigenvalue, once for the whole batch.
+def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]:
+    """The input as a ``(T, n, n)`` stack, each member's minimum eigenvalue, and if it is a stack.
 
-    A :class:`_Presolved` document is checked as its matrix, and the input's
-    minimum that :func:`_presolve` solved is read instead of solved again.
+    One matrix is a stack of one. Each member is tested for PSD alone, by
+    the scalar solver, in order, so the first one outside the hypothesis is
+    refused before any pair is evaluated. A :class:`_Presolved` document is
+    checked as its matrix, and the input's minimum that :func:`_presolve`
+    solved is read instead of solved again.
     """
     known = {}
     if isinstance(a, _Presolved):
         a, known = a.mat, a.minima
-    mat = as_matrix(a)
-    n = require_square(mat)
-    if "input" in known:
-        input_min = known["input"]
-        ok = psd_verdict(input_min, psd_scale(mat[np.newaxis])[0], tol)
+    mats = np.asarray(a, dtype=np.complex128)
+    stacked = mats.ndim == 3
+    if stacked:
+        t, rows, cols = mats.shape
+        if rows != cols:
+            raise ShapeError(f"expected a (T, n, n) stack of square matrices, got shape {mats.shape}")
+        # as_matrix checks a stack's members as the rows of one matrix: nonempty and finite
+        as_matrix(mats.reshape(t * rows, cols))
     else:
-        ok, input_min = is_psd(mat, tol)
-    if not ok:
-        raise PreconditionError(
-            f"input is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
-            min_eig=input_min,
-        )
+        mats = as_matrix(mats)[np.newaxis]
+    n = require_square(mats[0])
+    input_mins = []
+    for k, mat in enumerate(mats):
+        if "input" in known:
+            input_min = known["input"]
+            ok = psd_verdict(input_min, psd_scale(mat[np.newaxis])[0], tol)
+        else:
+            ok, input_min = is_psd(mat, tol)
+        if not ok:
+            where = f"stack member {k}" if stacked else "input"
+            raise PreconditionError(
+                f"{where} is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
+                min_eig=input_min,
+            )
+        input_mins.append(input_min)
     if batch.universe != n:
         raise ShapeError(
             f"index-set universe {batch.universe} does not match matrix dimension {n}"
         )
-    return mat, input_min
+    return mats, input_mins, stacked
 
 
-def _gather(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The ``(P, k, k)`` stack of submatrices ``mat[rows[p], cols[p]]``."""
-    return mat[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
+# Bytes, b * 16 * (entries of one member's largest gather), of the b members
+# a submatrix check evaluates at a time.
+_CHUNK_BYTES = 512 * 1024
+
+
+def _chunk_members(batch: PairBatch) -> int:
+    """Members of a stack that a submatrix check of ``batch`` evaluates at a time, at least 1.
+
+    A member's largest gather is its biggest cardinality's ``A[alpha]``,
+    ``A[beta]`` or ``A[alpha, beta]`` blocks, ``P k^2`` entries for ``P``
+    pairs of cardinality ``k``, or the determinant bound's principal minors,
+    at most ``min(2^n, 4 P)`` padded ``n x n`` matrices; ``_CHUNK_BYTES``
+    bounds that gather over a chunk.
+    """
+    n = batch.universe
+    entries = [len(ia) * combos.shape[1] ** 2 for combos, ia, _ in batch.groups]
+    entries.append(min(2**n, 4 * len(batch)) * n * n)
+    return max(1, _CHUNK_BYTES // (16 * max(1, *entries)))
+
+
+def _check_pairs(check_name: str, evaluate, a, alpha, batch: PairBatch, tol: float):
+    """One submatrix check of ``batch`` on a matrix or on each member of a stack.
+
+    ``evaluate(flat, batch, tol)`` takes a chunk of members as a ``(b,
+    n * n)`` array and returns ``(passed, scalar_gap, details)``, each
+    column a ``(b, P)`` array. A pair's values come only from per-element
+    arithmetic, row sums over contiguous trailing axes and stacked
+    determinants, so a member's values are bitwise the same in a chunk, or
+    a stack, of any size, one member included.
+    """
+    mats, input_mins, stacked = _psd_stack(a, batch, tol)
+    size = _chunk_members(batch)
+    reports = []
+    for lo in range(0, len(mats), size):
+        chunk = np.ascontiguousarray(mats[lo : lo + size])
+        passed, gap, details = evaluate(chunk.reshape(len(chunk), -1), batch, tol)
+        reports += [
+            PairReports(
+                check_name,
+                batch,
+                passed[k],
+                gap[k],
+                {key: column[k] for key, column in details.items()},
+                tol,
+                input_mins[lo + k],
+            )
+            for k in range(len(chunk))
+        ]
+    if not isinstance(alpha, PairBatch):
+        reports = [rep.report(0) for rep in reports]
+    return reports if stacked else reports[0]
+
+
+def _flat_index(n: int, rows: np.ndarray, cols: np.ndarray, transpose: bool = False):
+    """The ``(P, k * k)`` flat indices, in an ``n x n`` matrix, of blocks ``[rows[p], cols[p]]``.
+
+    Row-major in each block, or column-major with ``transpose``, for the
+    transposed block.
+    """
+    index = rows[:, :, np.newaxis] * n + cols[:, np.newaxis, :]
+    if transpose:
+        index = index.swapaxes(1, 2)
+    return index.reshape(len(rows), rows.shape[1] * cols.shape[1])
+
+
+def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``flat[:, index]``: the entries at ``index`` of each member of a ``(b, n * n)`` chunk."""
+    return np.take(flat, index, axis=1)
 
 
 def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
@@ -687,28 +784,66 @@ def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
 
     Takes one pair of :class:`IndexSet` and returns a :class:`CheckReport`,
     or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
-    returns :class:`PairReports`. Either way the input is tested for PSD
-    once, and each cardinality's pairs are evaluated together: the
-    ``A[alpha]`` and ``A[alpha, beta]`` blocks are gathered as stacks and
-    reduced with ``einsum`` and ``trace``.
+    returns :class:`PairReports`. ``a`` is one matrix, or a ``(T, n, n)``
+    stack, for which the result is a list with one of those per member.
+    Each member is tested for PSD alone, and the first that is not is
+    refused as "stack member k" before any pair is evaluated (one matrix is
+    refused as "input"). Then each cardinality's blocks are gathered for a
+    chunk of members at once (:func:`_chunk_members`) and reduced by row
+    sums, so a member's values are bitwise the same in a stack of any size.
     """
     batch = _as_batch(alpha, beta)
     if any(combos.shape[1] == 0 for combos, _, _ in batch.groups):
         raise UsageError("index sets must be nonempty")
-    mat, input_min = _psd_matrix(a, batch, tol)
-    parts = []
+    return _check_pairs("trace_submatrix", _trace_columns, a, alpha, batch, tol)
+
+
+def _trace_plan(batch: PairBatch):
+    """Per cardinality, where the trace bounds gather, and the pairs' cardinality column.
+
+    A group's flat indices are those of ``A[alpha]``, of ``A[beta]``
+    transposed and of ``A[alpha, beta]`` among a member's complex entries,
+    then those of ``A[combo]``'s diagonal real parts and of ``A[alpha,
+    beta]``'s diagonal real and imaginary parts among its float64 parts.
+    """
+    n = batch.universe
+    groups = []
     for combos, ia, ib in batch.groups:
-        blocks = _gather(mat, combos, combos)
-        cross = _gather(mat, combos[ia], combos[ib])
-        # x and y are summed by the same einsum over operands of one layout,
-        # so that at alpha = beta, where they are equal, they are bitwise equal
-        cross_h = np.ascontiguousarray(np.conj(np.swapaxes(cross, 1, 2)))
-        x = np.einsum("pij,pji->p", blocks[ia], blocks[ib]).real
-        y = np.einsum("pij,pji->p", cross_h, cross).real
-        tr = np.trace(blocks, axis1=1, axis2=2).real
-        abs_tr_ab_sq = np.abs(np.trace(cross, axis1=1, axis2=2)) ** 2
-        parts.append((x, y, tr[ia] * tr[ib], abs_tr_ab_sq, np.full(len(ia), combos.shape[1])))
-    x, y, tr_prod, abs_tr_ab_sq, cardinality = (np.concatenate(c) for c in zip(*parts))
+        rows_a, rows_b = combos[ia], combos[ib]
+        diagonal = 2 * (rows_a * n + rows_b)
+        groups.append((
+            _flat_index(n, rows_a, rows_a),
+            _flat_index(n, rows_b, rows_b, transpose=True),
+            _flat_index(n, rows_a, rows_b),
+            2 * (n + 1) * combos,
+            np.stack([diagonal, diagonal + 1], axis=1),
+            ia,
+            ib,
+        ))
+    cardinality = np.concatenate([np.full(len(ia), c.shape[1]) for c, ia, _ in batch.groups])
+    return groups, cardinality
+
+
+def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float):
+    """The trace bounds' verdicts, gaps and details of a chunk, as ``(b, P)`` columns."""
+    groups, cardinality = batch.plan(_trace_plan)
+    floats = flat.view(np.float64)  # Re and Im of each entry, side by side
+    conj = np.conj(flat)
+    parts = []
+    for aa_at, bt_at, ab_at, tr_at, tr_ab_at, ia, ib in groups:
+        # x sums Re(A[a]_ij) Re(conj A[b]_ji) + Im(A[a]_ij) Im(conj A[b]_ji),
+        # and y Re^2 + Im^2 of A[a,b]_ij, in the same order: at alpha = beta,
+        # where they are equal, they are bitwise equal for an exactly Hermitian A
+        aa = _gather(flat, aa_at).view(np.float64)
+        bt = _gather(conj, bt_at).view(np.float64)
+        ab = _gather(flat, ab_at).view(np.float64)
+        x = (aa * bt).sum(axis=-1)
+        y = (ab * ab).sum(axis=-1)
+        tr = _gather(floats, tr_at).sum(axis=-1)
+        tr_ab = _gather(floats, tr_ab_at).sum(axis=-1)
+        tr_ab *= tr_ab
+        parts.append((x, y, tr[:, ia] * tr[:, ib], tr_ab.sum(axis=-1)))
+    x, y, tr_prod, abs_tr_ab_sq = (np.concatenate(c, axis=1) for c in zip(*parts))
     r_plus = tr_prod + abs_tr_ab_sq
     r_minus = tr_prod - abs_tr_ab_sq
     gap8 = r_plus - (x + y)
@@ -721,39 +856,36 @@ def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
         "gap_thm9": gap9,
         "scale_thm9": scale9,
         "gap_eq9_oneside": r_minus - (y - x),
-        "cardinality": cardinality,
+        "cardinality": np.broadcast_to(cardinality, (len(flat), len(cardinality))),
     }
-    reports = PairReports(
-        "trace_submatrix", batch, ok8 & ok9, np.minimum(gap8, gap9), details, tol, input_min
-    )
-    return reports if isinstance(alpha, PairBatch) else reports.report(0)
+    return ok8 & ok9, np.minimum(gap8, gap9), details
 
 
 # Index sets are bitmasks in the determinant bound.
 _MAX_DET_UNIVERSE = 64
 
 
-def _principal_minors(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``A[S]`` for each index set ``S`` given as a bitmask, padded to ``n x n``.
+def _principal_minor_index(n: int, masks: np.ndarray) -> np.ndarray:
+    """Where ``A[S]``, padded to ``n x n``, is for each bitmask ``S``: an ``(M, n * n)`` index.
 
+    It indexes a member's ``n * n`` entries followed by a 0 and a 1.
     ``A[S]`` fills the leading block and the identity the rest, so each
-    padded matrix has the determinant of ``A[S]``, and the empty set's is 1.
-    The padding is decoupled from ``A[S]``, so partial pivoting never picks
-    a padding row; the rounding may still differ from an LU of ``A[S]``
-    alone, which LAPACK blocks by the smaller size.
+    padded matrix has the determinant of ``A[S]``, and the empty set's is
+    1. The padding is decoupled from ``A[S]``, so partial pivoting never
+    picks a padding row; the rounding may still differ from an LU of
+    ``A[S]`` alone, which LAPACK blocks by the smaller size.
     """
-    n = len(mat)
     member = ((masks[:, np.newaxis] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
     size = member.sum(axis=1, keepdims=True)
     # the slot of each index: the members first, in order, then the rest
     slot = np.where(member, np.cumsum(member, axis=1), size + np.cumsum(~member, axis=1)) - 1
     sel = np.empty(member.shape, dtype=np.intp)
     np.put_along_axis(sel, slot, np.where(member, np.arange(n), n), axis=1)
-    ext = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    ext[:n, :n] = mat
-    minors = _gather(ext, sel, sel)
-    minors[:, np.arange(n), np.arange(n)] += np.arange(n) >= size
-    return minors
+    index = _flat_index(n, sel, sel).reshape(len(masks), n, n)
+    padding = (sel == n)[:, :, np.newaxis] | (sel == n)[:, np.newaxis, :]
+    index[padding] = n * n
+    index[:, np.arange(n), np.arange(n)] += np.arange(n) >= size
+    return index.reshape(len(masks), n * n)
 
 
 def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
@@ -773,8 +905,10 @@ def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
 
     Takes one pair of :class:`IndexSet` and returns a :class:`CheckReport`,
     or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
-    returns :class:`PairReports`. Either way the input is tested for PSD
-    once; the principal minors the batch needs are one stacked
+    returns :class:`PairReports`; ``a`` is one matrix or a ``(T, n, n)``
+    stack, tested and refused as :func:`check_trace_submatrix` does, for
+    which the result is a list with one of those per member. For a chunk of
+    members, the principal minors the batch needs are one stacked
     :func:`~blockineq.densemat.determinant` call, looked up by bitmask, and
     the cross minors ``A[alpha, beta]`` one call per cardinality. Universes
     are limited to 64 indices.
@@ -782,32 +916,59 @@ def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     batch = _as_batch(alpha, beta)
     if any(np.all(combos[ia] == combos[ib], axis=1).any() for combos, ia, ib in batch.groups):
         raise UsageError("alpha and beta must differ for the determinant bound")
-    n = batch.universe
-    if n > _MAX_DET_UNIVERSE:
+    if batch.universe > _MAX_DET_UNIVERSE:
         raise UsageError(
             f"the determinant bound takes index sets of at most {_MAX_DET_UNIVERSE} indices, "
-            f"got a universe of {n}"
+            f"got a universe of {batch.universe}"
         )
-    mat, input_min = _psd_matrix(a, batch, tol)
+    return _check_pairs("det_submatrix", _det_columns, a, alpha, batch, tol)
+
+
+def _det_plan(batch: PairBatch):
+    """Where the determinant bound gathers its minors, where it looks them up, and its Desnanot pairs.
+
+    Per cardinality, the flat indices of ``A[alpha, beta]`` and its size;
+    the :func:`_principal_minor_index` of every index set the pairs use;
+    the position among those of each pair's alpha, beta, union and
+    intersection, in that order; and the pairs with ``|alpha \\ beta| = 1``.
+    """
+    n = batch.universe
     bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    parts = []
+    groups, parts = [], []
     for combos, ia, ib in batch.groups:
         masks = bit[combos].sum(axis=1, dtype=np.uint64)
-        cross = determinant(_gather(mat, combos[ia], combos[ib]))
-        parts.append((masks[ia], masks[ib], cross))
-    ma, mb, det_ab = (np.concatenate(c) for c in zip(*parts))
+        groups.append((_flat_index(n, combos[ia], combos[ib]), combos.shape[1]))
+        parts.append((masks[ia], masks[ib]))
+    ma, mb = (np.concatenate(c) for c in zip(*parts))
     used = np.concatenate([ma, mb, ma | mb, ma & mb])
     # distinct masks by a set rather than np.unique: at these sizes it is
     # faster, and it spares the process numpy's uint64 sort (measured 0.2 MiB RSS)
     masks = np.array(sorted(set(used.tolist())), dtype=np.uint64)
-    minors = determinant(_principal_minors(mat, masks)).real
-    det_a, det_b, det_union, det_inter = minors[np.searchsorted(masks, used)].reshape(4, -1)
+    only_alpha = ma & ~mb
+    desnanot = (only_alpha != 0) & ((only_alpha & (only_alpha - 1)) == 0)
+    return groups, _principal_minor_index(n, masks), np.searchsorted(masks, used), desnanot
+
+
+def _det_columns(flat: np.ndarray, batch: PairBatch, tol: float):
+    """The determinant bound's verdicts, gaps and details of a chunk, as ``(b, P)`` columns."""
+    groups, minor_at, lookup, desnanot = batch.plan(_det_plan)
+    n, count = batch.universe, len(flat)
+    det_ab = np.concatenate(
+        [
+            determinant(_gather(flat, cross_at).reshape(-1, k, k)).reshape(count, -1)
+            for cross_at, k in groups
+        ],
+        axis=1,
+    )
+    padded = np.concatenate([flat, np.broadcast_to([0.0, 1.0], (count, 2))], axis=1)
+    minors = determinant(_gather(padded, minor_at).reshape(-1, n, n)).real
+    looked_up = minors.reshape(count, -1)[:, lookup]
+    det_a, det_b, det_union, det_inter = looked_up.reshape(count, 4, -1).swapaxes(0, 1)
     lhs = det_union * det_inter
     det_prod = det_a * det_b
-    cross_sq = np.abs(det_ab) ** 2
+    cross_sq = det_ab.real * det_ab.real + det_ab.imag * det_ab.imag
     gap = (det_prod - cross_sq) - lhs
     scale, ok = _verdict(gap, (lhs, det_prod, cross_sq), tol)
-    only_alpha = ma & ~mb
     details = {
         "gap": gap,
         "scale": scale,
@@ -816,7 +977,6 @@ def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
         "abs_det_cross_sq": cross_sq,
         "det_union": det_union,
         "det_intersection": det_inter,
-        "desnanot_case": (only_alpha != 0) & ((only_alpha & (only_alpha - 1)) == 0),
+        "desnanot_case": np.broadcast_to(desnanot, (count, len(desnanot))),
     }
-    reports = PairReports("det_submatrix", batch, ok, gap, details, tol, input_min)
-    return reports if isinstance(alpha, PairBatch) else reports.report(0)
+    return ok, gap, details

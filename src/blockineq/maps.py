@@ -84,24 +84,26 @@ def builtin_map(name: str, n: int) -> LinearMapRep:
         raise UsageError(f"map dimension must be positive, got {n}")
     if name not in BUILTIN_MAPS:
         raise UsageError(f"unknown builtin map {name!r}; expected one of {BUILTIN_MAPS}")
-    eye = np.eye(n, dtype=np.complex128)
-    images = []
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=np.complex128)
-            unit[i, j] = 1.0
-            if name == "phi":
-                images.append(np.trace(unit) * eye + unit)
-            elif name == "psi":
-                images.append(np.trace(unit) * eye - unit)
-            elif name == "identity":
-                images.append(unit)
-            elif name == "transpose":
-                images.append(unit.T.copy())
-            else:
-                images.append(np.array([[np.trace(unit)]], dtype=np.complex128))
-    k = 1 if name == "trace_map" else n
-    return LinearMapRep(n, k, tuple(images))
+    # [i, j] of each is a (k, k) image of E_{i,j}: the unit itself, and tr(E_{i,j}) I
+    units = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
+    traces = np.eye(n, dtype=np.complex128)[:, :, np.newaxis, np.newaxis] * np.eye(n)
+    if name == "phi":
+        images = traces + units
+    elif name == "psi":
+        images = traces - units
+    elif name == "identity":
+        images = units
+    elif name == "transpose":
+        images = units.transpose(0, 1, 3, 2)
+    else:
+        images = np.eye(n, dtype=np.complex128).reshape(n, n, 1, 1)
+    k = images.shape[-1]
+    return LinearMapRep(n, k, tuple(images.reshape(n * n, k, k)))
+
+
+def _images(phi: LinearMapRep) -> np.ndarray:
+    """The basis images as an ``(n, n, k, k)`` array; ``[i, j]`` is the image of ``E_{i+1,j+1}``."""
+    return np.array(phi.basis_images).reshape(phi.n, phi.n, phi.k, phi.k)
 
 
 def choi_matrix(phi: LinearMapRep, m: int) -> BlockMatrix:
@@ -112,10 +114,8 @@ def choi_matrix(phi: LinearMapRep, m: int) -> BlockMatrix:
     """
     if m != phi.n:
         raise UsageError(f"choi_matrix requires m = n; got m={m} with n={phi.n}")
-    blocks = [
-        [phi.image(i, j) for j in range(1, phi.n + 1)] for i in range(1, phi.n + 1)
-    ]
-    return from_blocks(blocks)
+    size = phi.n * phi.k
+    return BlockMatrix(phi.n, phi.k, _images(phi).transpose(0, 2, 1, 3).reshape(size, size))
 
 
 def co_choi_matrix(phi: LinearMapRep) -> BlockMatrix:
@@ -124,10 +124,8 @@ def co_choi_matrix(phi: LinearMapRep) -> BlockMatrix:
     This is the Choi matrix of ``X -> phi(X^T)``, so its positivity is
     exactly complete copositivity of ``phi``.
     """
-    blocks = [
-        [phi.image(j, i) for j in range(1, phi.n + 1)] for i in range(1, phi.n + 1)
-    ]
-    return from_blocks(blocks)
+    size = phi.n * phi.k
+    return BlockMatrix(phi.n, phi.k, _images(phi).transpose(1, 2, 0, 3).reshape(size, size))
 
 
 def certify_completely_positive(

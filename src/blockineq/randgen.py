@@ -77,21 +77,24 @@ def _keyed_generator(seed: int) -> np.random.Generator:
 
     Key ``(seed, 0)``, counter 0 and an empty buffer, so the draws are those
     of a fresh generator, without the OS-entropy read that building one costs.
+    The state it is set from is kept with the generator: a re-key writes the
+    seed into its key array and sets the state again, which copies it.
     """
-    gen = getattr(_local, "gen", None)
-    if gen is None:
-        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed, 0], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    keyed = getattr(_local, "keyed", None)
+    if keyed is None:
+        key = np.zeros(2, dtype=np.uint64)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        keyed = _local.keyed = (np.random.Generator(np.random.Philox(key=0)), key, state)
+    gen, key, state = keyed
+    key[0] = seed
+    gen.bit_generator.state = state
     return gen
 
 

@@ -28,6 +28,8 @@ from .densemat import DEFAULT_TOL
 from .errors import SelfCheckError, UsageError
 from .inequalities import (
     CheckReport,
+    PairReports,
+    _chunk_members,
     _presolve,
     check_block2,
     check_combined_reduction,
@@ -298,9 +300,10 @@ def _rank_for_trial(dim: int, trial: int) -> int:
 
 # A batch is what a runner's checker takes, the provenance of each report it
 # yields and the trial number of the first: a BlockStack (or one BlockMatrix)
-# for the block suites, one matrix (or a file's presolved block document,
-# whose matrix is checked) for the submatrix suites. A runner checks the
-# batches it is given; given none, it draws its seeded stream.
+# for the block suites, a (T, n, n) stack of matrices (or one matrix, or a
+# file's presolved block document, whose matrix is checked) for the
+# submatrix suites. A runner checks the batches it is given; given none, it
+# draws its seeded stream.
 
 
 def _gram_inputs(cfg: SuiteConfig, suite: str, include_pattern: bool):
@@ -342,12 +345,20 @@ def _ppt_inputs(cfg: SuiteConfig, suite: str):
 
 
 def _psd_inputs(cfg: SuiteConfig, suite: str):
-    """Yield one batch per trial of each dimension: one PSD matrix, drawn alone."""
+    """Yield each dimension's trials, drawn as one stack, in batches of one check chunk.
+
+    A batch holds the members a submatrix check evaluates at a time
+    (:func:`~blockineq.inequalities._chunk_members` of the dimension's
+    pairs), so that a run holds one batch's pair reports at a time.
+    """
     for n in cfg.dims:
-        for t in range(cfg.trials):
-            rank = _rank_for_trial(n, t)
-            s = derive_seed(cfg.seed, suite, n, t)
-            yield random_psd(n, rank, s), [f"random_psd(dim={n}, rank={rank}, seed={s})"], t
+        ranks = [_rank_for_trial(n, t) for t in range(cfg.trials)]
+        seeds = [derive_seed(cfg.seed, suite, n, t) for t in range(cfg.trials)]
+        mats = random_psd(n, ranks, seeds)
+        infos = [f"random_psd(dim={n}, rank={r}, seed={s})" for r, s in zip(ranks, seeds)]
+        size = _chunk_members(exhaustive_pairs(n))
+        for lo in range(0, cfg.trials, size):
+            yield mats[lo : lo + size], infos[lo : lo + size], lo
 
 
 def _run_theorem2(cfg, rec, batches=None):
@@ -391,56 +402,74 @@ def _run_block2(cfg, rec, batches=None):
                 )
 
 
-def _record_exhaustive(rec, suite, check_name, reports, mat, infos, trial, **extra):
-    """Record one matrix's exhaustive check as one report; each failing pair is a counterexample."""
-    (info,) = infos
-    failed = np.flatnonzero(~reports.passed)
-    for p in failed.tolist():
-        rec.counterexample(suite, trial, replace(reports.report(p), seed_info=info), mat)
-    worst = int(np.argmin(reports.scalar_gap))  # the first of equal minima
-    alpha, beta = reports.batch.pair(worst)
-    agg = CheckReport(
-        check_name=check_name,
-        passed=failed.size == 0,
-        residual_min_eig=None,
-        scalar_gap=float(reports.scalar_gap[worst]),
-        tolerance=reports.tolerance,
-        shape=reports.batch.universe,
-        seed_info=info,
-        details={
-            "pairs": len(reports),
+def _record_exhaustive(rec, suite, check_name, reports, inputs, infos, first_trial, extra=None):
+    """Record each member's exhaustive check as one report; each failing pair is a counterexample.
+
+    ``reports`` holds one :class:`PairReports` per matrix of ``inputs``, or
+    is one for one matrix, a batch of one. A failing pair of member ``k``
+    is a counterexample of trial ``first_trial + k``. ``extra(pairs)``, if
+    given, adds details to each member's report.
+    """
+    if isinstance(reports, PairReports):
+        reports, inputs = [reports], [inputs]
+    for k, (pairs, mat, info) in enumerate(zip(reports, inputs, infos)):
+        failed = np.flatnonzero(~pairs.passed)
+        for p in failed.tolist():
+            failing = replace(pairs.report(p), seed_info=info)
+            rec.counterexample(suite, first_trial + k, failing, mat)
+        worst = int(np.argmin(pairs.scalar_gap))  # the first of equal minima
+        alpha, beta = pairs.batch.pair(worst)
+        details = {
+            "pairs": len(pairs),
             "failed_pairs": int(failed.size),
             "worst_alpha": alpha,
             "worst_beta": beta,
-            **extra,
-        },
-    )
-    rec.reports[suite].append(agg)  # its failing pairs are the counterexamples
+        }
+        if extra is not None:
+            details.update(extra(pairs))
+        # its failing pairs are the counterexamples
+        rec.reports[suite].append(
+            CheckReport(
+                check_name=check_name,
+                passed=failed.size == 0,
+                residual_min_eig=None,
+                scalar_gap=float(pairs.scalar_gap[worst]),
+                tolerance=pairs.tolerance,
+                shape=pairs.batch.universe,
+                seed_info=info,
+                details=details,
+            )
+        )
 
 
 def _run_thm8_9(cfg, rec, batches=None):
     """The trace bounds on every (alpha, beta) pair of each matrix, as one batch of pairs."""
     for a, infos, trial in batches or _psd_inputs(cfg, "thm8_9"):
-        mat = a.mat if isinstance(a, BlockMatrix) else a
-        reports = check_trace_submatrix(a, exhaustive_pairs(mat.shape[0]), tol=cfg.tol)
-        _record_exhaustive(rec, "thm8_9", "trace_submatrix_exhaustive", reports, mat, infos, trial)
+        mats = a.mat if isinstance(a, BlockMatrix) else a
+        reports = check_trace_submatrix(a, exhaustive_pairs(mats.shape[-1]), tol=cfg.tol)
+        _record_exhaustive(rec, "thm8_9", "trace_submatrix_exhaustive", reports, mats, infos, trial)
 
 
 def _run_eqlin(cfg, rec, batches=None):
     """The determinant bound on every pair with alpha != beta of each matrix, as one batch."""
     for a, infos, trial in batches or _psd_inputs(cfg, "eqlin"):
-        mat = a.mat if isinstance(a, BlockMatrix) else a
-        n = mat.shape[0]
+        mats = a.mat if isinstance(a, BlockMatrix) else a
+        n = mats.shape[-1]
         pairs = exhaustive_pairs(n, distinct=True)
         if not len(pairs):
             raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
         reports = check_det_submatrix(a, pairs, tol=cfg.tol)
-        desnanot = reports.details["desnanot_case"]
-        relgap = np.abs(reports.scalar_gap[desnanot]) / reports.details["scale"][desnanot]
         _record_exhaustive(
-            rec, "eqlin", "det_submatrix_exhaustive", reports, mat, infos, trial,
-            desnanot_max_relgap=float(np.max(relgap, initial=0.0)),
+            rec, "eqlin", "det_submatrix_exhaustive", reports, mats, infos, trial,
+            extra=_desnanot_details,
         )
+
+
+def _desnanot_details(pairs):
+    """The largest relative gap of the Desnanot-Jacobi pairs, where the two sides agree exactly."""
+    desnanot = pairs.details["desnanot_case"]
+    relgap = np.abs(pairs.scalar_gap[desnanot]) / pairs.details["scale"][desnanot]
+    return {"desnanot_max_relgap": float(np.max(relgap, initial=0.0))}
 
 
 def _run_choi_certs(cfg, rec):

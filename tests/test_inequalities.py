@@ -28,6 +28,7 @@ from blockineq import (
     check_ppt_reduction,
     check_trace_submatrix,
     check_upper_bound,
+    derive_seed,
     exhaustive_pairs,
     kron,
     overlap_embedding,
@@ -1073,3 +1074,126 @@ def test_det_gap_beyond_tolerance_of_its_terms_still_fails():
     rep = check_det_submatrix(a, IndexSet(4, (1, 2)), IndexSet(4, (3, 4)))
     assert rep.scalar_gap == pytest.approx(-8e-9, rel=1e-3)
     assert not rep.passed
+
+
+# ------------------------------------------------- stacked submatrix checks
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_member_is_alone(got: PairReports, alone: PairReports):
+    assert _same_bits(got.passed, alone.passed)
+    assert _same_bits(got.scalar_gap, alone.scalar_gap)
+    assert got.details.keys() == alone.details.keys()
+    for key, column in alone.details.items():
+        assert _same_bits(got.details[key], column), key
+    assert _same_bits(got.input_min_eig, alone.input_min_eig)
+    assert got.batch is alone.batch and got.tolerance == alone.tolerance
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("check, distinct", [(check_trace_submatrix, False), (check_det_submatrix, True)])
+def test_a_member_checks_bitwise_the_same_in_a_stack_of_any_size(monkeypatch, n, check, distinct):
+    # ranks n, ceil(n/2) and 1 in turn; each member of stacks of 1, 2, 4 and
+    # 37 (the 37 placed at an offset), in one chunk, in chunks of 3 and in
+    # chunks of 1, gives bitwise the report it gives checked alone
+    ranks = [(n, -(-n // 2), 1)[t % 3] for t in range(40)]
+    mats = random_psd(n, ranks, [derive_seed(13, "stacked", n, t) for t in range(40)])
+    batch = exhaustive_pairs(n, distinct)
+    alone = [check(mat, batch, tol=1e-9) for mat in mats]
+    # the default budget takes the 37 members in one chunk at n <= 4
+    assert inequalities._chunk_members(batch) >= 37 or n > 4
+    for members in (None, 3, 1):
+        if members is not None:
+            monkeypatch.setattr(inequalities, "_CHUNK_BYTES", members * _member_bytes(batch))
+            assert inequalities._chunk_members(batch) == members
+        for lo, size in ((0, 1), (5, 2), (1, 4), (3, 37)):
+            got = check(mats[lo : lo + size], batch, tol=1e-9)
+            assert isinstance(got, list) and len(got) == size
+            for k, reports in enumerate(got):
+                _assert_member_is_alone(reports, alone[lo + k])
+
+
+def _member_bytes(batch) -> int:
+    """The bytes of one member's largest gather: its pair blocks, or its padded principal minors."""
+    n = batch.universe
+    blocks = [len(ia) * combos.shape[1] ** 2 for combos, ia, _ in batch.groups]
+    return 16 * max([1, min(2**n, 4 * len(batch)) * n * n] + blocks)
+
+
+def test_chunk_budget_bounds_the_largest_gather_and_keeps_at_least_one_member(monkeypatch):
+    # n = 5: the 100 pairs of 3 x 3 blocks at k = 3 (900 entries) outweigh
+    # the 32 padded 5 x 5 principal minors (800); n = 4: the 16 padded 4 x 4
+    # minors (256) outweigh the 36 pairs of 2 x 2 blocks (144)
+    budget = inequalities._CHUNK_BYTES
+    assert inequalities._chunk_members(exhaustive_pairs(5)) == budget // (16 * 900)
+    assert inequalities._chunk_members(exhaustive_pairs(4)) == budget // (16 * 256)
+    # k = 4 of n = 8: 4900 pairs of 4 x 4 blocks, beyond the budget alone
+    assert inequalities._chunk_members(exhaustive_pairs(8)) == 1
+    monkeypatch.setattr(inequalities, "_CHUNK_BYTES", 1)
+    assert inequalities._chunk_members(exhaustive_pairs(2)) == 1
+
+
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_a_stack_member_outside_the_hypothesis_is_refused_by_name_before_any_gather(
+    monkeypatch, check
+):
+    def no_gather(*args):
+        raise AssertionError("a pair was evaluated before the hypothesis was decided")
+
+    mats = random_psd(3, [3, 2, 3, 1], [1, 2, 3, 4])
+    mats[2] = np.diag([1.0, 1.0, -1.0])
+    mats[3] = np.diag([1.0, -1.0, 1.0])
+    batch = exhaustive_pairs(3, distinct=True)
+    monkeypatch.setattr(inequalities, "_gather", no_gather)
+    with pytest.raises(PreconditionError, match="stack member 2 is not PSD within tol 1e-09") as err:
+        check(mats, batch, tol=1e-9)
+    assert err.value.min_eig == -1.0
+    with pytest.raises(PreconditionError, match="^input is not PSD"):
+        check(mats[2], batch, tol=1e-9)
+    with pytest.raises(ShapeError, match="does not match matrix dimension 3"):
+        check(mats[:2], exhaustive_pairs(4, distinct=True), tol=1e-9)
+    with pytest.raises(ShapeError, match="stack of square matrices"):
+        check(np.zeros((2, 3, 4)), batch, tol=1e-9)
+    with pytest.raises(ValueError, match="finite"):
+        check(np.full((2, 3, 3), np.nan), batch, tol=1e-9)
+
+
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_a_stack_with_one_pair_gives_one_check_report_per_member(check):
+    mats = random_psd(4, [4, 2], [5, 6])
+    alpha, beta = IndexSet(4, (1, 2)), IndexSet(4, (2, 4))
+    got = check(mats, alpha, beta, 1e-9)
+    assert got == [check(mat, alpha, beta, 1e-9) for mat in mats]
+
+
+@pytest.mark.parametrize(
+    "check, plan, distinct",
+    [
+        (check_trace_submatrix, "_trace_plan", False),
+        (check_det_submatrix, "_det_plan", True),
+    ],
+)
+def test_a_batch_builds_its_plan_once_and_the_plan_holds_no_matrix_value(
+    monkeypatch, check, plan, distinct
+):
+    # a batch whose plan was built on other matrices checks a matrix bitwise
+    # as a batch of the same pairs that has no plan yet
+    builds = []
+    build = getattr(inequalities, plan)
+    monkeypatch.setattr(inequalities, plan, lambda batch: builds.append(1) or build(batch))
+    groups = exhaustive_pairs(5, distinct).groups
+    used = inequalities.PairBatch(5, groups)
+    mats = random_psd(5, [5, 3, 1], [21, 22, 23])
+    check(mats[:2], used, tol=1e-9)
+    check(mats[0], used, tol=1e-9)
+    assert len(builds) == 1
+    got = check(mats[2], used, tol=1e-9)
+    fresh = check(mats[2], inequalities.PairBatch(5, groups), tol=1e-9)
+    assert len(builds) == 2
+    assert _same_bits(got.passed, fresh.passed) and _same_bits(got.scalar_gap, fresh.scalar_gap)
+    for key, column in fresh.details.items():
+        assert _same_bits(got.details[key], column), key

@@ -15,6 +15,7 @@ from blockineq import (
     certify_completely_positive,
     choi_matrix,
     co_choi_matrix,
+    from_blocks,
     hermitian_eigenvalues,
     is_psd,
     partial_transpose,
@@ -219,6 +220,41 @@ def test_co_choi_is_partial_transpose_of_choi():
         assert np.array_equal(
             co_choi_matrix(phi).mat, partial_transpose(choi_matrix(phi, n)).mat
         )
+
+
+def _block_assembly(phi, co=False):
+    """``[phi(E_{i,j})]`` (``[phi(E_{j,i})]`` with ``co``) assembled block by block."""
+    n = phi.n
+    return from_blocks(
+        [
+            [phi.image(j, i) if co else phi.image(i, j) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (4, 1)])
+def test_choi_builders_are_bitwise_the_block_assembly(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    maps = [random_map(rng, n, k)]
+    maps += [builtin_map(name, n) for name in BUILTINS if (1 if name == "trace_map" else n) == k]
+    for phi in maps:
+        for got, want in (
+            (choi_matrix(phi, n), _block_assembly(phi)),
+            (co_choi_matrix(phi), _block_assembly(phi, co=True)),
+        ):
+            assert (got.m, got.n) == (want.m, want.n) == (n, k)
+            assert got.mat.tobytes() == want.mat.tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_builtin_images_are_the_defining_formulas_bitwise(name, n):
+    phi = builtin_map(name, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            want = np.asarray(builtin_apply(name, unit_matrix(n, i, j)), dtype=np.complex128)
+            assert phi.image(i, j).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- certifying

@@ -82,6 +82,24 @@ def test_gaussians_are_box_muller_on_a_fresh_philox_stream(seed):
     assert np.array_equal(complex_gaussians(rows, cols, seed), want)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, MAX_SEED, derive_seed(42, "thm8_9", 5, 3)])
+def test_a_rekeyed_generator_draws_what_a_fresh_one_draws(seed):
+    # whatever the shared generator was left with: a partly used buffer and a
+    # held 32-bit half; each re-key starts the stream of Philox(key=seed) anew
+    want = np.random.Generator(np.random.Philox(key=seed))
+    want = (want.random(9), want.integers(0, 2**32, 5, dtype=np.uint64))
+    for _ in range(2):
+        gen = randgen._keyed_generator(seed ^ 5)
+        gen.random(3)
+        gen.integers(0, 7, 3, dtype=np.uint32)
+        gen = randgen._keyed_generator(seed)
+        state = gen.bit_generator.state
+        assert state["state"]["key"].tolist() == [seed, 0]
+        assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        got = (gen.random(9), gen.integers(0, 2**32, 5, dtype=np.uint64))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_gaussians_seed_sensitivity():
     assert not np.array_equal(complex_gaussians(4, 4, 1), complex_gaussians(4, 4, 2))
 

@@ -423,6 +423,36 @@ def test_runner_given_batches_checks_only_them(monkeypatch, suite):
         assert rec.counterexamples == []
 
 
+@pytest.mark.parametrize("suite", ["thm8_9", "eqlin"])
+def test_psd_inputs_are_each_trials_draw_in_batches_of_one_check_chunk(monkeypatch, suite):
+    # a dimension's trials are drawn as one stack; each member is the draw of
+    # its trial's seed alone, and a batch holds one check chunk of members,
+    # so the run's report does not depend on where the batches split
+    cfg = SuiteConfig(suites=(suite,), dims=(2, 4, 5), trials=8, seed=42)
+    want = []
+    for n in cfg.dims:
+        for t in range(cfg.trials):
+            rank = suites._rank_for_trial(n, t)
+            s = derive_seed(cfg.seed, suite, n, t)
+            want.append((random_psd(n, rank, s), f"random_psd(dim={n}, rank={rank}, seed={s})", t))
+    docs = []
+    for budget, batches in ((inequalities._CHUNK_BYTES, 3), (1, 24)):
+        monkeypatch.setattr(inequalities, "_CHUNK_BYTES", budget)
+        got = list(suites._psd_inputs(cfg, suite))
+        assert len(got) == batches
+        members = [
+            (mat, info, first + k)
+            for mats, infos, first in got
+            for k, (mat, info) in enumerate(zip(mats, infos, strict=True))
+        ]
+        assert len(members) == len(want)
+        for (mat, info, trial), (w_mat, w_info, w_trial) in zip(members, want):
+            assert mat.tobytes() == w_mat.tobytes() and mat.shape == w_mat.shape
+            assert (info, trial) == (w_info, w_trial)
+        docs.append(_doc_without_duration(run_suite(cfg)))
+    assert docs[0] == docs[1]
+
+
 def test_record_numbers_failures_from_the_batch_first_trial():
     rec = suites._Recorder(("upper_bound",))
     report = CheckReport(
@@ -649,18 +679,27 @@ def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("suite", ["thm8_9", "eqlin"])
-def test_run_files_solves_a_block_document_once_for_a_submatrix_suite(tmp_path, monkeypatch, suite):
+@pytest.mark.parametrize(
+    "suite, a, tol",
+    [
+        # PSD within tol only, as _GAP_MATRIX: its 1 x 1 trace bounds on the
+        # negative diagonal entry fail outright
+        ("thm8_9", BlockMatrix(2, 2, np.diag([1e6, 1.0, 1.0, -1e-4])), 1e-9),
+        # a tol far below rounding fails the pairs whose gap rounds below 0
+        ("eqlin", random_separable(2, 2, 2, 4), 1e-300),
+    ],
+)
+def test_run_files_solves_a_block_document_once_for_a_submatrix_suite(
+    tmp_path, monkeypatch, suite, a, tol
+):
     # the submatrix checker reads the input minimum the document carries from
-    # its block suites' presolve. A tol far below rounding fails the pairs
-    # whose gap rounds below 0, so there are counterexample documents; they
-    # and every report are those of the suite run alone
-    path = tmp_path / "sep.json"
-    a = random_separable(2, 2, 2, 4)
+    # its block suites' presolve. The document has counterexamples; they and
+    # every report are those of the suite run alone
+    path = tmp_path / "doc.json"
     save(path, a)
-    alone = run_files(SuiteConfig(suites=(suite,), tol=1e-300), [path])
+    alone = run_files(SuiteConfig(suites=(suite,), tol=tol), [path])
     solves = _Solves(monkeypatch)
-    both = run_files(SuiteConfig(suites=("theorem2", suite), tol=1e-300), [path])
+    both = run_files(SuiteConfig(suites=("theorem2", suite), tol=tol), [path])
     assert solves.counts() == (1, [2])  # the input, then theorem2's two residuals
     assert both.reports[suite] == alone.reports[suite]
     got = [ce.to_doc() for ce in both.counterexamples if ce.suite == suite]
