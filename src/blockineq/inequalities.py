@@ -10,7 +10,9 @@ counterexamples instead of aborting.
 The block-matrix checkers take one :class:`~blockineq.blockops.BlockMatrix`
 and return one report, or a :class:`~blockineq.blockops.BlockStack` and
 return a list of reports, one per member. Each inequality is written once,
-over the stack axis; a single matrix is a stack of one. The seeded suites
+over the stack axis; a single matrix is a stack of one. A partial-trace
+side is the paper's ``Phi(X) = (tr X) I + X`` or ``Psi(X) = (tr X) I - X``
+applied blockwise, split as (trace part, ``-X`` or ``X``). The seeded suites
 check each shape's trials as one stack. Every block check goes one way: it
 lists the matrices it solves (the input, its partial transpose for a PPT
 check, each side's residual), reads those an input file's document already
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -158,81 +160,67 @@ def _verdict(gap: np.ndarray, terms, tol: float) -> tuple[np.ndarray, np.ndarray
 # function returns (sides, gaps): a side (label, lhs, rhs) claims lhs >= rhs
 # in operator order for every member, a gap (label, lhs, rhs) claims
 # lhs <= rhs for the members' scalars. Labels name the report details.
+# A partial-trace side is Phi(X) = (tr X) I + X or Psi(X) = (tr X) I - X
+# applied blockwise to X = A or A^t, in either tensor order, split as (a
+# trace part of X, -X for Phi or X for Psi): its scale is taken from both.
 # ---------------------------------------------------------------------------
 
 
-def _eye(k: int) -> np.ndarray:
-    return np.eye(k, dtype=np.complex128)
+def _trace_parts(x) -> tuple[np.ndarray, np.ndarray]:
+    """``(tr2 X) (x) I_n`` and ``I_m (x) tr1 X`` for every member of a stack ``X``.
+
+    Less ``X``, they are ``[Psi(X_ij)]`` and ``realign([Psi(realign(X)_ij)])``.
+    """
+    return kron(partial_trace_2(x), np.eye(x.n)), kron(np.eye(x.m), partial_trace_1(x))
 
 
-def _reduction_lhs(a: BlockStack) -> np.ndarray:
-    """``I_m (x) tr1 A + (tr2 A) (x) I_n`` for every member."""
-    return kron(_eye(a.m), partial_trace_1(a)) + kron(partial_trace_2(a), _eye(a.n))
-
-
-def _copositive_terms(a):
+def _copositive_terms(a, phi: bool = False):
+    """Psi, or Phi with ``phi``, applied blockwise to ``A^t``: ``[Psi(A_ji)] >= 0``."""
     at = partial_transpose(a)
-    return (
-        ("tr2_side", kron(partial_trace_2(at), _eye(a.n)), at.mat),
-        ("tr1_side", kron(_eye(a.m), partial_trace_1(at)), at.mat),
-    ), ()
+    tr2, tr1 = _trace_parts(at)
+    x = -at.mat if phi else at.mat
+    return (("tr2_side", tr2, x), ("tr1_side", tr1, x)), ()
 
 
 def _ppt_reduction_terms(a):
-    return (
-        ("tr1_side", kron(_eye(a.m), partial_trace_1(a)), a.mat),
-        ("tr2_side", kron(partial_trace_2(a), _eye(a.n)), a.mat),
-    ), ()
+    """Psi applied blockwise to ``A``: ``[Psi(A_ij)] >= 0``."""
+    tr2, tr1 = _trace_parts(a)
+    return (("tr1_side", tr1, a.mat), ("tr2_side", tr2, a.mat)), ()
 
 
 def _combined_terms(a):
+    """The sum of the two Psi sides of ``A``, and that of ``A^t``."""
     at = partial_transpose(a)
-    return (
-        ("plain", _reduction_lhs(a), 2.0 * a.mat),
-        ("tau", _reduction_lhs(at), 2.0 * at.mat),
-    ), ()
+    (tr2, tr1), (tr2_t, tr1_t) = _trace_parts(a), _trace_parts(at)
+    return (("plain", tr1 + tr2, 2.0 * a.mat), ("tau", tr1_t + tr2_t, 2.0 * at.mat)), ()
 
 
 def _upper_bound_terms(a):
     tr = np.trace(a.mat, axis1=1, axis2=2).real
-    big = a.mat + tr[:, np.newaxis, np.newaxis] * _eye(a.m * a.n)
-    return (("upper", big, _reduction_lhs(a)),), ()
-
-
-def _phi_lower_terms(a):
-    at = partial_transpose(a)
-    return (
-        ("tr2_side", kron(partial_trace_2(at), _eye(a.n)), -at.mat),
-        ("tr1_side", kron(_eye(a.m), partial_trace_1(at)), -at.mat),
-    ), ()
+    big = a.mat + tr[:, np.newaxis, np.newaxis] * np.eye(a.m * a.n)
+    tr2, tr1 = _trace_parts(a)
+    return (("upper", big, tr1 + tr2),), ()
 
 
 def _block2_terms(a):
-    n = a.n
-    blk_a = a.mat[:, :n, :n]
-    blk_b = a.mat[:, :n, n:]
-    blk_c = a.mat[:, n:, n:]
-    blk_bs = np.conj(np.swapaxes(blk_b, 1, 2))
-    tr_a = np.trace(blk_a, axis1=1, axis2=2).real
-    tr_c = np.trace(blk_c, axis1=1, axis2=2).real
-    tr_b = np.trace(blk_b, axis1=1, axis2=2)
-    ac = blk_a @ blk_c
-    bsb = blk_bs @ blk_b
+    """G's terms, ``G_{(p,p'),(q,q')} = (tr H_{p'q'}) H_pq - H_{pq'} H_{p'q}`` for blocks ``H_pq``.
 
-    def scaled(v, blk):
-        return v[:, np.newaxis, np.newaxis] * blk
-
-    pos = np.block(
-        [
-            [scaled(tr_c, blk_a), scaled(np.conj(tr_b), blk_b)],
-            [scaled(tr_b, blk_bs), scaled(tr_a, blk_c)],
-        ]
-    )
-    neg = np.block([[blk_b @ blk_bs, ac], [blk_c @ blk_a, bsb]])
-    tr_ac = np.trace(ac, axis1=1, axis2=2).real
-    tr_bsb = np.trace(bsb, axis1=1, axis2=2).real
+    Over the ordered pairs ``(p, p')`` of block indices ``(1, 2)`` and
+    ``(2, 1)``, G is the matrix of :func:`check_block2`.
+    """
+    # contiguous, so that np.trace sums each block's diagonal in the order it uses on one
+    # block alone: from n = 4 on, the order of a strided stack's sum changes the last bits
+    h = np.ascontiguousarray(a._as_blocks().swapaxes(-3, -2))  # h[:, p, q] is H_pq
+    tr = np.trace(h, axis1=-2, axis2=-1)
+    p, p2 = np.array([[0], [1]]), np.array([[1], [0]])  # each row's p, p'; transposed, each column's
+    pos = tr[:, p2, p2.T, np.newaxis, np.newaxis] * h[:, p, p.T]
+    neg = h[:, p, p2.T] @ h[:, p2, p.T]
+    tr_neg = np.trace(neg, axis1=-2, axis2=-1).real
+    tr_ac, tr_bsb = tr_neg[:, 0, 1], tr_neg[:, 1, 1]
+    tr_a, tr_c, tr_b = tr[:, 0, 0].real, tr[:, 1, 1].real, tr[:, 0, 1]
     abs_tr_b_sq = np.abs(tr_b) ** 2
-    return (("g", pos, neg),), (
+    g = tuple(x.swapaxes(-3, -2).reshape(a.mat.shape) for x in (pos, neg))
+    return (("g", *g),), (
         ("eq8", tr_ac + tr_bsb, tr_a * tr_c + abs_tr_b_sq),
         ("eq9", tr_bsb - tr_ac, tr_a * tr_c - abs_tr_b_sq),
     )
@@ -244,7 +232,7 @@ _BLOCK_INEQUALITIES = {
     "ppt_reduction": ("ppt", _ppt_reduction_terms),
     "combined_reduction": ("ppt", _combined_terms),
     "upper_bound": ("psd", _upper_bound_terms),
-    "phi_lower": ("psd", _phi_lower_terms),
+    "phi_lower": ("psd", partial(_copositive_terms, phi=True)),
     "block2": ("psd", _block2_terms),
 }
 
@@ -437,8 +425,10 @@ def check_copositive_partial_trace(a, tol: float = DEFAULT_TOL):
 
     The partial transpose of a PSD block matrix need not be PSD, yet both
     partial-trace envelopes still dominate it; this is the operator form of
-    complete copositivity of ``X -> (tr X) I + X``. The input itself must be
-    PSD, but ``A^t`` is allowed to be indefinite.
+    complete copositivity of ``Psi: X -> (tr X) I - X``. The tr2 side's
+    residual is ``[Psi(A_ji)]``, Psi applied to each block of ``A^t``, and
+    the tr1 side's the same in the other tensor order. The input itself must
+    be PSD, but ``A^t`` is allowed to be indefinite.
     """
     return _check_block("copositive_partial_trace", a, tol)
 
@@ -448,13 +438,19 @@ def check_ppt_reduction(a, tol: float = DEFAULT_TOL):
 
     This strengthening drops the partial transpose from both sides, but it
     needs the PPT hypothesis; a merely-PSD entangled input can violate it,
-    which is what :func:`check_copositive_partial_trace` is for.
+    which is what :func:`check_copositive_partial_trace` is for. The
+    residuals are ``[Psi(A_ij)]``, Psi applied to each block of ``A``, in
+    either tensor order.
     """
     return _check_block("ppt_reduction", a, tol)
 
 
 def check_combined_reduction(a, tol: float = DEFAULT_TOL):
-    """For PPT ``A``: ``I_m (x) tr1 A + (tr2 A) (x) I_n >= 2 A`` and the same for ``A^t``."""
+    """For PPT ``A``: ``I_m (x) tr1 A + (tr2 A) (x) I_n >= 2 A`` and the same for ``A^t``.
+
+    Each residual is the sum of the two of :func:`check_ppt_reduction`, on
+    ``A`` and on ``A^t``.
+    """
     return _check_block("combined_reduction", a, tol)
 
 
@@ -473,7 +469,8 @@ def check_phi_lower(a, tol: float = DEFAULT_TOL):
 
     The two-sided companion of :func:`check_copositive_partial_trace`: the
     partial-trace envelopes dominate ``A^t`` in absolute value, which is the
-    operator form of complete copositivity of ``X -> (tr X) I - X``.
+    operator form of complete copositivity of ``Phi: X -> (tr X) I + X``.
+    The residuals are ``[Phi(A_ji)]`` and the same in the other tensor order.
     """
     return _check_block("phi_lower", a, tol)
 
@@ -591,8 +588,14 @@ def exhaustive_pairs(universe: int, distinct: bool = False) -> PairBatch:
 
     Ordered by cardinality, then alpha, then beta, each lexicographically;
     ``distinct=True`` leaves out the pairs with ``alpha = beta``. Built on
-    first use for each universe and shared read-only afterwards.
+    first use for each universe and shared read-only afterwards. A universe
+    above ``_MAX_PAIR_UNIVERSE`` is refused before anything is built.
     """
+    if universe > _MAX_PAIR_UNIVERSE:
+        raise UsageError(
+            f"exhaustive index-set pairs are enumerated up to dimension {_MAX_PAIR_UNIVERSE}, "
+            f"got dimension {universe}"
+        )
     groups = []
     for k in range(1, universe + 1):
         combos = np.array(list(itertools.combinations(range(universe), k)), dtype=np.intp)
@@ -863,6 +866,9 @@ def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float):
 
 # Index sets are bitmasks in the determinant bound.
 _MAX_DET_UNIVERSE = 64
+# The pairs exhaustive_pairs enumerates grow as 4^n: a one-trial thm8_9 + eqlin
+# run peaked at 1.1 GiB RSS at n = 11, and at n = 12 exceeded 2.8 GiB (8 GiB host).
+_MAX_PAIR_UNIVERSE = 11
 
 
 def _principal_minor_index(n: int, masks: np.ndarray) -> np.ndarray:

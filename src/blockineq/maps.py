@@ -6,7 +6,8 @@ by positivity of the Choi block matrix ``[phi(E_{i,j})]_{i,j}``; complete
 copositivity by positivity of the co-Choi block matrix ``[phi(E_{j,i})]_{i,j}``
 (equivalently, the Choi matrix of ``phi`` composed with the transpose).
 Both certificates are single PSD checks on an ``nk x nk`` matrix, which is
-what makes them machine-checkable here.
+what makes them machine-checkable here. The residuals of the partial-trace
+block checkers are the builtin ``phi`` and ``psi`` maps' :func:`blockwise_image`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import BlockMatrix, from_blocks
+from .blockops import BlockMatrix
 from .densemat import DEFAULT_TOL, as_matrix, is_psd
 from .errors import ShapeError, UsageError
 from .randgen import derive_seed, random_psd
@@ -60,15 +61,8 @@ class LinearMapRep:
 
 
 def apply_map(phi: LinearMapRep, x) -> np.ndarray:
-    """Apply ``phi`` to an ``n x n`` matrix by linearity over matrix units."""
-    mat = as_matrix(x)
-    if mat.shape != (phi.n, phi.n):
-        raise ShapeError(f"expected a {phi.n}x{phi.n} input, got {mat.shape}")
-    out = np.zeros((phi.k, phi.k), dtype=np.complex128)
-    for i in range(1, phi.n + 1):
-        for j in range(1, phi.n + 1):
-            out += mat[i - 1, j - 1] * phi.image(i, j)
-    return out
+    """Apply ``phi`` to an ``n x n`` matrix: its image as a 1 x 1 block matrix."""
+    return blockwise_image(phi, BlockMatrix(1, phi.n, x)).mat
 
 
 def builtin_map(name: str, n: int) -> LinearMapRep:
@@ -142,23 +136,21 @@ def certify_completely_copositive(
     return is_psd(co_choi_matrix(phi).mat, tol=tol)
 
 
-def blockwise_image(phi: LinearMapRep, a: BlockMatrix, swap: bool = False) -> BlockMatrix:
+def blockwise_image(phi: LinearMapRep, a, swap: bool = False):
     """Apply ``phi`` block by block: ``[phi(A_{i,j})]`` (or ``[phi(A_{j,i})]``).
 
     With ``swap=True`` this is the block-transposed application
-    ``(id tensor phi)(A^tau)`` used when testing copositivity on states.
+    ``(id tensor phi)(A^tau)`` used when testing copositivity on states. A
+    :class:`~blockineq.blockops.BlockStack` gives the stack of its members'
+    images. Each entry is one ``einsum`` over the map's stacked images,
+    ``phi(X) = sum_{p,q} X_{p,q} phi(E_{p,q})``.
     """
     if a.n != phi.n:
         raise ShapeError(f"map acts on M_{phi.n} but blocks are {a.n}x{a.n}")
-    blocks4 = a._as_blocks()
-    out = []
-    for i in range(a.m):
-        row = []
-        for j in range(a.m):
-            block = blocks4[j, :, i, :] if swap else blocks4[i, :, j, :]
-            row.append(apply_map(phi, block))
-        out.append(row)
-    return from_blocks(out)
+    spec = "...jpiq,pqrs->...irjs" if swap else "...ipjq,pqrs->...irjs"
+    image = np.einsum(spec, a._as_blocks(), _images(phi))
+    size = a.m * phi.k
+    return type(a)(a.m, phi.k, image.reshape(a.mat.shape[:-2] + (size, size)))
 
 
 def random_cocopositivity_witness(

@@ -352,11 +352,11 @@ def _psd_inputs(cfg: SuiteConfig, suite: str):
     pairs), so that a run holds one batch's pair reports at a time.
     """
     for n in cfg.dims:
+        size = _chunk_members(exhaustive_pairs(n))
         ranks = [_rank_for_trial(n, t) for t in range(cfg.trials)]
         seeds = [derive_seed(cfg.seed, suite, n, t) for t in range(cfg.trials)]
         mats = random_psd(n, ranks, seeds)
         infos = [f"random_psd(dim={n}, rank={r}, seed={s})" for r, s in zip(ranks, seeds)]
-        size = _chunk_members(exhaustive_pairs(n))
         for lo in range(0, cfg.trials, size):
             yield mats[lo : lo + size], infos[lo : lo + size], lo
 

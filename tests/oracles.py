@@ -212,6 +212,44 @@ def co_choi_loops(name: str, n: int) -> np.ndarray:
     )
 
 
+def blockwise_image_loops(phi, a, swap: bool = False) -> np.ndarray:
+    """``[phi(A_{i,j})]`` (``[phi(A_{j,i})]`` with ``swap``), block by block.
+
+    Each block's image is summed over the matrix units, ``phi(X) =
+    sum_{p,q} X_{p,q} phi(E_{p,q})``, and the images are assembled by hand.
+    """
+    grid = blocks_of(a.mat, a.m, a.n)
+    out = []
+    for i in range(a.m):
+        row = []
+        for j in range(a.m):
+            block = grid[j][i] if swap else grid[i][j]
+            image = np.zeros((phi.k, phi.k), dtype=np.complex128)
+            for p in range(phi.n):
+                for q in range(phi.n):
+                    image += block[p, q] * phi.image(p + 1, q + 1)
+            row.append(image)
+        out.append(row)
+    return assemble(out)
+
+
+def block2_g_loops(mat, n: int) -> np.ndarray:
+    """Block2's G from the pair formula, block by block.
+
+    ``G_{(p,p'),(q,q')} = (tr H_{p'q'}) H_pq - H_{pq'} H_{p'q}`` over the
+    ordered pairs ``(p, p')`` in ``((0, 1), (1, 0))``, for the blocks
+    ``H_pq`` of a ``2n x 2n`` matrix.
+    """
+    h = blocks_of(mat, 2, n)
+    pairs = ((0, 1), (1, 0))
+    return assemble(
+        [
+            [np.trace(h[pp][qq]) * h[p][q] - h[p][qq] @ h[pp][q] for q, qq in pairs]
+            for p, pp in pairs
+        ]
+    )
+
+
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Dense complex Gaussian test input from an arbitrary numpy Generator."""
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

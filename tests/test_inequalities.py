@@ -20,6 +20,8 @@ from blockineq import (
     PreconditionError,
     ShapeError,
     UsageError,
+    blockwise_image,
+    builtin_map,
     check_block2,
     check_combined_reduction,
     check_copositive_partial_trace,
@@ -36,6 +38,7 @@ from blockineq import (
     partial_trace_2,
     random_psd,
     random_separable,
+    realign,
     submatrix,
 )
 from blockineq import densemat, inequalities
@@ -45,6 +48,7 @@ from blockineq.suites import RunReport, SuiteConfig
 from blockineq.inequalities import _BLOCK_INEQUALITIES, _residual, _verdict
 from oracles import (
     STACK_AGREEMENT_RTOL,
+    block2_g_loops,
     det_cofactor,
     det_submatrix_scalar,
     eigvalsh_lapack,
@@ -333,6 +337,65 @@ def test_block2_rejects_bad_shape_and_non_psd():
         check_block2(BlockMatrix(3, 2, np.eye(6)))
     with pytest.raises(PreconditionError):
         check_block2(BlockMatrix(2, 2, np.diag([1.0, 1.0, 1.0, -1.0])))
+
+
+def test_block2_g_is_the_pair_formula():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 4):
+        mats = np.array([random_psd_lapack(rng, 2 * n) for _ in range(5)])
+        ((label, pos, neg),), _ = _BLOCK_INEQUALITIES["block2"][1](BlockStack(2, n, mats))
+        assert label == "g"
+        for mat, lhs, rhs in zip(mats, pos, neg):
+            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+            assert np.linalg.norm((lhs - rhs) - block2_g_loops(mat, n)) <= 1e-13 * scale
+
+
+# ------------------------------------------------- the table as the paper's maps
+
+
+def _psi_image(x: BlockMatrix) -> np.ndarray:
+    """``[Psi(X_ij)]``, Psi applied to each block of ``x``."""
+    return blockwise_image(builtin_map("psi", x.n), x).mat
+
+
+def _other_order(x: BlockMatrix, name: str = "psi") -> np.ndarray:
+    """The same in the other tensor order: ``realign([name(realign(X)_ij)])``."""
+    return realign(blockwise_image(builtin_map(name, x.m), realign(x))).mat
+
+
+def _map_images(name: str, a: BlockMatrix) -> dict:
+    """Each side's residual of the named check on ``a``, as Phi or Psi applied blockwise."""
+    at = partial_transpose(a)
+    if name in ("copositive_partial_trace", "phi_lower"):
+        which = "psi" if name == "copositive_partial_trace" else "phi"
+        return {
+            "tr2_side": blockwise_image(builtin_map(which, a.n), a, swap=True).mat,
+            "tr1_side": _other_order(at, which),
+        }
+    if name == "ppt_reduction":
+        return {"tr1_side": _other_order(a), "tr2_side": _psi_image(a)}
+    assert name == "combined_reduction"
+    return {
+        "plain": _other_order(a) + _psi_image(a),
+        "tau": _other_order(at) + _psi_image(at),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["copositive_partial_trace", "phi_lower", "ppt_reduction", "combined_reduction"]
+)
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_partial_trace_sides_are_phi_or_psi_applied_blockwise(name, m, n):
+    stack = random_separable(m, n, 3, [derive_seed(61, m, n, t) for t in range(6)])
+    sides, gaps = _BLOCK_INEQUALITIES[name][1](stack)
+    assert gaps == ()
+    for k in range(len(stack)):
+        want = _map_images(name, stack[k])
+        assert [label for label, _, _ in sides] == list(want)
+        for label, lhs, rhs in sides:
+            got = _residual(lhs, rhs)[k]
+            scale = np.linalg.norm(want[label])
+            assert np.linalg.norm(got - want[label]) <= 1e-13 * scale, label
 
 
 def test_residual_is_exactly_hermitian_and_keeps_hermitian_values():

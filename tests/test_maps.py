@@ -5,6 +5,7 @@ import pytest
 
 from blockineq import (
     BlockMatrix,
+    BlockStack,
     LinearMapRep,
     ShapeError,
     UsageError,
@@ -22,6 +23,7 @@ from blockineq import (
     random_cocopositivity_witness,
 )
 from oracles import (
+    blockwise_image_loops,
     builtin_apply,
     choi_loops,
     co_choi_loops,
@@ -291,6 +293,50 @@ def test_blockwise_image_identity_map_swap_is_partial_transpose():
 def test_blockwise_image_shape_mismatch():
     with pytest.raises(ShapeError):
         blockwise_image(builtin_map("phi", 3), BlockMatrix(2, 2, np.eye(4)))
+    with pytest.raises(ShapeError):
+        blockwise_image(builtin_map("phi", 3), BlockStack(2, 2, np.eye(4)[np.newaxis]))
+
+
+# (m, n, k): blocks per side, block size, image size
+_IMAGE_SHAPES = [(1, 1, 1), (1, 3, 2), (2, 2, 3), (2, 3, 1), (3, 2, 4), (2, 4, 2), (4, 2, 3)]
+
+
+@pytest.mark.parametrize("m, n, k", _IMAGE_SHAPES)
+@pytest.mark.parametrize("swap", [False, True])
+def test_blockwise_image_of_a_stack_is_each_member_alone_bitwise(m, n, k, swap):
+    rng = np.random.default_rng(100 * m + 10 * n + k)
+    phi = random_map(rng, n, k)
+    stack = BlockStack(m, n, np.array([random_complex(rng, m * n, m * n) for _ in range(7)]))
+    images = blockwise_image(phi, stack, swap=swap)
+    assert isinstance(images, BlockStack)
+    assert (images.m, images.n, len(images)) == (m, k, 7)
+    for member, image in zip((stack[b] for b in range(7)), images.mat):
+        alone = blockwise_image(phi, member, swap=swap)
+        assert isinstance(alone, BlockMatrix) and (alone.m, alone.n) == (m, k)
+        assert alone.mat.tobytes() == image.tobytes()
+
+
+@pytest.mark.parametrize("m, n, k", _IMAGE_SHAPES)
+@pytest.mark.parametrize("swap", [False, True])
+def test_blockwise_image_matches_the_per_block_loop(m, n, k, swap):
+    rng = np.random.default_rng(7 * m + 5 * n + 3 * k)
+    maps = [random_map(rng, n, k)]
+    maps += [builtin_map(name, n) for name in BUILTINS if (1 if name == "trace_map" else n) == k]
+    for phi in maps:
+        for _ in range(3):
+            a = BlockMatrix(m, n, random_complex(rng, m * n, m * n))
+            got = blockwise_image(phi, a, swap=swap).mat
+            want = blockwise_image_loops(phi, a, swap=swap)
+            scale = max(1.0, np.linalg.norm(want))
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+
+def test_apply_map_is_the_image_of_a_one_block_matrix():
+    rng = np.random.default_rng(13)
+    phi = random_map(rng, 3, 2)
+    x = random_complex(rng, 3, 3)
+    want = blockwise_image_loops(phi, BlockMatrix(1, 3, x))
+    assert np.linalg.norm(apply_map(phi, x) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ------------------------------------------------------------ witness search

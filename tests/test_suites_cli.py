@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -558,6 +559,32 @@ def test_run_files_map_document_rejected(tmp_path):
 def test_run_files_requires_paths():
     with pytest.raises(UsageError, match="no input files given"):
         run_files(SuiteConfig(suites=("thm8_9",)), [])
+
+
+def test_submatrix_suites_refuse_a_dimension_too_large_to_enumerate(tmp_path, capsys):
+    # all pairs of a 16 x 16 matrix would take gigabytes; they are refused
+    # by name, through the API and the CLI, before any is built
+    path = tmp_path / "big.json"
+    save(path, BlockMatrix(2, 8, np.eye(16)))
+    refusal = "enumerated up to dimension 11, got dimension 16"
+    tracemalloc.start()
+    try:
+        for refuse in (
+            lambda: exhaustive_pairs(16),
+            lambda: exhaustive_pairs(16, distinct=True),
+            lambda: run_suite(SuiteConfig(suites=("thm8_9", "eqlin"), dims=(16,), trials=1)),
+            lambda: run_files(SuiteConfig(suites=("eqlin", "thm8_9")), [path]),
+        ):
+            with pytest.raises(UsageError, match=refusal):
+                refuse()
+        assert main(["verify", "--suite", "thm8_9", "--suite", "eqlin", "--dims", "16"]) == 2
+        assert main(["verify", "--suite", "thm8_9", "--suite", "eqlin", str(path)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert capsys.readouterr().err.count(refusal) == 2
+    assert len(exhaustive_pairs(11)) == math.comb(22, 11) - 1
 
 
 def test_run_files_failing_matrix_yields_counterexamples(tmp_path):
