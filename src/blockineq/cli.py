@@ -143,6 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: a call of main only parses. Parsing keeps no state
+# in the parser, so each call's namespace is its own.
+_PARSER = _build_parser()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text(out, text)
@@ -238,8 +243,7 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

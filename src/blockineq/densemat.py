@@ -10,6 +10,12 @@ targets (dimension <= 64):
   runs whenever one matrix is solved: the input of an explicit input file,
   the submatrix suites, the public ``check_*`` functions on one block
   matrix, and any stack of one, for which it is the faster of the two.
+  The matrix it rotates stays exactly Hermitian, so each rotation updates
+  columns ``p`` and ``q`` and writes their conjugates into rows ``p`` and
+  ``q`` in the same pass: bitwise the values of a row pass after a column
+  pass, but for the sign of an exact zero. Its eigenvalues, sweep counts
+  and off-diagonal mass are those of the two-pass loop, which the test
+  oracles keep.
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack in one
   call, in the round-robin (parallel) pair ordering, vectorized over the
   disjoint pairs of each round and over chunks of members, stack axis last.
@@ -242,7 +248,16 @@ def _offdiag_mass(a: list[list[complex]], n: int) -> float:
 
 
 def _rotate(a: list[list[complex]], n: int, p: int, q: int, apq: complex, mag: float) -> None:
-    """Apply the unitary plane rotation annihilating entry (p, q) in place."""
+    """Apply the unitary plane rotation annihilating entry (p, q) in place.
+
+    ``A <- U* A U`` in one pass over the rows. ``a`` is exactly Hermitian,
+    so row ``i``'s new entries in rows ``p`` and ``q`` are the conjugates of
+    its new entries in columns ``p`` and ``q``: negation is exact in IEEE
+    arithmetic, so ``conj(x) * conj(y) == conj(x * y)`` and each mirrored
+    entry is bitwise the one that updating the rows after the columns would
+    give, but for the sign of an exact zero. The 2x2 ``{p, q}`` block is
+    updated as that two-pass order does, columns first.
+    """
     phase = apq / mag
     tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
     t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
@@ -250,26 +265,28 @@ def _rotate(a: list[list[complex]], n: int, p: int, q: int, apq: complex, mag: f
     s = t * c
     u12 = s * phase
     u21 = -s * phase.conjugate()
-    # columns: A <- A U
+    row_p = a[p]
+    row_q = a[q]
+    # columns p and q of every other row (A <- A U), mirrored into rows p and q
     for i in range(n):
+        if i == p or i == q:
+            continue
         row = a[i]
         aip = row[p]
         aiq = row[q]
-        row[p] = aip * c + aiq * u21
-        row[q] = aip * u12 + aiq * c
-    # rows: A <- U* A
-    c12 = u12.conjugate()
-    c21 = u21.conjugate()
-    row_p = a[p]
-    row_q = a[q]
-    for j in range(n):
-        apj = row_p[j]
-        aqj = row_q[j]
-        row_p[j] = apj * c + aqj * c21
-        row_q[j] = apj * c12 + aqj * c
+        row[p] = new_p = aip * c + aiq * u21
+        row[q] = new_q = aip * u12 + aiq * c
+        row_p[i] = new_p.conjugate()
+        row_q[i] = new_q.conjugate()
+    # the pivot block: columns (A <- A U), then rows (A <- U* A)
+    app, apq, aqp, aqq = row_p[p], row_p[q], row_q[p], row_q[q]
+    app, apq = app * c + apq * u21, app * u12 + apq * c
+    aqp, aqq = aqp * c + aqq * u21, aqp * u12 + aqq * c
+    row_p[p] = app * c + aqp * u21.conjugate()
+    row_q[q] = apq * u12.conjugate() + aqq * c
     # the pivot pair is zero by construction; pin it to kill rounding residue
-    a[p][q] = 0.0
-    a[q][p] = 0.0
+    row_p[q] = 0.0
+    row_q[p] = 0.0
 
 
 def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:

@@ -15,9 +15,10 @@ side is the paper's ``Phi(X) = (tr X) I + X`` or ``Psi(X) = (tr X) I - X``
 applied blockwise, split as (trace part, ``-X`` or ``X``). The seeded suites
 check each shape's trials as one stack. Every block check goes one way: it
 lists the matrices it solves (the input, its partial transpose for a PPT
-check, each side's residual), reads those an input file's document already
-carries, and solves the rest, on a stack as one stacked eigensolve and on
-one matrix each alone with the scalar solver, which is the faster there.
+check, each side's residual), reads those, and their minima, where an
+input file's document already carries them, and solves the rest, on a
+stack as one stacked eigensolve and on one matrix each alone with the
+scalar solver, which is the faster there.
 
 The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
 and return one report, or a :class:`PairBatch` and return
@@ -278,7 +279,9 @@ def _check_block(check_name: str, a, tol: float):
 
     A wrong type or a bad ``tol`` is refused before any solve. The check
     solves what :func:`_to_solve` lists for it, less what a
-    :class:`_Presolved` document already carries. On a stack that rest is
+    :class:`_Presolved` document already carries. A document that carries
+    this check's terms is not assembled again: its matrices and terms are
+    read as :func:`_presolve` built them. On a stack that rest is
     one :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call. A
     member's rotations do not depend on its stack-mates, so each value is
     the same in a stack of any size, one member included.
@@ -298,8 +301,14 @@ def _check_block(check_name: str, a, tol: float):
         raise UsageError(f"expected a BlockMatrix or a BlockStack, got {type(a).__name__}")
     _require_tol(tol)
     hypothesis, _ = _BLOCK_INEQUALITIES[check_name]
-    mats, terms = _to_solve(stack, [check_name])
+    if isinstance(a, _Presolved) and check_name in a.terms:
+        mats, terms = a.mats, a.terms
+    else:
+        mats, terms = _to_solve(stack, [check_name])
     sides, gaps = terms[check_name]
+    # a document carries the matrices of all its checks: keep this one's, in _to_solve's order
+    keys = ["input", "input_tau"] if hypothesis == "ppt" else ["input"]
+    mats = {key: mats[key] for key in keys + [(check_name, label) for label, _, _ in sides]}
     known = a.minima if isinstance(a, _Presolved) else {}
     minima = {key: np.array([known[key]]) for key in mats if key in known}
     missing = [key for key in mats if key not in minima]
@@ -374,34 +383,41 @@ def _check_block(check_name: str, a, tol: float):
 
 @dataclass(frozen=True)
 class _Presolved(BlockMatrix):
-    """A block matrix with the minimum eigenvalues :func:`_presolve` solved for its checkers.
+    """A block matrix with what :func:`_presolve` assembled and solved for its checkers.
 
     ``minima`` maps the keys :func:`_to_solve` lists, ``"input"``,
     ``"input_tau"`` (the partial transpose) and ``(check name, side
-    label)`` (a residual), to a minimum eigenvalue. A block checker reads
-    each key it holds in place of a solve, and a submatrix checker reads
-    ``"input"``.
+    label)`` (a residual), to a minimum eigenvalue. ``mats`` and ``terms``
+    are what :func:`_to_solve` returned for the document's block checks. A
+    block checker named in ``terms`` reads its terms and matrices there in
+    place of assembling them again, and each minimum it finds in ``minima``
+    in place of a solve; a submatrix checker reads ``"input"``. Arrays do
+    not compare as one truth value, so ``mats`` and ``terms`` take no part
+    in ``==``.
     """
 
     minima: dict = field(default_factory=dict)
+    mats: dict = field(default_factory=dict, compare=False)
+    terms: dict = field(default_factory=dict, compare=False)
 
 
 def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
-    """``a`` with the minima of what the named block checks solve for it.
+    """``a`` carrying the terms and minima of what the named block checks solve for it.
 
     ``a`` is tested for PSD alone, as a lone check tests it. Only if it is
-    PSD, the rest of what :func:`_to_solve` lists for the checks, its
-    partial transpose (when a check needs PPT) and every residual, is then
-    solved as one stack: otherwise the first checker refuses it, and needs
-    no residual. The stacked solver rotates in another order than the scalar
-    one, so each such value agrees with a lone check's to rounding, not
-    bitwise; the input's minimum is the lone check's, bitwise.
+    PSD is what :func:`_to_solve` lists for the checks assembled, once for
+    all of them, and the rest of it, the partial transpose (when a check
+    needs PPT) and every residual, solved as one stack: otherwise the first
+    checker refuses it, and needs no residual. The stacked solver rotates in
+    another order than the scalar one, so each such value agrees with a lone
+    check's to rounding, not bitwise; the input's minimum is the lone
+    check's, bitwise.
 
     If that stack raises a solver error, only the input's minimum is kept,
     so that each checker raises what it raises alone: a PPT check refuses a
     document that is not PPT before solving a residual that another check
-    would fail on. ``check_block2``'s residual is left out unless ``a`` has
-    two block rows.
+    would fail on. The terms are kept either way. ``check_block2``'s
+    residual is left out unless ``a`` has two block rows.
     """
     names = [name for name in check_names if name != "block2" or a.m == 2]
     presolved = _Presolved(a.m, a.n, a.mat)
@@ -410,13 +426,15 @@ def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
     ok, presolved.minima["input"] = is_psd(a.mat, tol)
     if not ok:
         return presolved
-    mats, _ = _to_solve(BlockStack(a.m, a.n, a.mat[np.newaxis]), names)
-    del mats["input"]  # solved above, alone
+    mats, terms = _to_solve(BlockStack(a.m, a.n, a.mat[np.newaxis]), names)
+    presolved.mats.update(mats)
+    presolved.terms.update(terms)
+    rest = [key for key in mats if key != "input"]  # the input is solved above, alone
     try:
-        solved = hermitian_eigenvalues_stack(np.concatenate(list(mats.values())))
+        solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in rest]))
     except (ConvergenceError, HermiticityError, NormOverflowError):
         return presolved  # each checker then solves, and refuses, alone
-    presolved.minima.update(zip(mats, solved.values[:, 0].tolist()))
+    presolved.minima.update(zip(rest, solved.values[:, 0].tolist()))
     return presolved
 
 

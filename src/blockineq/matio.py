@@ -107,7 +107,11 @@ def _parse_dense(doc: dict, where: str) -> np.ndarray:
                 f"{where}: data[{idx}]: each data entry must be a [re, im] number pair, "
                 f"got {entry!r}"
             )
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError:
+            # an integer beyond float64; its digits are not echoed, as they may be thousands
+            raise ValidationError(f"{where}: data[{idx}]: integer too large for float64") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValidationError(f"{where}: data[{idx}]: non-finite value {entry!r}")
         values.append(complex(re, im))
@@ -175,6 +179,8 @@ def parse(text: str, where: str = "document"):
         raise ParseError(
             f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # valid JSON that Python refuses, as an integer of 4301+ digits
+        raise ParseError(f"{where}: {exc}") from exc
     return doc_to_obj(doc, where)
 
 

@@ -536,12 +536,13 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     all index-set pairs exhaustively. ``choi_certs`` never consumes matrix
     files; requesting it by name here is a usage error.
 
-    A document is tested for PSD alone; if it is PSD, the residuals of all
-    its requested block suites (and its partial transpose, for the PPT
-    suites) are then solved as one stack before the checkers run. The
-    document goes to every checker carrying those minima, which they read
-    instead of solving again: the submatrix suites read its input's, so a
-    document is solved once however many suites check it. The residual
+    A document is tested for PSD alone; if it is PSD, the terms of all its
+    requested block suites are then assembled once, and their residuals
+    (and its partial transpose, for the PPT suites) solved as one stack
+    before the checkers run. The document goes to every checker carrying
+    those terms and minima, which they read instead of assembling or
+    solving again: the submatrix suites read its input's, so a document is
+    assembled and solved once however many suites check it. The residual
     values agree with a lone ``check_*`` call on the document to rounding,
     not bitwise. Every run solves the same: nothing is kept from one
     document, or one run, to the next.

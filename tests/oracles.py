@@ -458,3 +458,72 @@ def _rotate_reference(a, p, q, skip) -> None:
     b, k = np.nonzero(rot)
     a[b, p[k], q[k]] = 0.0
     a[b, q[k], p[k]] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# The scalar Jacobi loop with its rotation in two passes: every row's
+# columns p and q (A <- A U), then rows p and q of every column (A <- U* A).
+# The library's one-pass rotation, which mirrors the column update into
+# rows p and q, must return bitwise the same values, sweeps and
+# off-diagonal mass.
+# ---------------------------------------------------------------------------
+
+
+def jacobi_scalar_reference(x, rtol: float, max_sweeps: int):
+    """``(values, offdiag_residual, sweeps)`` of one Hermitian matrix, by the two-pass loop.
+
+    Stops at ``rtol * max(1, ||X||_F)`` or ``max_sweeps`` sweeps, and
+    returns what the loop left without raising.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[0]
+    scale = max(1.0, float(np.linalg.norm(x)))
+    herm = (x + x.conj().T) / 2.0
+    if n == 1:
+        return np.array([herm[0, 0].real]), 0.0, 0
+    a = [[complex(herm[i, j]) for j in range(n)] for i in range(n)]
+    threshold = rtol * scale
+    skip = threshold / (2.0 * n)
+    sweeps = 0
+    offdiag = _offdiag_mass_scalar_reference(a, n)
+    while offdiag >= threshold and sweeps < max_sweeps:
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                mag = abs(apq)
+                if mag > skip:
+                    _rotate_two_pass_reference(a, n, p, q, apq, mag)
+        offdiag = _offdiag_mass_scalar_reference(a, n)
+    values = np.sort(np.array([a[i][i].real for i in range(n)]))
+    return values, offdiag, sweeps
+
+
+def _offdiag_mass_scalar_reference(a, n: int) -> float:
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = a[i][j]
+            total += v.real * v.real + v.imag * v.imag
+    return math.sqrt(2.0 * total)
+
+
+def _rotate_two_pass_reference(a, n: int, p: int, q: int, apq: complex, mag: float) -> None:
+    phase = apq / mag
+    tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
+    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    u12 = s * phase
+    u21 = -s * phase.conjugate()
+    for i in range(n):
+        aip, aiq = a[i][p], a[i][q]
+        a[i][p] = aip * c + aiq * u21
+        a[i][q] = aip * u12 + aiq * c
+    c12, c21 = u12.conjugate(), u21.conjugate()
+    for j in range(n):
+        apj, aqj = a[p][j], a[q][j]
+        a[p][j] = apj * c + aqj * c21
+        a[q][j] = apj * c12 + aqj * c
+    a[p][q] = 0.0
+    a[q][p] = 0.0

@@ -21,12 +21,14 @@ from blockineq import (
     is_psd,
     kron,
 )
+from blockineq.suites import entangled_pattern
 from oracles import (
     STACK_AGREEMENT_RTOL,
     det_cofactor,
     dyadic_complex,
     eig_closed_form,
     eigvalsh_lapack,
+    jacobi_scalar_reference,
     jacobi_stack_reference,
     kron_loops,
     random_complex,
@@ -194,6 +196,79 @@ def test_convergence_error_carries_residual():
 def test_eigenvalues_of_diagonal_are_sorted_entries(diag):
     vals = hermitian_eigenvalues(np.diag(np.array(diag, dtype=np.complex128))).values
     assert np.allclose(vals, np.sort(diag), atol=1e-12)
+
+
+def _scalar_reference_input(rng, d, rank, kind, real):
+    """A Gram matrix of ``rank`` (of small integers, for exact cancellations, with
+    ``"integer"``); with ``"zeros"``, exact-zero rows and columns, and ``-0.0``
+    in place of some zero parts; or a diagonal matrix."""
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(d)).astype(np.complex128)
+    shape = (rank, d)
+    if kind == "integer":
+        g = rng.integers(-2, 3, size=shape) + (0 if real else 1j * rng.integers(-2, 3, shape))
+    else:
+        g = rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
+    if kind == "zeros":
+        g[:, rng.integers(0, d, size=1 + d // 4)] = 0.0
+    a = (g.conj().T @ g).astype(np.complex128)
+    if kind == "zeros":
+        flip = rng.random(a.shape) < 0.5
+        a.real[flip & (a.real == 0)] = -0.0
+        a.imag[flip & (a.imag == 0)] = -0.0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 16),
+    rank_frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["gram", "integer", "zeros", "diagonal", "pattern_2", "pattern_3"]),
+    real=st.booleans(),
+    power=st.sampled_from([-400, -20, 0, 20, 400]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_solver_is_bitwise_the_two_pass_reference(d, rank_frac, kind, real, power, seed):
+    # the one-pass rotation mirrors its column update into rows p and q; the
+    # two-pass loop updates the rows after the columns
+    if kind.startswith("pattern"):
+        a = entangled_pattern(int(kind[-1])).mat
+    else:
+        rank = 1 + min(d - 1, int(rank_frac * d))
+        a = _scalar_reference_input(np.random.default_rng(seed), d, rank, kind, real)
+    a = a * 2.0**power
+    res = hermitian_eigenvalues(a)
+    values, offdiag, sweeps = jacobi_scalar_reference(a, densemat.JACOBI_RTOL, densemat.MAX_SWEEPS)
+    assert res.values.tobytes() == values.tobytes()
+    assert res.sweeps == sweeps
+    assert res.offdiag_residual == offdiag
+
+
+def test_scalar_solver_errors_keep_their_messages(monkeypatch):
+    rng = np.random.default_rng(67)
+    good = random_hermitian(rng, 6)
+    bad = good.copy()
+    bad[0, 1] += 1.0
+    defect = np.linalg.norm(bad - bad.conj().T)
+    scale = np.linalg.norm(bad)
+    with pytest.raises(HermiticityError) as err:
+        hermitian_eigenvalues(bad)
+    assert str(err.value) == (
+        f"matrix is not Hermitian: ||X - X*||_F = {defect:.3e} exceeds 1e-10 * {scale:.3e}"
+    )
+    with pytest.raises(NormOverflowError) as err:
+        hermitian_eigenvalues(np.full((3, 3), 1e200, dtype=np.complex128))
+    assert str(err.value) == "matrix is too large to solve: ||X||_F = inf overflows float64"
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    _, offdiag, _ = jacobi_scalar_reference(good, densemat.JACOBI_RTOL, 1)
+    threshold = densemat.JACOBI_RTOL * np.linalg.norm(good)
+    with pytest.raises(ConvergenceError) as err:
+        hermitian_eigenvalues(good)
+    assert str(err.value) == (
+        f"Jacobi sweeps did not converge in 1 sweeps "
+        f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})"
+    )
+    assert err.value.offdiag_residual == offdiag
 
 
 # ------------------------------------------------- stacked Jacobi eigensolve

@@ -248,6 +248,9 @@ def test_parse_error_names_offending_entry_index():
         parse('{"rows":1,"cols":3,"data":[[1,0],[2,0],[3]]}')
 
 
+_BIG = "1" + "0" * 400  # an exact JSON integer, 10**400, beyond float64's range
+
+
 @pytest.mark.parametrize(
     "text, error, message",
     [
@@ -265,6 +268,21 @@ def test_parse_error_names_offending_entry_index():
             '{"n":1,"k":1,"basis_images":[{"rows":1,"cols":1,"data":[[NaN,0]]}]}',
             ValidationError,
             "doc.json: basis_images[0]: data[0]: non-finite value [nan, 0]",
+        ),
+        (
+            f'{{"rows":1,"cols":2,"data":[[1,0],[0,-{_BIG}]]}}',
+            ValidationError,
+            "doc.json: data[1]: integer too large for float64",
+        ),
+        (
+            f'{{"m":2,"n":1,"rows":2,"cols":2,"data":[[1,0],[0,0],[0,0],[{_BIG},0]]}}',
+            ValidationError,
+            "doc.json: data[3]: integer too large for float64",
+        ),
+        (
+            f'{{"n":1,"k":1,"basis_images":[{{"rows":1,"cols":1,"data":[[{_BIG},0]]}}]}}',
+            ValidationError,
+            "doc.json: basis_images[0]: data[0]: integer too large for float64",
         ),
     ],
 )
@@ -284,6 +302,12 @@ def test_parse_rejects_nan_literal_as_validation_error():
 def test_parse_rejects_infinity_literal():
     with pytest.raises(ValidationError, match="non-finite"):
         parse('{"rows":1,"cols":1,"data":[[0,-Infinity]]}')
+
+
+def test_parse_refuses_an_integer_python_will_not_read():
+    # valid JSON, but past the interpreter's limit on integer digits
+    with pytest.raises(ParseError, match=r"^doc\.json: .*digits"):
+        parse('{"rows":1,"cols":1,"data":[[' + "1" * 5000 + ",0]]}", where="doc.json")
 
 
 def test_parse_block_factor_mismatch():

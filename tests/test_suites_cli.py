@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockineq import densemat, inequalities, suites
+from blockineq import cli, densemat, inequalities, suites
 from blockineq.blockops import BlockMatrix, BlockStack, is_ppt, partial_transpose
 from blockineq.cli import _build_parser, main
 from blockineq.densemat import hermitian_eigenvalues, is_psd
@@ -706,6 +706,37 @@ def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
     assert runs[0] == runs[1]
 
 
+def test_run_files_assembles_each_block_suite_once_per_document(tmp_path, monkeypatch):
+    # _presolve assembles every requested check's terms and residuals, and
+    # each checker reads them from the document it is handed
+    path, a, names = _file_document(tmp_path, "separable", 2, 4)
+    assert len(names) == len(inequalities._BLOCK_INEQUALITIES) == 6
+    calls = dict.fromkeys(inequalities._BLOCK_INEQUALITIES, 0)
+    for check, (hypothesis, terms) in inequalities._BLOCK_INEQUALITIES.items():
+
+        def counting(stack, check=check, terms=terms):
+            calls[check] += 1
+            return terms(stack)
+
+        monkeypatch.setitem(inequalities._BLOCK_INEQUALITIES, check, (hypothesis, counting))
+    psd_tests = []
+    real_is_psd = inequalities.is_psd
+
+    def is_psd_counting(x, tol):
+        psd_tests.append(x.shape)
+        return real_is_psd(x, tol)
+
+    monkeypatch.setattr(inequalities, "is_psd", is_psd_counting)
+    report = run_files(SuiteConfig(suites=tuple(names)), [path])
+    assert report.passed
+    assert calls == dict.fromkeys(calls, 1)
+    assert psd_tests == [(8, 8)]  # the input, alone
+    # what travels with a document takes no part in its equality
+    presolved = inequalities._presolve(a, list(calls), 1e-9)
+    assert presolved.terms and presolved.mats
+    assert presolved == inequalities._presolve(a, list(calls), 1e-9)
+
+
 @pytest.mark.parametrize(
     "suite, a, tol",
     [
@@ -1138,6 +1169,58 @@ def test_cli_unknown_suite_is_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+def test_cli_calls_share_one_parser_but_not_their_arguments(tmp_path, monkeypatch):
+    def no_build():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_build)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    common = ["verify", "--trials", "1", "--seed", "42", "--format", "json"]
+    assert main([*common, "--suite", "theorem2", "--shapes", "2x2", "--out", str(first)]) == 0
+    assert main([*common, "--suite", "corollary6", "--shapes", "3x2", "--out", str(second)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--shapes", "2y3"])
+    assert exc.value.code == 2
+    third = tmp_path / "third.json"
+    assert main([*common, "--suite", "theorem2", "--shapes", "2x2", "--out", str(third)]) == 0
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in (first, second, third)]
+    for doc in docs:
+        doc.pop("duration_seconds")
+    # --suite appends: a call's list must not start from an earlier call's
+    assert [list(doc["suites"]) for doc in docs] == [["theorem2"], ["corollary6"], ["theorem2"]]
+    assert [doc["config"]["shapes"] for doc in docs] == [[[2, 2]], [[3, 2]], [[2, 2]]]
+    assert docs[2] == docs[0]
+
+
+_BIG_INT = "1" + "0" * 400  # 10**400: valid JSON, beyond float64
+
+
+@pytest.mark.parametrize(
+    "argv, text, where",
+    [
+        (["verify", "--suite", "thm8_9"], f'{{"rows":1,"cols":1,"data":[[{_BIG_INT},0]]}}', 0),
+        (
+            ["verify", "--suite", "theorem2"],
+            f'{{"m":2,"n":1,"rows":2,"cols":2,"data":[[1,0],[0,0],[0,0],[{_BIG_INT},0]]}}',
+            3,
+        ),
+        (
+            ["choi", "--map-file"],
+            f'{{"n":1,"k":1,"basis_images":[{{"rows":1,"cols":1,"data":[[0,{_BIG_INT}]]}}]}}',
+            0,
+        ),
+    ],
+    ids=["plain", "block", "map"],
+)
+def test_cli_exit2_on_an_integer_too_large_for_float64(tmp_path, capsys, argv, text, where):
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert f"data[{where}]: integer too large for float64" in err
 
 
 # ---------------------------------------------------------------------------
