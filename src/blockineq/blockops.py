@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DEFAULT_TOL, as_matrix, is_psd
+from . import densemat  # is_ppt looks the stacked solver up on the module, where it can be replaced
+from .densemat import DEFAULT_TOL, _require_tol, as_matrix, is_psd, psd_scale, psd_verdict
 from .errors import BlockIndexError, ShapeError
 
 
@@ -165,11 +166,18 @@ def is_ppt(a, tol: float = DEFAULT_TOL):
 
     Returns ``(ok, min_eig_a, min_eig_atau)`` with both minimum eigenvalues
     reported regardless of the verdict; for a :class:`BlockStack`, arrays
-    with one entry per member.
+    with one entry per member. One matrix and its partial transpose are each
+    decided by :func:`~blockineq.densemat.is_psd`. A stack's members and
+    their partial transposes are solved together by one
+    :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call and decided
+    by :func:`~blockineq.densemat.psd_verdict`, as :func:`is_psd` decides;
+    :func:`is_psd` on so many members would sweep each alone.
     """
     if isinstance(a, BlockStack):
-        # the members and their partial transposes in one stacked solve
-        ok, min_eig = is_psd(np.concatenate([a.mat, partial_transpose(a).mat]), tol)
+        _require_tol(tol)
+        mats = np.concatenate([a.mat, partial_transpose(a).mat])
+        min_eig = densemat.hermitian_eigenvalues_stack(mats).values[:, 0]
+        ok = psd_verdict(min_eig, psd_scale(mats), tol)
         (ok_a, ok_t), (min_a, min_t) = np.split(ok, 2), np.split(min_eig, 2)
     else:
         ok_a, min_a = is_psd(a.mat, tol)

@@ -8,14 +8,15 @@ targets (dimension <= 64):
 
 - :func:`hermitian_eigenvalues` solves one matrix with a scalar loop. It
   runs whenever one matrix is solved: the input of an explicit input file,
-  the submatrix suites, the public ``check_*`` functions on one block
-  matrix, and any stack of one, for which it is the faster of the two.
+  the public ``check_*`` functions on one block matrix, and any stack of
+  one, for which it is the faster of the two.
   The matrix it rotates stays exactly Hermitian, so each rotation updates
   columns ``p`` and ``q`` and writes their conjugates into rows ``p`` and
   ``q`` in the same pass: bitwise the values of a row pass after a column
   pass, but for the sign of an exact zero. Its eigenvalues, sweep counts
   and off-diagonal mass are those of the two-pass loop, which the test
-  oracles keep.
+  oracles keep. Its sweep loop, :func:`_sweep`, also serves :func:`is_psd`
+  on a stack of several.
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack in one
   call, in the round-robin (parallel) pair ordering, vectorized over the
   disjoint pairs of each round and over chunks of members, stack axis last.
@@ -30,14 +31,23 @@ targets (dimension <= 64):
   as one stack.
 
 Both apply the same rules to each matrix: the same Hermiticity check and
-symmetrization, the same skip threshold, the same stopping rule and the same
-errors, including a refusal of any matrix whose Frobenius norm overflows.
+symmetrization (for a stack, :func:`_validated_stack`), the same skip
+threshold, the same stopping rule and the same errors, including a refusal
+of any matrix whose Frobenius norm overflows.
 
-:func:`is_psd` decides one matrix or a stack with the matching solver, by
-the rule :func:`psd_verdict` states, at :func:`psd_scale`; a checker that
-solved its inputs in its own stack, or that was handed the minima of an
-input file's stacked solve, decides them by the same rule. :func:`is_psd`
-keeps no state: every call solves what it is given.
+:func:`is_psd` decides one matrix or a stack by the rule
+:func:`psd_verdict` states, at :func:`psd_scale`, each member at the
+scalar solver's minimum, bitwise. One matrix or a stack of one goes to
+:func:`hermitian_eigenvalues`. A stack of several, such as a chunk of the
+submatrix suites' trials, is validated once, as the stacked solver
+validates it, and each member is then swept by :func:`_sweep` in the
+scalar solver's order: ``B`` scalar sweeps without ``B`` calls' overhead. A
+caller with many members that need no bitwise scalar minima, such as
+``random_ppt``'s rejection stack or a block checker's inputs and
+residuals, solves them with :func:`hermitian_eigenvalues_stack` and
+decides them by :func:`psd_verdict`; so does a checker handed the minima of
+an input file's stacked solve. :func:`is_psd` keeps no state: every call
+solves what it is given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
@@ -211,8 +221,27 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
 
     # Nested lists of native complex beat ndarray indexing for the tiny,
     # scalar-heavy rotation updates below.
-    a = [[complex(herm[i, j]) for j in range(n)] for i in range(n)]
+    a = herm.tolist()
     threshold = JACOBI_RTOL * scale
+    offdiag, sweeps = _sweep(a, n, threshold)
+    if offdiag >= threshold:
+        raise ConvergenceError(
+            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps "
+            f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
+            offdiag_residual=offdiag,
+        )
+    values = np.sort(np.array([a[i][i].real for i in range(n)]))
+    return EigenResult(values, offdiag, sweeps)
+
+
+def _sweep(a: list[list[complex]], n: int, threshold: float) -> tuple[float, int]:
+    """Cyclic Jacobi sweeps on ``a`` in place, in row order, until its mass is below ``threshold``.
+
+    Stops there or after ``MAX_SWEEPS`` sweeps; returns the off-diagonal
+    mass left and the sweeps run. ``a`` is an exactly Hermitian ``n x n``
+    matrix as nested lists of native complex, its eigenvalues left on its
+    diagonal.
+    """
     skip = threshold / (2.0 * n)  # entries this small cannot push the mass over threshold
     sweeps = 0
     offdiag = _offdiag_mass(a, n)
@@ -227,14 +256,7 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
                     continue
                 _rotate(a, n, p, q, apq, mag)
         offdiag = _offdiag_mass(a, n)
-    if offdiag >= threshold:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps "
-            f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
-            offdiag_residual=offdiag,
-        )
-    values = np.sort(np.array([a[i][i].real for i in range(n)]))
-    return EigenResult(values, offdiag, sweeps)
+    return offdiag, sweeps
 
 
 def _offdiag_mass(a: list[list[complex]], n: int) -> float:
@@ -287,6 +309,43 @@ def _rotate(a: list[list[complex]], n: int, p: int, q: int, apq: complex, mag: f
     # the pivot pair is zero by construction; pin it to kill rounding residue
     row_p[q] = 0.0
     row_q[p] = 0.0
+
+
+def _validated_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A nonempty ``(B, d, d)`` stack symmetrized, ``(X + X*) / 2``, and its :func:`psd_scale`.
+
+    The stack counterpart of :func:`hermitian_eigenvalues`'s checks, made
+    on every member at once and before any sweep.
+
+    Raises
+    ------
+    NormOverflowError
+        If any member's ``||X||_F`` is not finite in float64; names the first.
+    HermiticityError
+        If any member is not Hermitian within ``HERMITICITY_RTOL`` of its
+        scale; names the first.
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        norm = np.linalg.norm(x, axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(norm))
+    if bad.size:
+        k = bad[0]
+        raise NormOverflowError(
+            f"stack member {k} is too large to solve: ||X||_F = {norm[k]} overflows float64"
+        )
+    scale = np.maximum(1.0, norm)
+    xh = np.conj(np.swapaxes(x, 1, 2))
+    defect = np.linalg.norm(x - xh, axis=(1, 2))
+    bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
+    if bad.size:
+        k = bad[0]
+        raise HermiticityError(
+            f"stack member {k} is not Hermitian: ||X - X*||_F = {defect[k]:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * {scale[k]:.3e}"
+        )
+    a = x + xh
+    a /= 2.0
+    return a, scale
 
 
 def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
@@ -344,27 +403,7 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     sweeps = np.zeros(count, dtype=np.int64)
     if count == 0 or n == 0:
         return EigenResult(np.empty((count, n)), np.zeros(count), sweeps)
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        norm = np.linalg.norm(x, axis=(1, 2))
-    bad = np.flatnonzero(~np.isfinite(norm))
-    if bad.size:
-        k = bad[0]
-        raise NormOverflowError(
-            f"stack member {k} is too large to solve: ||X||_F = {norm[k]} overflows float64"
-        )
-    scale = np.maximum(1.0, norm)
-    xh = np.conj(np.swapaxes(x, 1, 2))
-    defect = np.linalg.norm(x - xh, axis=(1, 2))
-    bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
-    if bad.size:
-        k = bad[0]
-        raise HermiticityError(
-            f"stack member {k} is not Hermitian: ||X - X*||_F = {defect[k]:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * {scale[k]:.3e}"
-        )
-    a = x + xh
-    a /= 2.0
-    del xh  # the sweeps hold one copy of the stack
+    a, scale = _validated_stack(x)
     if n == 1:
         return EigenResult(a[:, 0, :].real.copy(), np.zeros(count), sweeps)
 
@@ -551,9 +590,15 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     iff the minimum eigenvalue is at least ``-tol * max(1, ||x||_F)``
     (:func:`psd_verdict`). The eigenvalue is returned for reporting either
     way. For a ``(B, d, d)`` stack returns the same per member, as a boolean
-    and a float array of length ``B``, all solved together by
-    :func:`hermitian_eigenvalues_stack`, whose errors name a member by its
-    index in ``x``. Every call solves: nothing is kept between calls.
+    and a float array of length ``B``; errors name a member by its index in
+    ``x``. Each member's minimum is bitwise the scalar solver's,
+    ``hermitian_eigenvalues(member).values[0]``: a stack of several is
+    validated once and each member then swept in that solver's order, so
+    ``B`` members cost ``B`` scalar sweeps, O(B), without ``B`` calls'
+    overhead. A caller with many members whose minima need not be the
+    scalar solver's solves them with :func:`hermitian_eigenvalues_stack` and
+    decides them by :func:`psd_verdict`, as ``blockops.is_ppt`` does on a
+    stack. Every call solves: nothing is kept between calls.
 
     Raises
     ------
@@ -568,10 +613,56 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
         mat = mat[np.newaxis]
     elif mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
         raise ShapeError(f"expected a square matrix or a (B, d, d) stack, got shape {mat.shape}")
-    # the minimum eigenvalue of an empty matrix is taken as 0
-    min_eig = hermitian_eigenvalues_stack(mat).values[:, 0] if mat.shape[1] else np.zeros(len(mat))
-    ok = psd_verdict(min_eig, psd_scale(mat), tol)
+    min_eig, scale = _psd_minima(mat)
+    ok = psd_verdict(min_eig, scale, tol)
     return (bool(ok[0]), float(min_eig[0])) if one else (ok, min_eig)
+
+
+def _psd_minima(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's minimum eigenvalue and :func:`psd_scale`, for a ``(B, d, d)`` stack.
+
+    Every :func:`is_psd` call hands its whole input here, one matrix as a
+    stack of one. A stack of one is solved by :func:`hermitian_eigenvalues`
+    (through :func:`hermitian_eigenvalues_stack`), and an empty matrix's
+    minimum is taken as 0. A stack of several is validated once, as
+    :func:`hermitian_eigenvalues_stack` validates it, and then each member's
+    rows go through the scalar solver's sweep (:func:`_sweep`) at that
+    solver's threshold, from the member's own :func:`frobenius`; its
+    diagonal is sorted as that solver sorts it. So each minimum is bitwise
+    the scalar solver's, whatever the member's stack-mates, and the errors
+    name members as the stacked solver's do.
+
+    Raises
+    ------
+    NormOverflowError, HermiticityError
+        As :func:`hermitian_eigenvalues_stack`, before any sweep.
+    ConvergenceError
+        If a member exhausts the sweep budget; names the first, and
+        carries its off-diagonal mass.
+    """
+    count, n = x.shape[0], x.shape[1]
+    if count < 2 or n == 0:
+        min_eig = hermitian_eigenvalues_stack(x).values[:, 0] if n else np.zeros(count)
+        return min_eig, psd_scale(x)
+    a, scale = _validated_stack(x)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norms = [frobenius(member) for member in x]
+    diagonal = []
+    for k, (rows, norm) in enumerate(zip(a.tolist(), norms)):
+        if not math.isfinite(norm):  # finite in the stacked sum, not in the scalar one
+            raise NormOverflowError(
+                f"stack member {k} is too large to solve: ||X||_F = {norm} overflows float64"
+            )
+        threshold = JACOBI_RTOL * max(1.0, norm)
+        offdiag, _ = _sweep(rows, n, threshold)
+        if offdiag >= threshold:
+            raise ConvergenceError(
+                f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps for stack member {k} "
+                f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
+                offdiag_residual=offdiag,
+            )
+        diagonal.append([rows[i][i].real for i in range(n)])
+    return np.sort(np.array(diagonal), axis=1)[:, 0], scale
 
 
 def psd_scale(x: np.ndarray) -> np.ndarray:

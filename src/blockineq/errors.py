@@ -31,10 +31,14 @@ class ConvergenceError(BlockineqError, RuntimeError):
 
 
 class NormOverflowError(BlockineqError, OverflowError):
-    """A matrix's Frobenius norm overflows float64 (or is NaN).
+    """A matrix's Frobenius norm overflows float64 (or is NaN), or a term of
+    a submatrix check on a matrix does: a product of two traces or of two
+    minors, or a squared entry sum.
 
     No eigenvalue of such a matrix can be trusted, so the eigensolvers refuse
-    it before any sweep; rescaling the input is the remedy.
+    it before any sweep; nor can a gap of such terms, so the submatrix
+    checkers refuse the matrix, naming it and its first such pair, before
+    any report is made. Rescaling the input is the remedy.
     """
 
 

@@ -26,10 +26,11 @@ and return one report, or a :class:`PairBatch` and return
 matrices they return a list of those, one per member. Each inequality is
 written once, over the pairs of each cardinality and the members of a
 chunk of the stack; a single pair is a batch of one and a single matrix a
-stack of one. Each member is tested for PSD alone, by the scalar solver.
-A batch keeps the gather indices its checks derive from its pairs
-(:meth:`PairBatch.plan`). The exhaustive suites check all pairs of a chunk
-of trials as one batch.
+stack of one. The members of a chunk are tested for PSD in one
+:func:`~blockineq.densemat.is_psd` call, each at the scalar solver's
+minimum, bitwise, as if it were tested alone. A batch keeps the gather
+indices its checks derive from its pairs (:meth:`PairBatch.plan`). The
+exhaustive suites check all pairs of a chunk of trials as one batch.
 
 Tolerance conventions (uniform relative testing across magnitudes): a
 quantity passes when it is at least ``-tol`` times the scale of the terms
@@ -678,11 +679,15 @@ def _as_batch(alpha, beta) -> PairBatch:
 def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]:
     """The input as a ``(T, n, n)`` stack, each member's minimum eigenvalue, and if it is a stack.
 
-    One matrix is a stack of one. Each member is tested for PSD alone, by
-    the scalar solver, in order, so the first one outside the hypothesis is
-    refused before any pair is evaluated. A :class:`_Presolved` document is
-    checked as its matrix, and the input's minimum that :func:`_presolve`
-    solved is read instead of solved again.
+    One matrix is a stack of one. The members are tested for PSD before any
+    pair is evaluated, one :func:`~blockineq.densemat.is_psd` call per chunk
+    of :func:`_chunk_members`, so each minimum is bitwise the scalar
+    solver's, as if the member were tested alone. If a chunk's call raises a
+    solver error, its members are tested one at a time, in order, so that the
+    first member outside the hypothesis is refused first, as
+    "stack member k" (one matrix as "input"). A :class:`_Presolved` document
+    is checked as its matrix, and the input's minimum that
+    :func:`_presolve` solved is read instead of solved again.
     """
     known = {}
     if isinstance(a, _Presolved):
@@ -698,25 +703,45 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     else:
         mats = as_matrix(mats)[np.newaxis]
     n = require_square(mats[0])
+    if "input" in known:
+        minimum = np.array([known["input"]])
+        verdicts = [(psd_verdict(minimum, psd_scale(mats), tol), minimum)]
+    else:
+        verdicts = _psd_verdicts(mats, _chunk_members(batch), tol)
     input_mins = []
-    for k, mat in enumerate(mats):
-        if "input" in known:
-            input_min = known["input"]
-            ok = psd_verdict(input_min, psd_scale(mat[np.newaxis])[0], tol)
-        else:
-            ok, input_min = is_psd(mat, tol)
-        if not ok:
-            where = f"stack member {k}" if stacked else "input"
+    for ok, mins in verdicts:
+        mins = mins.tolist()
+        outside = np.flatnonzero(~ok)
+        if outside.size:
+            k = outside[0]
+            where = f"stack member {len(input_mins) + k}" if stacked else "input"
             raise PreconditionError(
-                f"{where} is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
-                min_eig=input_min,
+                f"{where} is not PSD within tol {tol:g}: min eigenvalue {mins[k]:.6e}",
+                min_eig=mins[k],
             )
-        input_mins.append(input_min)
+        input_mins += mins
     if batch.universe != n:
         raise ShapeError(
             f"index-set universe {batch.universe} does not match matrix dimension {n}"
         )
     return mats, input_mins, stacked
+
+
+def _psd_verdicts(mats: np.ndarray, size: int, tol: float):
+    """Yield :func:`~blockineq.densemat.is_psd` of each chunk of ``size`` members, in order.
+
+    A chunk whose call raises a solver error is tested again one member at
+    a time, each a stack of one, so that a member outside the hypothesis is
+    refused before a later member's error is raised.
+    """
+    for lo in range(0, len(mats), size):
+        chunk = mats[lo : lo + size]
+        try:
+            verdict = is_psd(chunk, tol)
+        except (ConvergenceError, HermiticityError, NormOverflowError):
+            yield from (is_psd(mat[np.newaxis], tol) for mat in chunk)
+        else:
+            yield verdict
 
 
 # Bytes, b * 16 * (entries of one member's largest gather), of the b members
@@ -742,19 +767,21 @@ def _chunk_members(batch: PairBatch) -> int:
 def _check_pairs(check_name: str, evaluate, a, alpha, batch: PairBatch, tol: float):
     """One submatrix check of ``batch`` on a matrix or on each member of a stack.
 
-    ``evaluate(flat, batch, tol)`` takes a chunk of members as a ``(b,
-    n * n)`` array and returns ``(passed, scalar_gap, details)``, each
-    column a ``(b, P)`` array. A pair's values come only from per-element
-    arithmetic, row sums over contiguous trailing axes and stacked
-    determinants, so a member's values are bitwise the same in a chunk, or
-    a stack, of any size, one member included.
+    ``evaluate(flat, batch, tol, names)`` takes a chunk of members as a
+    ``(b, n * n)`` array, with the name of each in an error ("stack member
+    k", or "input" for one matrix), and returns ``(passed, scalar_gap,
+    details)``, each column a ``(b, P)`` array. A pair's values come only
+    from per-element arithmetic, row sums over contiguous trailing axes and
+    stacked determinants, so a member's values are bitwise the same in a
+    chunk, or a stack, of any size, one member included.
     """
     mats, input_mins, stacked = _psd_stack(a, batch, tol)
     size = _chunk_members(batch)
     reports = []
     for lo in range(0, len(mats), size):
         chunk = np.ascontiguousarray(mats[lo : lo + size])
-        passed, gap, details = evaluate(chunk.reshape(len(chunk), -1), batch, tol)
+        names = [f"stack member {k}" for k in range(lo, lo + len(chunk))] if stacked else ["input"]
+        passed, gap, details = evaluate(chunk.reshape(len(chunk), -1), batch, tol, names)
         reports += [
             PairReports(
                 check_name,
@@ -807,11 +834,15 @@ def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
     returns :class:`PairReports`. ``a`` is one matrix, or a ``(T, n, n)``
     stack, for which the result is a list with one of those per member.
-    Each member is tested for PSD alone, and the first that is not is
+    The members are tested for PSD a chunk at a time (:func:`_chunk_members`),
+    in one :func:`~blockineq.densemat.is_psd` call per chunk, each at the
+    scalar solver's minimum, bitwise; the first member that is not PSD is
     refused as "stack member k" before any pair is evaluated (one matrix is
     refused as "input"). Then each cardinality's blocks are gathered for a
-    chunk of members at once (:func:`_chunk_members`) and reduced by row
-    sums, so a member's values are bitwise the same in a stack of any size.
+    chunk of members at once and reduced by row sums, so a member's values
+    are bitwise the same in a stack of any size. A member whose terms
+    overflow float64 is refused with ``NormOverflowError``, named with its
+    first such pair.
     """
     batch = _as_batch(alpha, beta)
     if any(combos.shape[1] == 0 for combos, _, _ in batch.groups):
@@ -845,8 +876,18 @@ def _trace_plan(batch: PairBatch):
     return groups, cardinality
 
 
-def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float):
-    """The trace bounds' verdicts, gaps and details of a chunk, as ``(b, P)`` columns."""
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by name, with no warning
+def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float, names: list):
+    """The trace bounds' verdicts, gaps and details of a chunk, as ``(b, P)`` columns.
+
+    Raises
+    ------
+    NormOverflowError
+        If a term, ``x``, ``y``, ``(tr A[a])(tr A[b])`` or ``|tr A[a,b]|^2``,
+        is not finite in float64, as it can be for a member whose
+        ``||A||_F`` is finite but whose square is not; names the first such
+        member of the chunk, by ``names``, and its first such pair.
+    """
     groups, cardinality = batch.plan(_trace_plan)
     floats = flat.view(np.float64)  # Re and Im of each entry, side by side
     conj = np.conj(flat)
@@ -865,6 +906,7 @@ def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float):
         tr_ab *= tr_ab
         parts.append((x, y, tr[:, ia] * tr[:, ib], tr_ab.sum(axis=-1)))
     x, y, tr_prod, abs_tr_ab_sq = (np.concatenate(c, axis=1) for c in zip(*parts))
+    _refuse_overflow(names, batch, "trace", x, y, tr_prod, abs_tr_ab_sq)
     r_plus = tr_prod + abs_tr_ab_sq
     r_minus = tr_prod - abs_tr_ab_sq
     gap8 = r_plus - (x + y)
@@ -880,6 +922,18 @@ def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float):
         "cardinality": np.broadcast_to(cardinality, (len(flat), len(cardinality))),
     }
     return ok8 & ok9, np.minimum(gap8, gap9), details
+
+
+def _refuse_overflow(names: list, batch: PairBatch, kind: str, *terms: np.ndarray) -> None:
+    """Refuse the first member of a chunk, by ``names``, where a ``(b, P)`` term is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(term) for term in terms])
+    if not finite.all():
+        k, p = np.argwhere(~finite)[0]
+        alpha, beta = batch.pair(p)
+        raise NormOverflowError(
+            f"{names[k]} is too large to check: a {kind} term of pair alpha={alpha}, "
+            f"beta={beta} overflows float64"
+        )
 
 
 # Index sets are bitmasks in the determinant bound.
@@ -930,12 +984,16 @@ def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     Takes one pair of :class:`IndexSet` and returns a :class:`CheckReport`,
     or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
     returns :class:`PairReports`; ``a`` is one matrix or a ``(T, n, n)``
-    stack, tested and refused as :func:`check_trace_submatrix` does, for
-    which the result is a list with one of those per member. For a chunk of
-    members, the principal minors the batch needs are one stacked
-    :func:`~blockineq.densemat.determinant` call, looked up by bitmask, and
-    the cross minors ``A[alpha, beta]`` one call per cardinality. Universes
-    are limited to 64 indices.
+    stack, tested for PSD a chunk at a time and refused as
+    :func:`check_trace_submatrix` does, for which the result is a list with
+    one of those per member. For a chunk of members, the principal minors
+    the batch needs are one stacked :func:`~blockineq.densemat.determinant`
+    call, looked up by bitmask, and the cross minors ``A[alpha, beta]`` one
+    call per cardinality. Products of minors overflow float64 long before
+    ``||A||_F`` does (a PSD matrix scaled by 1e100 at n = 4): a member with
+    a term that is not finite is refused with ``NormOverflowError``, named
+    with its first such pair, and no report is made. Universes are limited
+    to 64 indices.
     """
     batch = _as_batch(alpha, beta)
     if any(np.all(combos[ia] == combos[ib], axis=1).any() for combos, ia, ib in batch.groups):
@@ -973,8 +1031,18 @@ def _det_plan(batch: PairBatch):
     return groups, _principal_minor_index(n, masks), np.searchsorted(masks, used), desnanot
 
 
-def _det_columns(flat: np.ndarray, batch: PairBatch, tol: float):
-    """The determinant bound's verdicts, gaps and details of a chunk, as ``(b, P)`` columns."""
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by name, with no warning
+def _det_columns(flat: np.ndarray, batch: PairBatch, tol: float, names: list):
+    """The determinant bound's verdicts, gaps and details of a chunk, as ``(b, P)`` columns.
+
+    Raises
+    ------
+    NormOverflowError
+        If a term of the gap, ``det A[a u b] det A[a n b]``, ``det A[a]
+        det A[b]`` or ``|det A[a, b]|^2``, is not finite in float64, as the
+        products of a large member's minors can be; names the first such
+        member of the chunk, by ``names``, and its first such pair.
+    """
     groups, minor_at, lookup, desnanot = batch.plan(_det_plan)
     n, count = batch.universe, len(flat)
     det_ab = np.concatenate(
@@ -991,6 +1059,7 @@ def _det_columns(flat: np.ndarray, batch: PairBatch, tol: float):
     lhs = det_union * det_inter
     det_prod = det_a * det_b
     cross_sq = det_ab.real * det_ab.real + det_ab.imag * det_ab.imag
+    _refuse_overflow(names, batch, "determinant", lhs, det_prod, cross_sq)
     gap = (det_prod - cross_sq) - lhs
     scale, ok = _verdict(gap, (lhs, det_prod, cross_sq), tol)
     details = {

@@ -348,11 +348,12 @@ def _psd_inputs(cfg: SuiteConfig, suite: str):
     """Yield each dimension's trials, drawn as one stack, in batches of one check chunk.
 
     A batch holds the members a submatrix check evaluates at a time
-    (:func:`~blockineq.inequalities._chunk_members` of the dimension's
-    pairs), so that a run holds one batch's pair reports at a time.
+    (:func:`~blockineq.inequalities._chunk_members` of the pairs the suite
+    checks: all of them for thm8_9, those with ``alpha != beta`` for eqlin),
+    so that a run holds one batch's pair reports at a time.
     """
     for n in cfg.dims:
-        size = _chunk_members(exhaustive_pairs(n))
+        size = _chunk_members(exhaustive_pairs(n, distinct=suite == "eqlin"))
         ranks = [_rank_for_trial(n, t) for t in range(cfg.trials)]
         seeds = [derive_seed(cfg.seed, suite, n, t) for t in range(cfg.trials)]
         mats = random_psd(n, ranks, seeds)

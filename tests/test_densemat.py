@@ -603,17 +603,78 @@ def test_is_psd_of_a_stack_is_per_member():
         is_psd(np.zeros((2, 3, 4)))
 
 
+@st.composite
+def _psd_stacks(draw):
+    """A ``(B, d, d)`` stack, B = 2..8, d = 1..11, of Gram members of rank 1..d.
+
+    Some members have a row and column of ``-0.0`` parts, each is scaled by
+    ``2^k`` (exact) and some are negated, so that ``ok`` varies.
+    """
+    d = draw(st.integers(1, 11))
+    count = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(count):
+        g = random_complex(rng, d, draw(st.integers(1, d)))
+        a = g @ g.conj().T
+        zero = draw(st.one_of(st.none(), st.integers(0, d - 1)))
+        if zero is not None:
+            a[zero, :] = a[:, zero] = complex(-0.0, -0.0)
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        members.append(sign * 2.0 ** draw(st.integers(-60, 60)) * a)
+    return np.stack(members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_psd_stacks())
+def test_is_psd_of_a_stack_is_each_member_alone_bitwise(stack):
+    # a stack of several is validated once and each member swept in the
+    # scalar solver's order: its minimum and verdict are bitwise its own call's
+    ok, min_eig = is_psd(stack)
+    alone = [is_psd(member) for member in stack]
+    assert ok.tolist() == [want_ok for want_ok, _ in alone]
+    assert min_eig.tobytes() == np.array([want for _, want in alone]).tobytes()
+    scalar = [hermitian_eigenvalues(a).values[0] for a in stack]
+    assert min_eig.tobytes() == np.array(scalar).tobytes()
+
+
+def test_is_psd_of_a_stack_names_a_failing_member_as_the_scalar_solver_fails_it(monkeypatch):
+    # each member is solved at the scalar solver's threshold, from its own
+    # ||X||_F summed as that solver sums it: this member's sum overflows
+    # there, though not in the stacked sum, and both refuse it by name
+    edge = np.diag(
+        [7.858528724877733e153, 5.4069874667964464e153, 4.946568086249235e153,
+         5.148367938566612e153, 6.148422402344298e153]
+    ).astype(np.complex128)
+    assert np.isfinite(densemat.psd_scale(edge[np.newaxis])).all()
+    with pytest.raises(NormOverflowError, match="^matrix is too large"):
+        hermitian_eigenvalues(edge)
+    with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve: .*= inf"):
+        is_psd(np.stack([np.eye(5), edge, np.eye(5)]))
+    with pytest.raises(NormOverflowError, match="^stack member 0 .*= nan overflows"):
+        is_psd(np.stack([np.full((4, 4), np.nan), np.eye(4)]))
+    # a member that does not converge carries its scalar solve's residual
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    dense = random_hermitian(np.random.default_rng(71), 6)
+    with pytest.raises(ConvergenceError) as alone:
+        hermitian_eigenvalues(dense)
+    with pytest.raises(ConvergenceError, match="for stack member 1 ") as err:
+        is_psd(np.stack([np.eye(6), dense, dense]))
+    assert err.value.offdiag_residual == alone.value.offdiag_residual > 0
+
+
 def test_is_psd_solves_on_every_call(monkeypatch):
     # is_psd keeps nothing between calls: each call solves all it is given,
-    # at any tolerance, and the same input gives the same values every time
+    # at any tolerance, and the same input gives the same values every time;
+    # _psd_minima receives each call's whole input, one matrix as a stack of one
     solved = []
-    real = densemat.hermitian_eigenvalues_stack
+    real = densemat._psd_minima
 
     def counting(x):
         solved.append(len(x))
         return real(x)
 
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counting)
+    monkeypatch.setattr(densemat, "_psd_minima", counting)
     rng = np.random.default_rng(67)
     stack = np.stack([random_psd_lapack(rng, 4) for _ in range(5)])
     first = is_psd(stack)

@@ -1180,6 +1180,43 @@ def test_a_member_checks_bitwise_the_same_in_a_stack_of_any_size(monkeypatch, n,
                 _assert_member_is_alone(reports, alone[lo + k])
 
 
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_a_stack_refuses_its_first_member_outside_before_a_later_solver_error(check):
+    # member 2 is not Hermitian, so the chunk's one is_psd call raises; its
+    # members are then tested one at a time, in order, and member 1, which is
+    # not PSD, is refused first, as it is when each member is tested alone
+    bad = np.eye(4, dtype=np.complex128)
+    bad[0, 1] = 1.0
+    mats = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), bad]).astype(np.complex128)
+    with pytest.raises(HermiticityError, match="^stack member 2 "):
+        densemat.is_psd(mats)
+    with pytest.raises(PreconditionError, match="^stack member 1 is not PSD") as err:
+        check(mats, exhaustive_pairs(4, distinct=True), tol=1e-9)
+    assert err.value.min_eig == -1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_submatrix_term_that_overflows_names_the_member_and_its_first_pair():
+    # the products of minors of a PSD matrix scaled by 1e100 overflow, and
+    # (tr A[a])(tr A[b]) does at 6e153 I; each check refuses the member by
+    # name, with the first such pair, and no numpy warning is shown
+    small = random_psd(4, 4, 3)
+    stack = np.stack([small, small * 1e100])
+    distinct = exhaustive_pairs(4, distinct=True)
+    with pytest.raises(NormOverflowError, match=(
+        r"^stack member 1 is too large to check: a determinant term of pair "
+        r"alpha=\[1, 2\], beta=\[1, 3\] overflows float64$"
+    )):
+        check_det_submatrix(stack, distinct, tol=1e-9)
+    with pytest.raises(NormOverflowError, match="^input is too large to check: a determinant"):
+        check_det_submatrix(stack[1], distinct, tol=1e-9)
+    assert all(rep.passed.all() for rep in check_trace_submatrix(stack, distinct, tol=1e-9))
+    with pytest.raises(NormOverflowError, match=(
+        r"^input is too large to check: a trace term of pair alpha=\[1, 2, 3\], beta=\[1, 2, 3\] "
+    )):
+        check_trace_submatrix(np.eye(4) * 6e153, exhaustive_pairs(4), tol=1e-9)
+
+
 def _member_bytes(batch) -> int:
     """The bytes of one member's largest gather: its pair blocks, or its padded principal minors."""
     n = batch.universe

@@ -684,6 +684,25 @@ def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind)
         _assert_agrees(got, wants[name], a, exact=("input_min_eig",))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_refuses_a_document_whose_determinant_terms_overflow(tmp_path, capsys):
+    # the 2 x 2 block document's minors multiply past float64 at 1e100: eqlin
+    # refuses it as a numerical failure, names the pair, and writes no report
+    # and no counterexample; its trace terms are finite, so thm8_9 passes it
+    path = tmp_path / "big.json"
+    save(path, BlockMatrix(2, 2, random_psd(4, 4, 3) * 1e100))
+    out = tmp_path / "report.json"
+    args = ["--format", "json", "--out", str(out), str(path)]
+    assert main(["verify", "--suite", "eqlin", *args]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: input is too large to check: a determinant term of pair "
+        "alpha=[1, 2], beta=[1, 3] overflows float64\n"
+    )
+    assert not out.exists() and not list(tmp_path.glob("counterexample-*"))
+    assert main(["verify", "--suite", "thm8_9", *args]) == 0
+    assert json.loads(out.read_text())["summary"]["passed"] is True
+
+
 def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
     # each run makes the same solves: the input alone, then one stack of its
     # partial transpose and the ten residuals of the six block suites
