@@ -6,7 +6,8 @@ and an input, explicit or seeded, outside its check's hypothesis at the
 run's ``--tol``); 3 numerical failure (eigensolver did not converge or
 rejected its input: not Hermitian, or a norm that overflows; or a broken
 consistency chain); 4 internal error (an unexpected exception, a defect of
-the program).
+the program); 5 out of memory (the run needed more memory than the process
+may use).
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except BlockineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a resource limit, not a defect: no traceback
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 5
     except Exception as exc:  # a defect, not a verdict: keep it apart from exit 1
         import traceback  # only on this path: the module costs start-up time and memory
 

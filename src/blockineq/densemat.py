@@ -22,7 +22,11 @@ targets (dimension <= 64):
   disjoint pairs of each round and over chunks of members, stack axis last.
   A chunk is held in the current round's pair order, so a round updates
   strided views in place and gathers nothing; one flat ``take`` moves the
-  chunk into the next round's order.
+  chunk into the next round's order. The sweep plan, every round's pair
+  order and the moves between them, is worked out by index arithmetic over
+  all rounds at once. A chunk's round views and coefficient workspace are
+  built once for each number of members still sweeping, so a round is about
+  thirty ufunc calls that write into them and creates no array.
   The seeded block suites go through it: they draw and check each shape's
   trials as one stack, ``random_ppt`` tests all its attempts in one call, and
   a check solves its inputs (with their partial transposes, for a PPT check)
@@ -357,20 +361,24 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     ``MAX_SWEEPS`` sweeps, each relative to that matrix's own norm. The
     sweeps use the round-robin pair ordering of Brent and Luk (SIAM J. Sci.
     Stat. Comput. 6, 1985): each round rotates ``d // 2`` disjoint pairs, so
-    one round is a handful of array operations over a chunk of members. A
-    matrix leaves the sweep loop as soon as it has converged.
+    one round is about thirty ufunc calls over a chunk of members. A matrix
+    leaves the sweep loop as soon as it has converged.
 
     Members are swept in chunks of ``_CHUNK_BYTES`` (``b * d^2 * 16``), each
     a contiguous ``(d, d, b)`` array, stack axis last, whose rows and columns
     are held in the current round's pair order (:func:`_round_robin`): a
     round's rotations update strided views in place, with no per-round
     gathers, and one flat ``take`` moves the chunk into the next round's
-    order. A member's rotations and sums use only its own entries, in a
-    fixed order, so its values, sweeps and off-diagonal mass are bitwise the
-    same in any stack or chunk (a zero's sign aside), and those of the
-    tests' ``(B, d, d)`` reference kernel. Eigenvalues agree with
-    :func:`hermitian_eigenvalues`, whose order differs, to rounding. A stack
-    of one is solved by that scalar solver.
+    order. Every round's pair order and move (:func:`_sweep_plan`) is
+    computed by index arithmetic, all rounds at once. The round views and
+    the rotations' coefficient workspace (:func:`_rounds`) are built once
+    for each number of a chunk's members still sweeping, so a round
+    allocates nothing. A member's rotations and sums use only its own
+    entries, in a fixed order, so its values, sweeps and off-diagonal mass
+    are bitwise the same in any stack or chunk (a zero's sign aside), and
+    those of the tests' ``(B, d, d)`` reference kernel. Eigenvalues agree
+    with :func:`hermitian_eigenvalues`, whose order differs, to rounding. A
+    stack of one is solved by that scalar solver.
 
     Returns
     -------
@@ -433,66 +441,71 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
 def _sweep_chunk(x: np.ndarray, threshold: np.ndarray, skip: np.ndarray, buffers: np.ndarray):
     """Sweep a ``(b, d, d)`` chunk until each member stops; a stopped one leaves the sweep.
 
-    The chunk is held as a ``(d, d, b)`` array in the current round's pair
+    The chunk is held as a ``(d * d, b)`` array in the current round's pair
     order (:func:`_round_robin`), in ``buffers[0]`` or ``buffers[1]``; one
-    flat ``take`` moves it into the next round's order, in the other.
+    flat ``take`` moves it into the next round's order, in the other. The
+    round views of both buffers and their coefficient workspace
+    (:func:`_rounds`) are built once for each number of members still
+    sweeping; every round of that many reuses them and allocates nothing.
     Returns each member's diagonal (``(b, d)``, unsorted), off-diagonal mass and sweeps.
     """
     count, n = x.shape[0], x.shape[1]
     first, moves, upper = _sweep_plan(n)
-
-    def held(i, b):
-        return buffers[i, : n * n * b].reshape(n * n, b)
-
+    rounds = _rounds(buffers, n, count)
     # stack axis last, then round 0's pair order (np.take copies a non-contiguous input)
-    np.copyto(held(1, count), x.reshape(count, n * n).T)
+    np.copyto(rounds[1].a, x.reshape(count, n * n).T)
     cur = 0
-    a = np.take(held(1, count), first, axis=0, out=held(cur, count), mode="clip")
+    np.take(rounds[1].a, first, axis=0, out=rounds[cur].a, mode="clip")
     diagonal = np.empty((count, n))
-    offdiag = _offdiag_mass_stack(a, upper)
+    offdiag = _offdiag_mass_stack(rounds[cur].a, upper)
     sweeps = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
+    active, active_skip = np.arange(count), skip
     while True:
         going = (offdiag[active] >= threshold[active]) & (sweeps[active] < MAX_SWEEPS)
         if not going.all():
+            a = rounds[cur].a
             diagonal[np.ix_(active[~going], _round_robin(n)[0])] = a[:: n + 1, ~going].real.T
             active, cur = active[going], 1 - cur
-            a = np.take(a, np.flatnonzero(going), axis=1, out=held(cur, active.size), mode="clip")
-        if not active.size:
-            return diagonal, offdiag, sweeps
-        active_skip = skip[active]
+            if not active.size:
+                return diagonal, offdiag, sweeps
+            rounds = _rounds(buffers, n, active.size)
+            np.take(a, np.flatnonzero(going), axis=1, out=rounds[cur].a, mode="clip")
+            active_skip = skip[active]
         for move in moves:
-            _rotate_round(a.reshape(n, n, -1), active_skip, buffers[2], buffers[1 - cur])
+            _rotate_round(rounds[cur], active_skip)
             if move is not None:
+                np.take(rounds[cur].a, move, axis=0, out=rounds[1 - cur].a, mode="clip")
                 cur = 1 - cur
-                a = np.take(a, move, axis=0, out=held(cur, active.size), mode="clip")
         sweeps[active] += 1
-        offdiag[active] = _offdiag_mass_stack(a, upper)
+        offdiag[active] = _offdiag_mass_stack(rounds[cur].a, upper)
 
 
 @lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[np.ndarray, ...]:
-    """Each round of one sweep in pair order: its ``p`` indices, its ``q`` indices, then the bye.
+def _round_robin(n: int) -> np.ndarray:
+    """Each round of one sweep in pair order, a row each: its ``p``s, its ``q``s, then the bye.
 
     Circle method: player 0 stays put while the others rotate one seat per
     round, so every pair ``p < q`` meets exactly once in ``n - 1`` rounds
     (``n`` rounds with a bye for odd ``n``) and the pairs of a round are
     disjoint. Pair ``i`` of a round is ``(order[i], order[n // 2 + i])``.
+    For odd ``n`` a dummy player ``n`` makes the count even, and whoever
+    meets it has the bye. Every round's seating is worked out at once.
     """
-    seats = list(range(n + n % 2))
-    half = len(seats) // 2
-    rounds = []
-    for _ in range(len(seats) - 1):
-        pairs = [
-            (min(i, j), max(i, j))
-            for i, j in zip(seats[:half], reversed(seats[half:]))
-            if max(i, j) < n
-        ]
-        p, q = zip(*pairs)
-        bye = sorted(set(range(n)) - set(p) - set(q))
-        rounds.append(np.array(p + q + tuple(bye), dtype=np.intp))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return tuple(rounds)
+    seats = n + n % 2
+    count, half = seats - 1, seats // 2
+    # seat 0 holds player 0; seat j > 0 holds player (j - 1 - r) % count + 1 in round r
+    held = np.arange(-1, seats - 1) - np.arange(count)[:, np.newaxis]
+    held %= count
+    held += 1
+    held[:, 0] = 0
+    # seat i meets seat seats - 1 - i
+    left, right = held[:, :half], held[:, : half - 1 : -1]
+    p, q = np.minimum(left, right), np.maximum(left, right)
+    if n % 2 == 0:
+        return np.concatenate((p, q), axis=1)
+    bye = q == n
+    p_kept, q_kept = p[~bye].reshape(count, -1), q[~bye].reshape(count, -1)
+    return np.concatenate((p_kept, q_kept, p[bye][:, np.newaxis]), axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -503,20 +516,19 @@ def _sweep_plan(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
     ``moves[r]`` takes a chunk from round ``r``'s order into the next
     round's (round 0's after the last), ``None`` where the two agree; and
     ``upper`` reads, in round 0's order, entries ``(i, j)``, ``i < j``, of
-    the natural order, row by row.
+    the natural order, row by row. All rounds' indices are worked out at once.
     """
     orders = _round_robin(n)
-    seat = [np.argsort(order) for order in orders]  # seat[r][i]: position of index i in round r
-
-    def flat(rows, cols):
-        return (rows[:, np.newaxis] * n + cols).ravel()
-
-    moves = []
-    for r in range(len(orders)):
-        src = seat[r][orders[(r + 1) % len(orders)]]
-        moves.append(None if np.array_equal(src, np.arange(n)) else flat(src, src))
-    i, j = np.triu_indices(n, 1)
-    return flat(orders[0], orders[0]), tuple(moves), seat[0][i] * n + seat[0][j]
+    count = len(orders)
+    seat = np.argsort(orders, axis=1)  # seat[r, i]: position of index i in round r
+    following = np.concatenate((orders[1:], orders[:1]))
+    src = seat[np.arange(count)[:, np.newaxis], following]
+    same = (src == np.arange(n)).all(axis=1)
+    flat = (src[:, :, np.newaxis] * n + src[:, np.newaxis, :]).reshape(count, n * n)
+    moves = tuple(None if kept else move for kept, move in zip(same.tolist(), flat))
+    at, index = seat[0], np.arange(n)
+    upper = (at[:, np.newaxis] * n + at)[index[:, np.newaxis] < index]
+    return (orders[0][:, np.newaxis] * n + orders[0]).ravel(), moves, upper
 
 
 def _offdiag_mass_stack(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -525,62 +537,144 @@ def _offdiag_mass_stack(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * np.cumsum(v.real * v.real + v.imag * v.imag, axis=0)[-1])
 
 
-def _rotate_round(a: np.ndarray, skip: np.ndarray, scratch: np.ndarray, spare: np.ndarray) -> None:
-    """One round on a ``(d, d, b)`` chunk in pair order: the rotations of its pairs, in place.
+class _RoundWork:
+    """The coefficients of a round's ``k`` rotations on each of ``b`` members, each ``(k, b)``.
+
+    ``u`` is ``(u21, u12)`` (also held as its two halves) and ``u_conj``
+    its conjugate; ``idle`` marks the pairs left alone, and ``w`` holds
+    intermediate terms.
+    """
+
+    __slots__ = (
+        "mag", "tau", "t", "c", "s", "w", "rot", "idle", "negative",
+        "phase", "phase_conj", "u", "u21", "u12", "u_conj",
+    )  # fmt: skip
+
+    def __init__(self, k: int, b: int):
+        self.mag, self.tau, self.t, self.c, self.s, self.w = np.empty((6, k, b))
+        self.rot, self.idle, self.negative = np.empty((3, k, b), dtype=bool)
+        self.phase, self.phase_conj = np.empty((2, k, b), dtype=np.complex128)
+        self.u, self.u_conj = np.empty((2, 2, k, b), dtype=np.complex128)
+        self.u21, self.u12 = self.u
+
+
+class _Round:
+    """A round's views of a ``(d * d, b)`` chunk held in pair order, and its rotations' workspace.
 
     Pair ``i`` of the ``k = d // 2`` is at rows and columns ``i`` and
     ``k + i``, so the ``p`` and ``q`` columns are ``a[:, :k]`` and
     ``a[:, k:2k]``, and the rows likewise; for odd ``d`` the bye is the last.
+    ``pivots`` are the entries ``(i, k + i)``, ``mirrors`` the ``(k + i, i)``,
+    ``p_diagonal`` and ``q_diagonal`` the real parts of the diagonal's two
+    halves. ``cols`` and ``rows`` view the ``p`` and ``q`` columns (rows) as
+    ``(d, 2, k, b)`` (``(2, k, d, b)``) and ``*_swapped`` the same with ``p``
+    and ``q`` exchanged; a pass's products go to ``*_product``, in
+    ``scratch``, and its scaled entries to ``*_scaled``, which is the view
+    itself where it is contiguous and ``spare`` where it is not (numpy
+    would copy a strided view updated in place). ``work`` holds the
+    coefficients of the ``k`` pairs of the ``b`` members.
+    """
+
+    __slots__ = (
+        "a", "pivots", "mirrors", "p_diagonal", "q_diagonal",
+        "cols", "cols_swapped", "cols_product", "cols_scaled",
+        "rows", "rows_swapped", "rows_product", "rows_scaled", "rows_c", "rows_u", "work",
+    )  # fmt: skip
+
+    def __init__(self, a: np.ndarray, n: int, work: _RoundWork, scratch, spare):
+        b, k = a.shape[1], n // 2
+        self.a, self.work = a, work
+        self.pivots = a[k : k * (n + 1) : n + 1]
+        self.mirrors = a[k * n : k * n + k * (n + 1) : n + 1]
+        diagonal = a[:: n + 1]
+        self.p_diagonal, self.q_diagonal = diagonal[:k].real, diagonal[k : 2 * k].real
+        square = a.reshape(n, n, b)
+        self.cols = square[:, : 2 * k].reshape(n, 2, k, b)
+        self.rows = square[: 2 * k].reshape(2, k, n, b)
+        self.cols_swapped, self.rows_swapped = self.cols[:, ::-1], self.rows[::-1]
+        self.cols_product = scratch[: self.cols.size].reshape(self.cols.shape)
+        self.rows_product = scratch[: self.rows.size].reshape(self.rows.shape)
+        self.cols_scaled, self.rows_scaled = (
+            view if view.flags.c_contiguous else spare[: view.size].reshape(view.shape)
+            for view in (self.cols, self.rows)
+        )
+        self.rows_c, self.rows_u = work.c[:, np.newaxis], work.u_conj[:, :, np.newaxis]
+
+
+def _rounds(buffers: np.ndarray, n: int, b: int) -> tuple[_Round, _Round]:
+    """The round views of a chunk of ``b`` members held in ``buffers[0]`` and in ``buffers[1]``.
+
+    The two share one coefficient workspace; each takes its products in
+    ``buffers[2]`` and uses the other ping-pong buffer as its spare.
+    """
+    work = _RoundWork(n // 2, b)
+    return tuple(
+        _Round(buffers[i, : n * n * b].reshape(n * n, b), n, work, buffers[2], buffers[1 - i])
+        for i in (0, 1)
+    )
+
+
+def _rotate_round(r: _Round, skip: np.ndarray) -> None:
+    """One round on a chunk in pair order: the rotations of its pairs, in place, into ``r``'s views.
+
     The same rotation as :func:`_rotate`, per matrix and pair; a pair whose
     pivot is at most ``skip`` (per matrix) gets the identity instead. Each
-    update is ``[p, q] * c + [q, p] * [u21, u12]`` on strided views, its
-    products written to ``scratch`` (and, for a view that is not contiguous,
-    ``spare``), so a round allocates no chunk-sized array.
+    update is ``[p, q] * c + [q, p] * [u21, u12]`` on the columns
+    (``A <- A U``), then on the rows (``A <- U* A``). Every operation
+    writes into ``r`` or its workspace, so a round creates no array and no view;
+    each ufunc takes its output as its last positional argument, which numpy
+    parses faster than ``out=``.
     """
-    n, b = a.shape[0], a.shape[2]
-    k = n // 2
-    flat = a.reshape(n * n, b)
-    # the pivots (i, k + i), their mirrors (k + i, i), and the diagonal
-    pivots = flat[k : k * (n + 1) : n + 1]
-    mirrors = flat[k * n : k * n + k * (n + 1) : n + 1]
-    diagonal = flat[:: n + 1]
-    mag = np.abs(pivots)
-    rot = mag > skip
+    w = r.work
+    mag, rot, tau, t, c, s, tmp = w.mag, w.rot, w.tau, w.t, w.c, w.s, w.w
+    np.absolute(r.pivots, mag)
+    np.greater(mag, skip, rot)
     rotating = np.count_nonzero(rot)
     if not rotating:
         return
     every = rotating == rot.size
-    safe = mag if every else np.where(rot, mag, 1.0)
-    phase = pivots / safe
-    tau = (diagonal[k : 2 * k].real - diagonal[:k].real) / (2.0 * safe)
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
     if not every:
-        c = np.where(rot, c, 1.0)
-        s = np.where(rot, s, 0.0)
-    u = np.empty((2, k, b), dtype=np.complex128)
-    np.multiply(-s, np.conj(phase), out=u[0])  # u21
-    np.multiply(s, phase, out=u[1])  # u12
-    # columns (A <- A U), then rows (A <- U* A)
-    cols = a[:, : 2 * k].reshape(n, 2, k, b)
-    rows = a[: 2 * k].reshape(2, k, n, b)
-    for view, swapped, cc, coef in (
-        (cols, cols[:, ::-1], c, u),
-        (rows, rows[::-1], c[:, np.newaxis], np.conj(u)[:, :, np.newaxis]),
-    ):
-        prod = scratch[: view.size].reshape(view.shape)
-        np.multiply(swapped, coef, out=prod)
-        if view.flags.c_contiguous:
-            np.multiply(view, cc, out=view)
-            np.add(view, prod, out=view)
-        else:  # the columns at odd d: numpy copies a strided view it updates in place
-            scaled = spare[: view.size].reshape(view.shape)
-            np.multiply(view, cc, out=scaled)
-            np.add(scaled, prod, out=view)
+        np.logical_not(rot, w.idle)
+        np.copyto(mag, 1.0, where=w.idle)  # a safe divisor for the pairs left alone
+    np.divide(r.pivots, mag, w.phase)
+    # tau = (a_qq - a_pp) / (2 |a_pq|)
+    np.subtract(r.q_diagonal, r.p_diagonal, tau)
+    np.multiply(mag, 2.0, tmp)
+    np.divide(tau, tmp, tau)
+    # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), the sign of tau >= 0 (-0 too) being +1:
+    # -1 / x is exactly -(1 / x)
+    np.multiply(tau, tau, tmp)
+    np.add(tmp, 1.0, tmp)
+    np.sqrt(tmp, tmp)
+    np.absolute(tau, t)
+    np.add(t, tmp, tmp)
+    np.divide(1.0, tmp, t)
+    np.less(tau, 0.0, w.negative)
+    np.negative(t, t, where=w.negative)
+    # c = 1 / sqrt(1 + t^2), s = t c
+    np.multiply(t, t, tmp)
+    np.add(tmp, 1.0, tmp)
+    np.sqrt(tmp, tmp)
+    np.divide(1.0, tmp, c)
+    np.multiply(t, c, s)
+    if not every:
+        np.copyto(c, 1.0, where=w.idle)
+        np.copyto(s, 0.0, where=w.idle)
+    # u21 = -s conj(phase), u12 = s phase
+    np.negative(s, tmp)
+    np.conjugate(w.phase, w.phase_conj)
+    np.multiply(tmp, w.phase_conj, w.u21)
+    np.multiply(s, w.phase, w.u12)
+    np.conjugate(w.u, w.u_conj)
+    np.multiply(r.cols_swapped, w.u, r.cols_product)
+    np.multiply(r.cols, c, r.cols_scaled)
+    np.add(r.cols_scaled, r.cols_product, r.cols)
+    np.multiply(r.rows_swapped, r.rows_u, r.rows_product)
+    np.multiply(r.rows, r.rows_c, r.rows_scaled)
+    np.add(r.rows_scaled, r.rows_product, r.rows)
     # the pivot pairs are zero by construction; pin them to kill rounding residue
-    for pin in (pivots, mirrors):
-        np.copyto(pin, 0.0, where=rot)
+    np.copyto(r.pivots, 0.0, where=rot)
+    np.copyto(r.mirrors, 0.0, where=rot)
 
 
 def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):

@@ -382,8 +382,9 @@ def round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
             for i, j in zip(seats[:half], reversed(seats[half:]))
             if max(i, j) < n
         ]
-        p, q = zip(*pairs)
-        rounds.append((np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)))
+        p = np.array([i for i, _ in pairs], dtype=np.intp)  # none at n = 1
+        q = np.array([j for _, j in pairs], dtype=np.intp)
+        rounds.append((p, q))
         seats = [seats[0], seats[-1]] + seats[1:-1]
     return rounds
 

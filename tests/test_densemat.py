@@ -34,6 +34,7 @@ from oracles import (
     random_complex,
     random_hermitian,
     random_psd_lapack,
+    round_robin_pairs,
 )
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -455,7 +456,35 @@ def _layout_stack(rng, d):
     return np.stack(members + [diagonal + 1e-6 * dense]).astype(np.complex128)
 
 
-@pytest.mark.parametrize("d", range(1, 17))
+@pytest.mark.parametrize("d", range(1, 65))
+def test_sweep_plan_is_the_round_robin_of_the_reference(d):
+    orders = densemat._round_robin(d)
+    first, moves, upper = densemat._sweep_plan(d)
+    k = d // 2
+    reference = round_robin_pairs(d)
+    assert len(orders) == len(moves) == len(reference) == d - 1 + d % 2
+    met = []
+    for order, (p, q) in zip(orders, reference):
+        assert order[:k].tolist() == p.tolist() and order[k : 2 * k].tolist() == q.tolist()
+        assert sorted(order.tolist()) == list(range(d))  # the pairs are disjoint, the bye is last
+        assert (p < q).all()
+        met += zip(p.tolist(), q.tolist())
+    assert sorted(met) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+    # a chunk of one member, its entries labelled by their flat index in natural order
+    natural = np.arange(d * d).reshape(d, d)
+    held = natural.ravel()[first]
+    assert held.tolist() == natural[np.ix_(orders[0], orders[0])].ravel().tolist()
+    assert held[upper].tolist() == natural[np.triu_indices(d, 1)].tolist()
+    for r, move in enumerate(moves):
+        following = orders[(r + 1) % len(orders)]
+        assert (move is None) == np.array_equal(orders[r], following)
+        if move is not None:
+            assert sorted(move.tolist()) == list(range(d * d))
+            held = held[move]
+        assert held.tolist() == natural[np.ix_(following, following)].ravel().tolist()
+
+
+@pytest.mark.parametrize("d", [*range(1, 17), 17, 24, 33])
 def test_stacked_solver_is_bitwise_the_reference_at_every_dimension(monkeypatch, d):
     # the chunk layout follows each round's pair order: every order is a
     # permutation, p < q, each pair meets once a sweep, the bye comes last
@@ -479,9 +508,11 @@ def test_stacked_solver_is_bitwise_the_reference_at_every_dimension(monkeypatch,
         assert len(set(sweeps.tolist())) >= 3, sweeps
     if d % 2 and d > 1:
         # a round rotates every pair but the bye, whose diagonal entry it leaves alone
-        before = x[3][np.ix_(orders[0], orders[0])][..., np.newaxis]
-        a = before.copy()
-        densemat._rotate_round(a, np.zeros(1), *np.empty((2, d * d), dtype=np.complex128))
+        buffers = np.empty((3, d * d), dtype=np.complex128)
+        buffers[0] = x[3][np.ix_(orders[0], orders[0])].ravel()
+        before = buffers[0].reshape(d, d).copy()
+        densemat._rotate_round(densemat._rounds(buffers, d, 1)[0], np.zeros(1))
+        a = buffers[0].reshape(d, d)
         assert a[d - 1, d - 1].tobytes() == before[d - 1, d - 1].tobytes()
         assert not np.array_equal(a[: d - 1, : d - 1], before[: d - 1, : d - 1])
 

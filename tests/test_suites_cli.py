@@ -1048,6 +1048,26 @@ def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: checker defect" in err
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 4.00 GiB"), "out of memory: Unable to allocate 4.00 GiB\n"),
+        (MemoryError(), "out of memory: an allocation failed\n"),
+    ],
+)
+def test_cli_out_of_memory_exits_5_without_a_traceback(tmp_path, capsys, monkeypatch, exc, line):
+    # running out of memory is a resource limit, not a defect (exit 4)
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(suites, "check_trace_submatrix", exhausted)
+    path = tmp_path / "plain.json"
+    save(path, random_psd(3, 3, 11))
+    rc = main(["verify", "--suite", "thm8_9", str(path)])
+    assert rc == 5
+    assert capsys.readouterr().err == line
+
+
 def test_cli_verify_exit2_on_precondition(tmp_path, capsys):
     # PSD but not PPT: corollary3 refuses the input rather than reporting failure.
     path = tmp_path / "pattern.json"
