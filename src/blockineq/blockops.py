@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemat  # is_ppt looks the stacked solver up on the module, where it can be replaced
-from .densemat import DEFAULT_TOL, _require_tol, as_matrix, is_psd, psd_scale, psd_verdict
+from .densemat import DEFAULT_TOL, _require_tol, as_matrix, is_psd, psd_verdict
 from .errors import BlockIndexError, ShapeError
 
 
@@ -177,7 +177,7 @@ def is_ppt(a, tol: float = DEFAULT_TOL):
         _require_tol(tol)
         mats = np.concatenate([a.mat, partial_transpose(a).mat])
         min_eig = densemat.hermitian_eigenvalues_stack(mats).values[:, 0]
-        ok = psd_verdict(min_eig, psd_scale(mats), tol)
+        ok = psd_verdict(min_eig, mats, tol)
         (ok_a, ok_t), (min_a, min_t) = np.split(ok, 2), np.split(min_eig, 2)
     else:
         ok_a, min_a = is_psd(a.mat, tol)

@@ -205,7 +205,7 @@ def _cmd_choi(args) -> int:
         if not isinstance(phi, LinearMapRep):
             raise UsageError(f"{args.map_file}: expected a linear-map document")
         source = f"file:{args.map_file}"
-    choi = choi_matrix(phi, phi.n)
+    choi = choi_matrix(phi)
     co_choi = co_choi_matrix(phi)
     cp, min_choi = certify_completely_positive(phi, args.tol)
     ccp, min_co = certify_completely_copositive(phi, args.tol)

@@ -34,14 +34,15 @@ targets (dimension <= 64):
   it solves all of a document's residuals, for every requested block suite,
   as one stack.
 
-Both apply the same rules to each matrix: the same Hermiticity check and
-symmetrization (for a stack, :func:`_validated_stack`), the same skip
-threshold, the same stopping rule and the same errors, including a refusal
-of any matrix whose Frobenius norm overflows.
+Both validate their input in one place, :func:`_validated_stack`, one
+matrix as a stack of one: the same Hermiticity check and symmetrization,
+and the same refusal of any matrix whose Frobenius norm overflows. Its
+``max(1, ||X||_F)`` is the only scale: each solver's skip threshold and
+stopping rule, and :func:`psd_verdict`, read that one norm.
 
 :func:`is_psd` decides one matrix or a stack by the rule
-:func:`psd_verdict` states, at :func:`psd_scale`, each member at the
-scalar solver's minimum, bitwise. One matrix or a stack of one goes to
+:func:`psd_verdict` states, each member at the scalar solver's minimum,
+bitwise. One matrix or a stack of one goes to
 :func:`hermitian_eigenvalues`. A stack of several, such as a chunk of the
 submatrix suites' trials, is validated once, as the stacked solver
 validates it, and each member is then swept by :func:`_sweep` in the
@@ -100,9 +101,13 @@ def as_matrix(x, allow_empty: bool = False) -> np.ndarray:
     return mat
 
 
-def frobenius(x: np.ndarray) -> float:
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(x))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``||X||_F`` of each member of a ``(B, d, d)`` stack: the one norm every scale reads.
+
+    It is the sum ``np.linalg.norm(x, axis=(1, 2))`` runs, without that
+    call's dispatch, and it overflows to ``inf`` where the squares do.
+    """
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2)))
 
 
 def frobenius_stack(x: np.ndarray) -> np.ndarray:
@@ -111,10 +116,10 @@ def frobenius_stack(x: np.ndarray) -> np.ndarray:
     Where the squares overflow it is ``m * ||X / m||_F``, ``m`` the largest |Re| or |Im|.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(x, axis=(1, 2))
+        norm = _norms(x)
         for k in np.flatnonzero(~np.isfinite(norm)):
             big = max(np.max(np.abs(x[k].real)), np.max(np.abs(x[k].imag)))
-            norm[k] = big * np.linalg.norm(x[k] / big)
+            norm[k] = big * _norms(x[k : k + 1] / big)[0]
     return norm
 
 
@@ -176,17 +181,14 @@ class EigenResult:
     sweeps: int
 
 
-def hermiticity_defect(x: np.ndarray) -> float:
-    """Frobenius norm of ``x - x*``; zero exactly when ``x`` is Hermitian."""
-    return float(np.linalg.norm(x - x.conj().T))
-
-
 def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
 
-    The input must be Hermitian up to ``HERMITICITY_RTOL * max(1, ||x||_F)``;
-    it is symmetrized as ``(x + x*) / 2`` before solving, which absorbs
-    rounding noise from upstream arithmetic. Sweeps continue until the
+    The input is validated as a stack of one (:func:`_validated_stack`),
+    and errors name it "matrix". It must be Hermitian up to
+    ``HERMITICITY_RTOL * max(1, ||x||_F)``; it is symmetrized as
+    ``(x + x*) / 2`` before solving, which absorbs rounding noise from
+    upstream arithmetic. Sweeps continue until the
     off-diagonal Frobenius mass drops below ``JACOBI_RTOL * max(1, ||x||_F)``
     or ``MAX_SWEEPS`` sweeps have run.
 
@@ -207,44 +209,32 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     n = require_square(x)
     if n == 0:
         return EigenResult(np.empty(0, dtype=np.float64), 0.0, 0)
-    x = np.asarray(x, dtype=np.complex128)
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        norm = frobenius(x)
-    if not math.isfinite(norm):
-        raise NormOverflowError(f"matrix is too large to solve: ||X||_F = {norm} overflows float64")
-    scale = max(1.0, norm)
-    defect = hermiticity_defect(x)
-    if defect > HERMITICITY_RTOL * scale:
-        raise HermiticityError(
-            f"matrix is not Hermitian: ||X - X*||_F = {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
-        )
-    herm = (x + x.conj().T) / 2.0
+    herm, scale = _validated_stack(np.asarray(x, dtype=np.complex128)[np.newaxis], one=True)
     if n == 1:
-        return EigenResult(np.array([herm[0, 0].real]), 0.0, 0)
+        return EigenResult(np.array([herm[0, 0, 0].real]), 0.0, 0)
 
     # Nested lists of native complex beat ndarray indexing for the tiny,
     # scalar-heavy rotation updates below.
-    a = herm.tolist()
-    threshold = JACOBI_RTOL * scale
-    offdiag, sweeps = _sweep(a, n, threshold)
-    if offdiag >= threshold:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps "
-            f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
-            offdiag_residual=offdiag,
-        )
+    a = herm[0].tolist()
+    offdiag, sweeps = _sweep(a, n, JACOBI_RTOL * float(scale[0]))
     values = np.sort(np.array([a[i][i].real for i in range(n)]))
     return EigenResult(values, offdiag, sweeps)
 
 
-def _sweep(a: list[list[complex]], n: int, threshold: float) -> tuple[float, int]:
+def _sweep(
+    a: list[list[complex]], n: int, threshold: float, member: int | None = None
+) -> tuple[float, int]:
     """Cyclic Jacobi sweeps on ``a`` in place, in row order, until its mass is below ``threshold``.
 
-    Stops there or after ``MAX_SWEEPS`` sweeps; returns the off-diagonal
-    mass left and the sweeps run. ``a`` is an exactly Hermitian ``n x n``
-    matrix as nested lists of native complex, its eigenvalues left on its
-    diagonal.
+    Returns the off-diagonal mass left and the sweeps run. ``a`` is an
+    exactly Hermitian ``n x n`` matrix as nested lists of native complex,
+    its eigenvalues left on its diagonal.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``MAX_SWEEPS`` sweeps leave the mass at or above ``threshold``;
+        names ``member`` of a stack, when given, and carries the mass.
     """
     skip = threshold / (2.0 * n)  # entries this small cannot push the mass over threshold
     sweeps = 0
@@ -260,6 +250,13 @@ def _sweep(a: list[list[complex]], n: int, threshold: float) -> tuple[float, int
                     continue
                 _rotate(a, n, p, q, apq, mag)
         offdiag = _offdiag_mass(a, n)
+    if offdiag >= threshold:
+        where = "" if member is None else f" for stack member {member}"
+        raise ConvergenceError(
+            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps{where} "
+            f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
+            offdiag_residual=offdiag,
+        )
     return offdiag, sweeps
 
 
@@ -315,36 +312,39 @@ def _rotate(a: list[list[complex]], n: int, p: int, q: int, apq: complex, mag: f
     row_q[p] = 0.0
 
 
-def _validated_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A nonempty ``(B, d, d)`` stack symmetrized, ``(X + X*) / 2``, and its :func:`psd_scale`.
+def _validated_stack(x: np.ndarray, one: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """A nonempty ``(B, d, d)`` stack symmetrized, ``(X + X*) / 2``, and each ``max(1, ||X||_F)``.
 
-    The stack counterpart of :func:`hermitian_eigenvalues`'s checks, made
-    on every member at once and before any sweep.
+    Every solve validates its input here, on every member at once and
+    before any sweep, and reads its thresholds from this scale; so does
+    :func:`psd_verdict`. An error names the first failing member as "stack
+    member k", or as "matrix" where ``one`` is true (a lone matrix).
 
     Raises
     ------
     NormOverflowError
-        If any member's ``||X||_F`` is not finite in float64; names the first.
+        If any member's ``||X||_F`` is not finite in float64.
     HermiticityError
-        If any member is not Hermitian within ``HERMITICITY_RTOL`` of its
-        scale; names the first.
+        If any member is not Hermitian within ``HERMITICITY_RTOL`` of its scale.
     """
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        norm = np.linalg.norm(x, axis=(1, 2))
-    bad = np.flatnonzero(~np.isfinite(norm))
-    if bad.size:
-        k = bad[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        norm = _norms(x)
+        xh = x.conj().swapaxes(1, 2)
+        defect = _norms(x - xh)
+    finite = np.isfinite(norm)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        name = "matrix" if one else f"stack member {k}"
         raise NormOverflowError(
-            f"stack member {k} is too large to solve: ||X||_F = {norm[k]} overflows float64"
+            f"{name} is too large to solve: ||X||_F = {norm[k]} overflows float64"
         )
     scale = np.maximum(1.0, norm)
-    xh = np.conj(np.swapaxes(x, 1, 2))
-    defect = np.linalg.norm(x - xh, axis=(1, 2))
-    bad = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
-    if bad.size:
-        k = bad[0]
+    bad = defect > HERMITICITY_RTOL * scale
+    if bad.any():
+        k = int(np.argmax(bad))
+        name = "matrix" if one else f"stack member {k}"
         raise HermiticityError(
-            f"stack member {k} is not Hermitian: ||X - X*||_F = {defect[k]:.3e} "
+            f"{name} is not Hermitian: ||X - X*||_F = {defect[k]:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * {scale[k]:.3e}"
         )
     a = x + xh
@@ -707,24 +707,23 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
         mat = mat[np.newaxis]
     elif mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
         raise ShapeError(f"expected a square matrix or a (B, d, d) stack, got shape {mat.shape}")
-    min_eig, scale = _psd_minima(mat)
-    ok = psd_verdict(min_eig, scale, tol)
+    min_eig = _psd_minima(mat)
+    ok = psd_verdict(min_eig, mat, tol)
     return (bool(ok[0]), float(min_eig[0])) if one else (ok, min_eig)
 
 
-def _psd_minima(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's minimum eigenvalue and :func:`psd_scale`, for a ``(B, d, d)`` stack.
+def _psd_minima(x: np.ndarray) -> np.ndarray:
+    """Each member's minimum eigenvalue, for a ``(B, d, d)`` stack; an empty matrix's is 0.
 
     Every :func:`is_psd` call hands its whole input here, one matrix as a
     stack of one. A stack of one is solved by :func:`hermitian_eigenvalues`
-    (through :func:`hermitian_eigenvalues_stack`), and an empty matrix's
-    minimum is taken as 0. A stack of several is validated once, as
-    :func:`hermitian_eigenvalues_stack` validates it, and then each member's
-    rows go through the scalar solver's sweep (:func:`_sweep`) at that
-    solver's threshold, from the member's own :func:`frobenius`; its
-    diagonal is sorted as that solver sorts it. So each minimum is bitwise
-    the scalar solver's, whatever the member's stack-mates, and the errors
-    name members as the stacked solver's do.
+    (through :func:`hermitian_eigenvalues_stack`). A stack of several is
+    validated once, as :func:`hermitian_eigenvalues_stack` validates it,
+    and then each member's rows go through the scalar solver's sweep
+    (:func:`_sweep`) at that solver's threshold, and its diagonal is sorted
+    as that solver sorts it. So each minimum is bitwise the scalar solver's,
+    whatever the member's stack-mates, and the errors name members as the
+    stacked solver's do.
 
     Raises
     ------
@@ -735,45 +734,25 @@ def _psd_minima(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         carries its off-diagonal mass.
     """
     count, n = x.shape[0], x.shape[1]
-    if count < 2 or n == 0:
-        min_eig = hermitian_eigenvalues_stack(x).values[:, 0] if n else np.zeros(count)
-        return min_eig, psd_scale(x)
+    if n == 0:
+        return np.zeros(count)
+    if count < 2:
+        return hermitian_eigenvalues_stack(x).values[:, 0]
     a, scale = _validated_stack(x)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        norms = [frobenius(member) for member in x]
     diagonal = []
-    for k, (rows, norm) in enumerate(zip(a.tolist(), norms)):
-        if not math.isfinite(norm):  # finite in the stacked sum, not in the scalar one
-            raise NormOverflowError(
-                f"stack member {k} is too large to solve: ||X||_F = {norm} overflows float64"
-            )
-        threshold = JACOBI_RTOL * max(1.0, norm)
-        offdiag, _ = _sweep(rows, n, threshold)
-        if offdiag >= threshold:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps for stack member {k} "
-                f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
-                offdiag_residual=offdiag,
-            )
+    for k, (rows, s) in enumerate(zip(a.tolist(), scale.tolist())):
+        _sweep(rows, n, JACOBI_RTOL * s, k)
         diagonal.append([rows[i][i].real for i in range(n)])
-    return np.sort(np.array(diagonal), axis=1)[:, 0], scale
+    return np.sort(np.array(diagonal), axis=1)[:, 0]
 
 
-def psd_scale(x: np.ndarray) -> np.ndarray:
-    """``max(1, ||X||_F)`` of each member of a ``(B, d, d)`` stack: :func:`is_psd`'s scale.
+def psd_verdict(min_eig, x: np.ndarray, tol: float):
+    """:func:`is_psd`'s rule: PSD within ``tol`` when ``min_eig >= -tol * max(1, ||X||_F)``.
 
-    A caller that holds a matrix's minimum eigenvalue from an earlier solve
-    decides it at this scale, as :func:`is_psd` would have.
-    """
-    return np.maximum(1.0, np.linalg.norm(x, axis=(1, 2)))
-
-
-def psd_verdict(min_eig, scale, tol: float):
-    """:func:`is_psd`'s rule: PSD within ``tol`` when ``min_eig >= -tol * scale``.
-
-    ``scale`` is the matrix's :func:`psd_scale`. Takes floats or arrays of
-    them, one entry per matrix, so that a caller that solved its matrices
-    itself decides them as :func:`is_psd` would.
+    ``x`` is a ``(B, d, d)`` stack and ``min_eig`` its members' minimum
+    eigenvalues, so that a caller that solved its matrices itself decides
+    them as :func:`is_psd` would. The norm is the one the solvers validate
+    with.
 
     Raises
     ------
@@ -781,7 +760,7 @@ def psd_verdict(min_eig, scale, tol: float):
         If ``tol`` is negative, infinite or NaN.
     """
     _require_tol(tol)
-    return min_eig >= -tol * scale
+    return min_eig >= -tol * np.maximum(1.0, _norms(x))
 
 
 def _require_tol(tol: float) -> None:

@@ -67,7 +67,6 @@ from .densemat import (
     hermitian_eigenvalues_stack,
     is_psd,
     kron,
-    psd_scale,
     psd_verdict,
     require_square,
 )
@@ -283,7 +282,8 @@ def _check_block(check_name: str, a, tol: float):
     :class:`_Presolved` document already carries. A document that carries
     this check's terms is not assembled again: its matrices and terms are
     read as :func:`_presolve` built them. On a stack that rest is
-    one :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call. A
+    solved as one stack (:func:`_solve_together`), as :func:`_presolve`
+    solves a document's. A
     member's rotations do not depend on its stack-mates, so each value is
     the same in a stack of any size, one member included.
 
@@ -312,38 +312,16 @@ def _check_block(check_name: str, a, tol: float):
     mats = {key: mats[key] for key in keys + [(check_name, label) for label, _, _ in sides]}
     known = a.minima if isinstance(a, _Presolved) else {}
     minima = {key: np.array([known[key]]) for key in mats if key in known}
-    missing = [key for key in mats if key not in minima]
-    if stack is a and missing:
-        try:
-            solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in missing]))
-        except (ConvergenceError, HermiticityError, NormOverflowError):
-            pass  # solved below, one entry at a time
-        else:
-            minima.update(zip(missing, np.split(solved.values[:, 0], len(missing))))
+    if stack is a:
+        minima.update(_solve_together(mats, [key for key in mats if key not in minima]))
 
     def minimum(key) -> np.ndarray:
         if key not in minima:
             minima[key] = hermitian_eigenvalues_stack(mats[key]).values[:, 0]
         return minima[key]
 
-    tested = [key for key in ("input", "input_tau") if key in mats]
-    ok = np.logical_and.reduce([psd_verdict(minimum(k), psd_scale(mats[k]), tol) for k in tested])
-    outside = np.flatnonzero(~ok)
-    if outside.size:
-        k = outside[0]
-        where = f"stack member {k}" if stack is a else "input"
-        input_min = minima["input"][k]
-        if hypothesis == "ppt":
-            tau_min = minima["input_tau"][k]
-            raise PreconditionError(
-                f"{where} is not PPT within tol {tol:g}: min eigenvalue {input_min:.6e} "
-                f"(input), {tau_min:.6e} (partial transpose)",
-                min_eig=float(min(input_min, tau_min)),
-            )
-        raise PreconditionError(
-            f"{where} is not PSD within tol {tol:g}: min eigenvalue {input_min:.6e}",
-            min_eig=float(input_min),
-        )
+    ok = np.logical_and.reduce([psd_verdict(minimum(k), mats[k], tol) for k in keys])
+    _refuse_outside(ok, [minima[k] for k in keys], tol, stack is a)
     side_mins = [minimum((check_name, label)) for label, _, _ in sides]
     count = len(stack)
     details = {}
@@ -363,7 +341,7 @@ def _check_block(check_name: str, a, tol: float):
         gap_mins.append(gap)
     if check_name == "upper_bound":
         details["base_case_m2"] = [stack.m == 2] * count
-    for key in tested:
+    for key in keys:
         details[f"{key}_min_eig"] = minima[key].tolist()
     residual = np.min(side_mins, axis=0).tolist()
     scalar_gap = np.min(gap_mins, axis=0).tolist() if gap_mins else [None] * count
@@ -431,12 +409,50 @@ def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
     presolved.mats.update(mats)
     presolved.terms.update(terms)
     rest = [key for key in mats if key != "input"]  # the input is solved above, alone
-    try:
-        solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in rest]))
-    except (ConvergenceError, HermiticityError, NormOverflowError):
-        return presolved  # each checker then solves, and refuses, alone
-    presolved.minima.update(zip(rest, solved.values[:, 0].tolist()))
+    presolved.minima.update((key, float(v[0])) for key, v in _solve_together(mats, rest).items())
     return presolved
+
+
+def _solve_together(mats: dict, keys: list) -> dict:
+    """The members' minimum eigenvalues of each of ``keys`` in ``mats``, solved as one stack.
+
+    One :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call; if it
+    raises a solver error, nothing is solved (``{}``), so that the caller
+    solves each entry alone and the first to fail names itself.
+    """
+    if not keys:
+        return {}
+    try:
+        solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in keys]))
+    except (ConvergenceError, HermiticityError, NormOverflowError):
+        return {}
+    return dict(zip(keys, np.split(solved.values[:, 0], len(keys))))
+
+
+def _refuse_outside(ok: np.ndarray, minima: list, tol: float, stacked: bool, first: int = 0):
+    """Refuse the first member where ``ok`` is false: not PSD, or not PPT.
+
+    ``minima`` holds the members' minimum eigenvalues, and for a PPT
+    hypothesis their partial transposes' as a second array. The member is
+    named "stack member k", ``k`` counted from ``first``, or "input" where
+    the check was handed one matrix.
+    """
+    outside = np.flatnonzero(~ok)
+    if not outside.size:
+        return
+    k = outside[0]
+    where = f"stack member {first + k}" if stacked else "input"
+    mins = [float(m[k]) for m in minima]
+    if len(mins) == 2:
+        raise PreconditionError(
+            f"{where} is not PPT within tol {tol:g}: min eigenvalue {mins[0]:.6e} "
+            f"(input), {mins[1]:.6e} (partial transpose)",
+            min_eig=min(mins),
+        )
+    raise PreconditionError(
+        f"{where} is not PSD within tol {tol:g}: min eigenvalue {mins[0]:.6e}",
+        min_eig=mins[0],
+    )
 
 
 def check_copositive_partial_trace(a, tol: float = DEFAULT_TOL):
@@ -705,21 +721,13 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     n = require_square(mats[0])
     if "input" in known:
         minimum = np.array([known["input"]])
-        verdicts = [(psd_verdict(minimum, psd_scale(mats), tol), minimum)]
+        verdicts = [(psd_verdict(minimum, mats, tol), minimum)]
     else:
         verdicts = _psd_verdicts(mats, _chunk_members(batch), tol)
     input_mins = []
     for ok, mins in verdicts:
-        mins = mins.tolist()
-        outside = np.flatnonzero(~ok)
-        if outside.size:
-            k = outside[0]
-            where = f"stack member {len(input_mins) + k}" if stacked else "input"
-            raise PreconditionError(
-                f"{where} is not PSD within tol {tol:g}: min eigenvalue {mins[k]:.6e}",
-                min_eig=mins[k],
-            )
-        input_mins += mins
+        _refuse_outside(ok, [mins], tol, stacked, len(input_mins))
+        input_mins += mins.tolist()
     if batch.universe != n:
         raise ShapeError(
             f"index-set universe {batch.universe} does not match matrix dimension {n}"

@@ -19,7 +19,6 @@ import numpy as np
 from .blockops import BlockMatrix
 from .densemat import DEFAULT_TOL, as_matrix, is_psd
 from .errors import ShapeError, UsageError
-from .randgen import derive_seed, random_psd
 
 BUILTIN_MAPS = ("phi", "psi", "identity", "transpose", "trace_map")
 
@@ -100,14 +99,11 @@ def _images(phi: LinearMapRep) -> np.ndarray:
     return np.array(phi.basis_images).reshape(phi.n, phi.n, phi.k, phi.k)
 
 
-def choi_matrix(phi: LinearMapRep, m: int) -> BlockMatrix:
+def choi_matrix(phi: LinearMapRep) -> BlockMatrix:
     """The Choi block matrix ``[phi(E_{i,j})]_{i,j}`` in ``M_n(M_k)``.
 
-    ``m`` names the size of the matrix units; only ``m = n`` is supported
-    (by Choi's theorem that single size already decides complete positivity).
+    By Choi's theorem its positivity is exactly complete positivity of ``phi``.
     """
-    if m != phi.n:
-        raise UsageError(f"choi_matrix requires m = n; got m={m} with n={phi.n}")
     size = phi.n * phi.k
     return BlockMatrix(phi.n, phi.k, _images(phi).transpose(0, 2, 1, 3).reshape(size, size))
 
@@ -126,7 +122,7 @@ def certify_completely_positive(
     phi: LinearMapRep, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Certify complete positivity; returns (verdict, Choi min eigenvalue)."""
-    return is_psd(choi_matrix(phi, phi.n).mat, tol=tol)
+    return is_psd(choi_matrix(phi).mat, tol=tol)
 
 
 def certify_completely_copositive(
@@ -152,31 +148,3 @@ def blockwise_image(phi: LinearMapRep, a, swap: bool = False):
     size = a.m * phi.k
     return type(a)(a.m, phi.k, image.reshape(a.mat.shape[:-2] + (size, size)))
 
-
-def random_cocopositivity_witness(
-    phi: LinearMapRep,
-    m: int,
-    trials: int = 500,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> BlockMatrix | None:
-    """Search for a PSD ``A`` in ``M_m(M_n)`` with ``[phi(A_{j,i})]`` not PSD.
-
-    Draws are sequential and deterministic in ``seed``, and the witness with
-    the smallest trial index wins, so a returned witness is reproducible from
-    ``seed`` and ``trials``. Returns ``None`` when every trial
-    certifies (or ``trials`` is 0); absence of a witness is sampling evidence,
-    not a certificate of copositivity on ``M_m(M_n)``.
-    """
-    if m < 1:
-        raise UsageError(f"m must be positive, got {m}")
-    if trials < 0:
-        raise UsageError(f"trials must be nonnegative, got {trials}")
-    dim = m * phi.n
-    for t in range(trials):
-        rank = dim if t % 2 == 0 else max(1, dim // 2)
-        a = BlockMatrix(m, phi.n, random_psd(dim, rank, derive_seed(seed, "witness", t)))
-        ok, _ = is_psd(blockwise_image(phi, a, swap=True).mat, tol=tol)
-        if not ok:
-            return a
-    return None

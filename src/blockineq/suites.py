@@ -284,7 +284,7 @@ def entangled_pattern(d: int) -> BlockMatrix:
     swap pattern with eigenvalue -1, so it is the canonical non-PPT PSD input.
     Equals the Choi matrix of the identity map on ``M_d``.
     """
-    return choi_matrix(builtin_map("identity", d), d)
+    return choi_matrix(builtin_map("identity", d))
 
 
 def _rank_for_trial(dim: int, trial: int) -> int:

@@ -73,7 +73,7 @@ def test_criterion_1_map_certification_matrix():
     psi_cp, _ = certify_completely_positive(psi)
     psi_ccp, _ = certify_completely_copositive(psi)
 
-    choi_vals = hermitian_eigenvalues(choi_matrix(psi, 2).mat).values
+    choi_vals = hermitian_eigenvalues(choi_matrix(psi).mat).values
     co_vals = hermitian_eigenvalues(co_choi_matrix(psi).mat).values
     choi_want = np.array([-1.0, 1.0, 1.0, 1.0])
     co_want = np.array([0.0, 0.0, 0.0, 2.0])
@@ -334,7 +334,7 @@ def test_criterion_7_structural_identities():
         d = int(rng.integers(1, 4))
         phi = LinearMapRep(d, d, tuple(draw(d, d) for _ in range(d * d)))
         assert np.array_equal(
-            co_choi_matrix(phi).mat, partial_transpose(choi_matrix(phi, d)).mat
+            co_choi_matrix(phi).mat, partial_transpose(choi_matrix(phi)).mat
         )
         counts["co_choi_tau"] += 1
 

@@ -1,5 +1,6 @@
 """Dense arithmetic and the Jacobi eigensolver against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -670,18 +671,41 @@ def test_is_psd_of_a_stack_is_each_member_alone_bitwise(stack):
 
 
 def test_is_psd_of_a_stack_names_a_failing_member_as_the_scalar_solver_fails_it(monkeypatch):
-    # each member is solved at the scalar solver's threshold, from its own
-    # ||X||_F summed as that solver sums it: this member's sum overflows
-    # there, though not in the stacked sum, and both refuse it by name
-    edge = np.diag(
-        [7.858528724877733e153, 5.4069874667964464e153, 4.946568086249235e153,
-         5.148367938566612e153, 6.148422402344298e153]
-    ).astype(np.complex128)
-    assert np.isfinite(densemat.psd_scale(edge[np.newaxis])).all()
-    with pytest.raises(NormOverflowError, match="^matrix is too large"):
+    # one norm decides every solve: ||X||_F of this diagonal sits at the edge
+    # of float64, and whether its sum overflows depends on the order of the
+    # entries; in every order the scalar solver, the stacked solver and a
+    # stacked is_psd accept or refuse it alike, and agree bitwise on its minimum
+    entries = [7.858528724877733e153, 5.4069874667964464e153, 4.946568086249235e153,
+               5.148367938566612e153, 6.148422402344298e153]  # fmt: skip
+    eye = np.eye(5, dtype=np.complex128)
+    verdicts = set()
+    for order in itertools.permutations(entries):
+        edge = np.diag(order).astype(np.complex128)
+        calls = (
+            lambda: hermitian_eigenvalues(edge).values[0],
+            lambda: hermitian_eigenvalues_stack(np.stack([eye, edge])).values[1, 0],
+            lambda: is_psd(np.stack([eye, edge, eye]))[1][1],
+        )
+        minima = []
+        for call in calls:
+            try:
+                minima.append(call())
+            except NormOverflowError:
+                minima.append(None)
+        accepted = minima[0] is not None
+        verdicts.add(accepted)
+        assert [m is not None for m in minima] == [accepted] * 3, order
+        if accepted:
+            assert np.array(minima).tobytes() == np.array([min(order)] * 3).tobytes()
+    assert verdicts == {True, False}  # the edge cuts through the orders
+    # twice that is refused by all three, by name
+    edge = 2 * np.diag(entries).astype(np.complex128)
+    with pytest.raises(NormOverflowError, match="^matrix is too large to solve: .*= inf"):
         hermitian_eigenvalues(edge)
     with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve: .*= inf"):
-        is_psd(np.stack([np.eye(5), edge, np.eye(5)]))
+        hermitian_eigenvalues_stack(np.stack([eye, edge]))
+    with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve: .*= inf"):
+        is_psd(np.stack([eye, edge, eye]))
     with pytest.raises(NormOverflowError, match="^stack member 0 .*= nan overflows"):
         is_psd(np.stack([np.full((4, 4), np.nan), np.eye(4)]))
     # a member that does not converge carries its scalar solve's residual

@@ -77,3 +77,21 @@ def test_every_private_helper_in_the_package_is_used():
     ]
     assert private  # the rule sees the helpers there are
     assert [f"{name} {helper}" for name, helper in private if helper not in used] == []
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    # __all__ is the public surface: every name __init__ imports is listed
+    # once, nothing else is, and each resolves on the package
+    import blockineq
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported  # the rule sees the imports there are
+    assert sorted(blockineq.__all__) == sorted(imported)
+    assert len(set(blockineq.__all__)) == len(blockineq.__all__)
+    assert [name for name in blockineq.__all__ if not hasattr(blockineq, name)] == []
