@@ -635,6 +635,41 @@ def test_is_psd_of_a_stack_is_per_member():
         is_psd(np.zeros((2, 3, 4)))
 
 
+def test_psd_verdict_scales_tol_by_one_or_each_members_frobenius_norm():
+    # min_eig >= -tol * max(1, ||X||_F), member by member: a small member is
+    # held to tol itself, a large one to tol times its own norm
+    tol = 1e-6
+    stack = np.array(
+        [np.diag(d) for d in ([0.5, -0.9e-6], [0.5, -1.1e-6], [5e3, -4e-3], [5e3, -6e-3])],
+        dtype=np.complex128,
+    )
+    ok, min_eig = is_psd(stack, tol=tol)
+    assert ok.tolist() == [True, False, True, False]
+    assert np.array_equal(densemat.psd_verdict(min_eig, stack, tol), ok)
+    bound = -tol * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    assert densemat.psd_verdict(bound, stack, tol).all()
+    assert not densemat.psd_verdict(np.nextafter(bound, -np.inf), stack, tol).any()
+    with pytest.raises(UsageError, match="tolerance must be finite and nonnegative"):
+        densemat.psd_verdict(min_eig, stack, -tol)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 9, 16])
+def test_frobenius_stack_is_numpys_norm_and_finite_past_overflow(d):
+    # the norm every PSD scale reads: bitwise numpy's stacked norm while the
+    # squares are finite (scales 2^-300 to 2^300), finite where they overflow
+    rng = np.random.default_rng(900 + d)
+    x = np.stack([random_complex(rng, d, d) * 2.0**e for e in (-300, 0, 300)])
+    want = np.linalg.norm(x, axis=(1, 2))
+    assert np.array_equal(densemat.frobenius_stack(x), want)
+    huge = np.concatenate([x, x[1:2] * 1e300])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(huge[3:], axis=(1, 2))[0])
+    norm = densemat.frobenius_stack(huge)
+    assert np.array_equal(norm[:3], want)
+    assert np.isfinite(norm[3])
+    assert norm[3] == pytest.approx(1e300 * want[1], rel=1e-14)
+
+
 @st.composite
 def _psd_stacks(draw):
     """A ``(B, d, d)`` stack, B = 2..8, d = 1..11, of Gram members of rank 1..d.

@@ -18,6 +18,7 @@ from blockineq import (
     co_choi_matrix,
     from_blocks,
     hermitian_eigenvalues,
+    is_psd,
     partial_transpose,
 )
 from oracles import (
@@ -330,3 +331,28 @@ def test_apply_map_is_the_image_of_a_one_block_matrix():
     x = random_complex(rng, 3, 3)
     want = blockwise_image_loops(phi, BlockMatrix(1, 3, x))
     assert np.linalg.norm(apply_map(phi, x) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# ------------------------------------------------------ certificate witnesses
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_units_witness_what_the_certificates_decide(name, n):
+    # U = [E_{i,j}] in M_n(M_n) is PSD (rank one, vec(I) vec(I)^*), and its
+    # blockwise images are the Choi and co-Choi matrices; so by Choi's
+    # theorem U is a witness exactly where a certificate refuses, and no
+    # search over other PSD inputs can find one where both accept
+    phi = builtin_map(name, n)
+    idx = range(1, n + 1)
+    units = from_blocks([[unit_matrix(n, i, j) for j in idx] for i in idx])
+    e = np.eye(n).reshape(-1)
+    assert np.array_equal(units.mat, np.outer(e, e))
+    assert is_psd(units.mat)[0]
+    choi = blockwise_image(phi, units)
+    co_choi = blockwise_image(phi, units, swap=True)
+    assert np.array_equal(choi.mat, choi_matrix(phi).mat)
+    assert np.array_equal(co_choi.mat, co_choi_matrix(phi).mat)
+    assert is_psd(choi.mat) == certify_completely_positive(phi)
+    assert is_psd(co_choi.mat) == certify_completely_copositive(phi)
+    assert (is_psd(choi.mat)[0], is_psd(co_choi.mat)[0]) == EXPECTED[name]
