@@ -9,14 +9,16 @@ targets (dimension <= 64):
 - :func:`hermitian_eigenvalues` solves one matrix with a scalar loop. It
   runs whenever one matrix is solved: the input of an explicit input file,
   the public ``check_*`` functions on one block matrix, and any stack of
-  one, for which it is the faster of the two.
+  one, for which it is the faster of the two. It is the stack of one of
+  :func:`_sweep_each`, the one loop that validates a stack once and then
+  sweeps each member in turn with :func:`_sweep`; :func:`is_psd` on a stack
+  of several runs the same loop.
   The matrix it rotates stays exactly Hermitian, so each rotation updates
   columns ``p`` and ``q`` and writes their conjugates into rows ``p`` and
   ``q`` in the same pass: bitwise the values of a row pass after a column
   pass, but for the sign of an exact zero. Its eigenvalues, sweep counts
   and off-diagonal mass are those of the two-pass loop, which the test
-  oracles keep. Its sweep loop, :func:`_sweep`, also serves :func:`is_psd`
-  on a stack of several.
+  oracles keep.
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack in one
   call, in the round-robin (parallel) pair ordering, vectorized over the
   disjoint pairs of each round and over chunks of members, stack axis last.
@@ -44,9 +46,9 @@ stopping rule, and :func:`psd_verdict`, read that one norm.
 :func:`psd_verdict` states, each member at the scalar solver's minimum,
 bitwise. One matrix or a stack of one goes to
 :func:`hermitian_eigenvalues`. A stack of several, such as a chunk of the
-submatrix suites' trials, is validated once, as the stacked solver
-validates it, and each member is then swept by :func:`_sweep` in the
-scalar solver's order: ``B`` scalar sweeps without ``B`` calls' overhead. A
+submatrix suites' trials, goes to :func:`_sweep_each` and is decided at the
+scales its one validation found: ``B`` scalar sweeps without ``B`` calls'
+overhead, and one norm per member. A
 caller with many members that need no bitwise scalar minima, such as
 ``random_ppt``'s rejection stack or a block checker's inputs and
 residuals, solves them with :func:`hermitian_eigenvalues_stack` and
@@ -184,8 +186,8 @@ class EigenResult:
 def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
 
-    The input is validated as a stack of one (:func:`_validated_stack`),
-    and errors name it "matrix". It must be Hermitian up to
+    The matrix is solved as a stack of one by :func:`_sweep_each`, and
+    errors name it "matrix". It must be Hermitian up to
     ``HERMITICITY_RTOL * max(1, ||x||_F)``; it is symmetrized as
     ``(x + x*) / 2`` before solving, which absorbs rounding noise from
     upstream arithmetic. Sweeps continue until the
@@ -206,19 +208,34 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     ConvergenceError
         If the sweep budget is exhausted; carries the final off-diagonal mass.
     """
-    n = require_square(x)
-    if n == 0:
-        return EigenResult(np.empty(0, dtype=np.float64), 0.0, 0)
-    herm, scale = _validated_stack(np.asarray(x, dtype=np.complex128)[np.newaxis], one=True)
-    if n == 1:
-        return EigenResult(np.array([herm[0, 0, 0].real]), 0.0, 0)
+    require_square(x)
+    values, offdiag, sweeps, _ = _sweep_each(np.asarray(x, dtype=np.complex128)[np.newaxis], None)
+    return EigenResult(values[0], float(offdiag[0]), int(sweeps[0]))
 
-    # Nested lists of native complex beat ndarray indexing for the tiny,
-    # scalar-heavy rotation updates below.
-    a = herm[0].tolist()
-    offdiag, sweeps = _sweep(a, n, JACOBI_RTOL * float(scale[0]))
-    values = np.sort(np.array([a[i][i].real for i in range(n)]))
-    return EigenResult(values, offdiag, sweeps)
+
+def _sweep_each(x: np.ndarray, first: int | None = 0):
+    """Validate a ``(B, d, d)`` stack once, then sweep each member alone, in order.
+
+    The whole stack is validated by :func:`_validated_stack` before any
+    sweep; then each member's rows, as nested lists of native complex,
+    which beat ndarray indexing for the tiny, scalar-heavy rotation
+    updates, go through :func:`_sweep` at ``JACOBI_RTOL`` times its scale.
+    Members are named in errors as ``first`` directs (see
+    :func:`_validated_stack`). Returns the eigenvalues, ``(B, d)`` sorted
+    ascending along the last axis, the off-diagonal masses and sweeps, each
+    of length ``B``, and the scales ``max(1, ||X||_F)``.
+    """
+    a, scale = _validated_stack(x, first)
+    count, n = x.shape[0], x.shape[1]
+    values = np.empty((count, n))
+    offdiag, sweeps = np.zeros(count), np.zeros(count, dtype=np.int64)
+    if n:
+        for k, (rows, s) in enumerate(zip(a.tolist(), scale.tolist())):
+            member = None if first is None else first + k
+            offdiag[k], sweeps[k] = _sweep(rows, n, JACOBI_RTOL * s, member)
+            values[k] = [rows[i][i].real for i in range(n)]
+    values.sort(axis=1)
+    return values, offdiag, sweeps, scale
 
 
 def _sweep(
@@ -251,13 +268,18 @@ def _sweep(
                 _rotate(a, n, p, q, apq, mag)
         offdiag = _offdiag_mass(a, n)
     if offdiag >= threshold:
-        where = "" if member is None else f" for stack member {member}"
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps{where} "
-            f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
-            offdiag_residual=offdiag,
-        )
+        raise _not_converged(offdiag, threshold, member)
     return offdiag, sweeps
+
+
+def _not_converged(offdiag: float, threshold: float, member: int | None) -> ConvergenceError:
+    """The error of a solve left with mass ``offdiag >= threshold`` after ``MAX_SWEEPS`` sweeps."""
+    where = "" if member is None else f" for stack member {member}"
+    return ConvergenceError(
+        f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps{where} "
+        f"(off-diagonal mass {offdiag:.3e} >= {threshold:.3e})",
+        offdiag_residual=offdiag,
+    )
 
 
 def _offdiag_mass(a: list[list[complex]], n: int) -> float:
@@ -312,13 +334,14 @@ def _rotate(a: list[list[complex]], n: int, p: int, q: int, apq: complex, mag: f
     row_q[p] = 0.0
 
 
-def _validated_stack(x: np.ndarray, one: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """A nonempty ``(B, d, d)`` stack symmetrized, ``(X + X*) / 2``, and each ``max(1, ||X||_F)``.
+def _validated_stack(x: np.ndarray, first: int | None = 0) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(B, d, d)`` stack symmetrized, ``(X + X*) / 2``, and each ``max(1, ||X||_F)``.
 
     Every solve validates its input here, on every member at once and
     before any sweep, and reads its thresholds from this scale; so does
-    :func:`psd_verdict`. An error names the first failing member as "stack
-    member k", or as "matrix" where ``one`` is true (a lone matrix).
+    :func:`psd_verdict`. An error names the first failing member, the
+    ``k``-th, as "stack member first + k", or as "matrix" where ``first``
+    is ``None`` (a lone matrix).
 
     Raises
     ------
@@ -334,7 +357,7 @@ def _validated_stack(x: np.ndarray, one: bool = False) -> tuple[np.ndarray, np.n
     finite = np.isfinite(norm)
     if not finite.all():
         k = int(np.argmin(finite))
-        name = "matrix" if one else f"stack member {k}"
+        name = "matrix" if first is None else f"stack member {first + k}"
         raise NormOverflowError(
             f"{name} is too large to solve: ||X||_F = {norm[k]} overflows float64"
         )
@@ -342,7 +365,7 @@ def _validated_stack(x: np.ndarray, one: bool = False) -> tuple[np.ndarray, np.n
     bad = defect > HERMITICITY_RTOL * scale
     if bad.any():
         k = int(np.argmax(bad))
-        name = "matrix" if one else f"stack member {k}"
+        name = "matrix" if first is None else f"stack member {first + k}"
         raise HermiticityError(
             f"{name} is not Hermitian: ||X - X*||_F = {defect[k]:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * {scale[k]:.3e}"
@@ -429,12 +452,8 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
         )
     failed = np.flatnonzero(offdiag >= threshold)
     if failed.size:
-        k = failed[0]
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps for stack member {k} "
-            f"(off-diagonal mass {offdiag[k]:.3e} >= {threshold[k]:.3e})",
-            offdiag_residual=float(offdiag[k]),
-        )
+        k = int(failed[0])
+        raise _not_converged(float(offdiag[k]), float(threshold[k]), k)
     return EigenResult(np.sort(values, axis=1), offdiag, sweeps)
 
 
@@ -682,17 +701,20 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
 
     For a ``(d, d)`` matrix returns ``(ok, min_eig)`` where ``ok`` is true
     iff the minimum eigenvalue is at least ``-tol * max(1, ||x||_F)``
-    (:func:`psd_verdict`). The eigenvalue is returned for reporting either
-    way. For a ``(B, d, d)`` stack returns the same per member, as a boolean
-    and a float array of length ``B``; errors name a member by its index in
-    ``x``. Each member's minimum is bitwise the scalar solver's,
-    ``hermitian_eigenvalues(member).values[0]``: a stack of several is
-    validated once and each member then swept in that solver's order, so
-    ``B`` members cost ``B`` scalar sweeps, O(B), without ``B`` calls'
-    overhead. A caller with many members whose minima need not be the
-    scalar solver's solves them with :func:`hermitian_eigenvalues_stack` and
-    decides them by :func:`psd_verdict`, as ``blockops.is_ppt`` does on a
-    stack. Every call solves: nothing is kept between calls.
+    (:func:`psd_verdict`); an empty matrix's minimum is 0. The eigenvalue
+    is returned for reporting either way. For a ``(B, d, d)`` stack returns
+    the same per member, as a boolean and a float array of length ``B``.
+    Each member's minimum is bitwise the scalar solver's,
+    ``hermitian_eigenvalues(member).values[0]``: one matrix, or a stack of
+    one, is solved by :func:`hermitian_eigenvalues`, and a stack of several
+    by :func:`_sweep_each`, the same sweep loop on every member after one
+    validation, and decided at the scale that validation found, so ``B``
+    members cost ``B`` scalar sweeps, O(B), without ``B`` calls' overhead;
+    errors name a member by its index in ``x``. A caller with many members
+    whose minima need not be the scalar solver's solves them with
+    :func:`hermitian_eigenvalues_stack` and decides them by
+    :func:`psd_verdict`, as ``blockops.is_ppt`` does on a stack. Every call
+    solves: nothing is kept between calls.
 
     Raises
     ------
@@ -701,49 +723,28 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     """
     _require_tol(tol)
     mat = np.asarray(x, dtype=np.complex128)
-    one = mat.ndim == 2
-    if one:
+    if mat.ndim == 2:
         require_square(mat)
-        mat = mat[np.newaxis]
     elif mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
         raise ShapeError(f"expected a square matrix or a (B, d, d) stack, got shape {mat.shape}")
-    min_eig = _psd_minima(mat)
-    ok = psd_verdict(min_eig, mat, tol)
-    return (bool(ok[0]), float(min_eig[0])) if one else (ok, min_eig)
+    elif len(mat) != 1:
+        return _psd_each(mat, tol)
+    n = mat.shape[-1]
+    values = hermitian_eigenvalues(mat.reshape(n, n)).values
+    min_eig = values[:1] if n else np.zeros(1)
+    ok = psd_verdict(min_eig, mat.reshape(1, n, n), tol)
+    return (ok, min_eig) if mat.ndim == 3 else (bool(ok[0]), float(min_eig[0]))
 
 
-def _psd_minima(x: np.ndarray) -> np.ndarray:
-    """Each member's minimum eigenvalue, for a ``(B, d, d)`` stack; an empty matrix's is 0.
+def _psd_each(x: np.ndarray, tol: float, first: int = 0):
+    """:func:`is_psd` of each member of a ``(B, d, d)`` stack, its members named from ``first``.
 
-    Every :func:`is_psd` call hands its whole input here, one matrix as a
-    stack of one. A stack of one is solved by :func:`hermitian_eigenvalues`
-    (through :func:`hermitian_eigenvalues_stack`). A stack of several is
-    validated once, as :func:`hermitian_eigenvalues_stack` validates it,
-    and then each member's rows go through the scalar solver's sweep
-    (:func:`_sweep`) at that solver's threshold, and its diagonal is sorted
-    as that solver sorts it. So each minimum is bitwise the scalar solver's,
-    whatever the member's stack-mates, and the errors name members as the
-    stacked solver's do.
-
-    Raises
-    ------
-    NormOverflowError, HermiticityError
-        As :func:`hermitian_eigenvalues_stack`, before any sweep.
-    ConvergenceError
-        If a member exhausts the sweep budget; names the first, and
-        carries its off-diagonal mass.
+    One :func:`_sweep_each` call, decided by :func:`psd_verdict`'s rule at
+    the scales it validated with; ``tol`` is not checked again.
     """
-    count, n = x.shape[0], x.shape[1]
-    if n == 0:
-        return np.zeros(count)
-    if count < 2:
-        return hermitian_eigenvalues_stack(x).values[:, 0]
-    a, scale = _validated_stack(x)
-    diagonal = []
-    for k, (rows, s) in enumerate(zip(a.tolist(), scale.tolist())):
-        _sweep(rows, n, JACOBI_RTOL * s, k)
-        diagonal.append([rows[i][i].real for i in range(n)])
-    return np.sort(np.array(diagonal), axis=1)[:, 0]
+    values, _, _, scale = _sweep_each(x, first)
+    min_eig = values[:, 0] if x.shape[1] else np.zeros(len(x))
+    return min_eig >= -tol * scale, min_eig
 
 
 def psd_verdict(min_eig, x: np.ndarray, tol: float):

@@ -60,6 +60,7 @@ from .blockops import (
 )
 from .densemat import (
     DEFAULT_TOL,
+    _psd_each,
     _require_tol,
     as_matrix,
     determinant,
@@ -108,14 +109,6 @@ class IndexSet:
     @classmethod
     def full(cls, universe: int) -> "IndexSet":
         return cls(universe, tuple(range(1, universe + 1)))
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        self._require_same_universe(other)
-        return IndexSet.of(self.universe, set(self.members) | set(other.members))
-
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        self._require_same_universe(other)
-        return IndexSet.of(self.universe, set(self.members) & set(other.members))
 
     def _require_same_universe(self, other: "IndexSet") -> None:
         if self.universe != other.universe:
@@ -701,7 +694,9 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     solver's, as if the member were tested alone. If a chunk's call raises a
     solver error, its members are tested one at a time, in order, so that the
     first member outside the hypothesis is refused first, as
-    "stack member k" (one matrix as "input"). A :class:`_Presolved` document
+    "stack member k" (one matrix as "input"), and a solver error names its
+    member as "stack member k" too (one matrix as "matrix"), ``k`` its index
+    in the stack. A :class:`_Presolved` document
     is checked as its matrix, and the input's minimum that
     :func:`_presolve` solved is read instead of solved again.
     """
@@ -723,7 +718,7 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
         minimum = np.array([known["input"]])
         verdicts = [(psd_verdict(minimum, mats, tol), minimum)]
     else:
-        verdicts = _psd_verdicts(mats, _chunk_members(batch), tol)
+        verdicts = _psd_verdicts(mats, _chunk_members(batch), tol, stacked)
     input_mins = []
     for ok, mins in verdicts:
         _refuse_outside(ok, [mins], tol, stacked, len(input_mins))
@@ -735,19 +730,22 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     return mats, input_mins, stacked
 
 
-def _psd_verdicts(mats: np.ndarray, size: int, tol: float):
+def _psd_verdicts(mats: np.ndarray, size: int, tol: float, stacked: bool):
     """Yield :func:`~blockineq.densemat.is_psd` of each chunk of ``size`` members, in order.
 
-    A chunk whose call raises a solver error is tested again one member at
-    a time, each a stack of one, so that a member outside the hypothesis is
-    refused before a later member's error is raised.
+    A chunk of a stack whose call raises a solver error is tested again one
+    member at a time, each named by its index in ``mats``, so that a member
+    outside the hypothesis is refused before a later member's error is
+    raised. One matrix (``stacked`` false) raises its error as it is.
     """
     for lo in range(0, len(mats), size):
         chunk = mats[lo : lo + size]
         try:
             verdict = is_psd(chunk, tol)
         except (ConvergenceError, HermiticityError, NormOverflowError):
-            yield from (is_psd(mat[np.newaxis], tol) for mat in chunk)
+            if not stacked:
+                raise
+            yield from (_psd_each(chunk[k : k + 1], tol, lo + k) for k in range(len(chunk)))
         else:
             yield verdict
 
@@ -817,11 +815,6 @@ def _flat_index(n: int, rows: np.ndarray, cols: np.ndarray, transpose: bool = Fa
     if transpose:
         index = index.swapaxes(1, 2)
     return index.reshape(len(rows), rows.shape[1] * cols.shape[1])
-
-
-def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``flat[:, index]``: the entries at ``index`` of each member of a ``(b, n * n)`` chunk."""
-    return np.take(flat, index, axis=1)
 
 
 def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
@@ -904,13 +897,13 @@ def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float, names: list):
         # x sums Re(A[a]_ij) Re(conj A[b]_ji) + Im(A[a]_ij) Im(conj A[b]_ji),
         # and y Re^2 + Im^2 of A[a,b]_ij, in the same order: at alpha = beta,
         # where they are equal, they are bitwise equal for an exactly Hermitian A
-        aa = _gather(flat, aa_at).view(np.float64)
-        bt = _gather(conj, bt_at).view(np.float64)
-        ab = _gather(flat, ab_at).view(np.float64)
+        aa = np.take(flat, aa_at, axis=1).view(np.float64)
+        bt = np.take(conj, bt_at, axis=1).view(np.float64)
+        ab = np.take(flat, ab_at, axis=1).view(np.float64)
         x = (aa * bt).sum(axis=-1)
         y = (ab * ab).sum(axis=-1)
-        tr = _gather(floats, tr_at).sum(axis=-1)
-        tr_ab = _gather(floats, tr_ab_at).sum(axis=-1)
+        tr = np.take(floats, tr_at, axis=1).sum(axis=-1)
+        tr_ab = np.take(floats, tr_ab_at, axis=1).sum(axis=-1)
         tr_ab *= tr_ab
         parts.append((x, y, tr[:, ia] * tr[:, ib], tr_ab.sum(axis=-1)))
     x, y, tr_prod, abs_tr_ab_sq = (np.concatenate(c, axis=1) for c in zip(*parts))
@@ -1055,13 +1048,13 @@ def _det_columns(flat: np.ndarray, batch: PairBatch, tol: float, names: list):
     n, count = batch.universe, len(flat)
     det_ab = np.concatenate(
         [
-            determinant(_gather(flat, cross_at).reshape(-1, k, k)).reshape(count, -1)
+            determinant(np.take(flat, cross_at, axis=1).reshape(-1, k, k)).reshape(count, -1)
             for cross_at, k in groups
         ],
         axis=1,
     )
     padded = np.concatenate([flat, np.broadcast_to([0.0, 1.0], (count, 2))], axis=1)
-    minors = determinant(_gather(padded, minor_at).reshape(-1, n, n)).real
+    minors = determinant(np.take(padded, minor_at, axis=1).reshape(-1, n, n)).real
     looked_up = minors.reshape(count, -1)[:, lookup]
     det_a, det_b, det_union, det_inter = looked_up.reshape(count, 4, -1).swapaxes(0, 1)
     lhs = det_union * det_inter

@@ -147,9 +147,9 @@ def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -
     its seed gives alone. Every rank and seed is checked before anything is
     drawn; then each seed's uniforms come from its re-keyed stream, and the
     Box-Muller transform, the Gram product and the symmetrization run once
-    per rank group of the stack (a single seed is one draw, with no group).
-    Nothing is solved here: a checker tests each draw for its hypothesis, at
-    the run's tolerance.
+    per rank group of the stack. A single seed is a stack of one, and its
+    draw is that stack's member. Nothing is solved here: a checker tests
+    each draw for its hypothesis, at the run's tolerance.
     """
     single, seeds, per = _draws(seed, rank=rank)
     if dim < 1:
@@ -158,8 +158,6 @@ def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -
         if not 1 <= r <= dim:
             raise UsageError(f"rank must satisfy 1 <= rank <= dim, got rank={r}, dim={dim}")
     seeds = [_check_seed(s) for s in seeds]
-    if single:
-        return _symmetrized_gram(complex_gaussians(per["rank"][0], dim, seeds[0]))
     groups = {}
     for k, r in enumerate(per["rank"]):
         groups.setdefault(r, []).append(k)
@@ -169,11 +167,11 @@ def random_psd(dim: int, rank: int | Sequence[int], seed: int | Sequence[int]) -
         for i, k in enumerate(group):
             _keyed_generator(seeds[k]).random(out=u[i])
         out[group] = _symmetrized_gram(_box_muller(u).reshape(len(group), r, dim))
-    return out
+    return out[0] if single else out
 
 
 def _symmetrized_gram(g: np.ndarray) -> np.ndarray:
-    """``(A + A*) / 2`` for ``A = G* G``, of one matrix or of each member of a stack."""
+    """``(A + A*) / 2`` for ``A = G* G``, of each member of a ``(B, rank, dim)`` stack ``G``."""
     a = np.conj(np.swapaxes(g, -1, -2)) @ g
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
 

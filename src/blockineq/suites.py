@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -133,6 +133,11 @@ class SuiteConfig:
             raise UsageError(f"output format must be 'text' or 'json', got {self.output_format!r}")
 
 
+def _listed(value):
+    """``value`` with each tuple in it, nested ones too, made a list, as JSON writes it."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
 class Counterexample:
     """A failing check plus the exact input that produced it, ready to replay."""
@@ -190,17 +195,8 @@ class RunReport:
         return summaries
 
     def to_doc(self) -> dict:
-        cfg = self.config
         return {
-            "config": {
-                "suites": list(cfg.suites),
-                "trials": cfg.trials,
-                "shapes": [list(s) for s in cfg.shapes],
-                "dims": list(cfg.dims),
-                "seed": cfg.seed,
-                "tol": cfg.tol,
-                "output_format": cfg.output_format,
-            },
+            "config": {f.name: _listed(getattr(self.config, f.name)) for f in fields(SuiteConfig)},
             "suites": {
                 name: {**summary, "reports": [report_to_doc(r) for r in self.reports[name]]}
                 for name, summary in self._suite_summaries().items()
@@ -237,14 +233,13 @@ class RunReport:
 
 
 def report_to_doc(rep: CheckReport) -> dict:
-    shape = list(rep.shape) if isinstance(rep.shape, tuple) else rep.shape
     return {
         "check_name": rep.check_name,
         "passed": rep.passed,
         "residual_min_eig": rep.residual_min_eig,
         "scalar_gap": rep.scalar_gap,
         "tolerance": rep.tolerance,
-        "shape": shape,
+        "shape": _listed(rep.shape),
         "seed_info": rep.seed_info,
         "details": rep.details,
     }

@@ -756,15 +756,15 @@ def test_is_psd_of_a_stack_names_a_failing_member_as_the_scalar_solver_fails_it(
 def test_is_psd_solves_on_every_call(monkeypatch):
     # is_psd keeps nothing between calls: each call solves all it is given,
     # at any tolerance, and the same input gives the same values every time;
-    # _psd_minima receives each call's whole input, one matrix as a stack of one
+    # _sweep_each receives each call's whole input, one matrix as a stack of one
     solved = []
-    real = densemat._psd_minima
+    real = densemat._sweep_each
 
-    def counting(x):
+    def counting(x, first=0):
         solved.append(len(x))
-        return real(x)
+        return real(x, first)
 
-    monkeypatch.setattr(densemat, "_psd_minima", counting)
+    monkeypatch.setattr(densemat, "_sweep_each", counting)
     rng = np.random.default_rng(67)
     stack = np.stack([random_psd_lapack(rng, 4) for _ in range(5)])
     first = is_psd(stack)

@@ -13,6 +13,7 @@ from blockineq import (
     BlockMatrix,
     BlockStack,
     CheckReport,
+    ConvergenceError,
     HermiticityError,
     IndexSet,
     NormOverflowError,
@@ -96,12 +97,10 @@ def test_index_set_of_sorts_and_dedupes():
 
 
 def test_index_set_algebra():
+    # the two sets of a pair must share a universe
     a = IndexSet(5, (1, 2, 4))
-    b = IndexSet(5, (2, 3))
-    assert a.union(b).members == (1, 2, 3, 4)
-    assert a.intersection(b).members == (2,)
-    with pytest.raises(ShapeError):
-        a.union(IndexSet(4, (1,)))
+    with pytest.raises(ShapeError, match="different universes: 5 vs 4"):
+        inequalities.PairBatch.of(a, IndexSet(4, (1, 2, 3)))
 
 
 # ---------------------------------------------------------------- submatrix
@@ -1195,6 +1194,37 @@ def test_a_stack_refuses_its_first_member_outside_before_a_later_solver_error(ch
     assert err.value.min_eig == -1.0
 
 
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_a_submatrix_check_names_a_members_solver_error_by_its_index_in_the_stack(
+    check, monkeypatch
+):
+    # as the block checkers do: "stack member k", k counted over the whole
+    # stack, also when its chunk's call is retried member by member; one
+    # matrix is "matrix"
+    mats = random_psd(4, 4, [1, 2, 3])
+    mats[2, 0, 1] += 1e-3
+    pairs = exhaustive_pairs(4, distinct=True)
+    with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
+        check(mats, pairs)
+    with pytest.raises(HermiticityError, match="^matrix is not Hermitian"):
+        check(mats[2], pairs)
+    # one member a chunk: member 2 fails in the third chunk
+    monkeypatch.setattr(inequalities, "_CHUNK_BYTES", 1)
+    assert inequalities._chunk_members(pairs) == 1
+    with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
+        check(mats, pairs)
+    # two members a chunk: member 2 is the first of the second chunk, and
+    # member 3's convergence failure is named by its index too
+    monkeypatch.setattr(inequalities, "_CHUNK_BYTES", 2 * 16 * 256)
+    assert inequalities._chunk_members(pairs) == 2
+    with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
+        check(mats, pairs)
+    dense = np.stack([np.eye(4), np.eye(4), np.eye(4), random_psd(4, 4, 9)])
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError, match="in 0 sweeps for stack member 3 "):
+        check(dense, pairs)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_submatrix_term_that_overflows_names_the_member_and_its_first_pair():
     # the products of minors of a PSD matrix scaled by 1e100 overflow, and
@@ -1248,7 +1278,9 @@ def test_a_stack_member_outside_the_hypothesis_is_refused_by_name_before_any_gat
     mats[2] = np.diag([1.0, 1.0, -1.0])
     mats[3] = np.diag([1.0, -1.0, 1.0])
     batch = exhaustive_pairs(3, distinct=True)
-    monkeypatch.setattr(inequalities, "_gather", no_gather)
+    # the two evaluators make every gather of a chunk's pairs
+    monkeypatch.setattr(inequalities, "_trace_columns", no_gather)
+    monkeypatch.setattr(inequalities, "_det_columns", no_gather)
     with pytest.raises(PreconditionError, match="stack member 2 is not PSD within tol 1e-09") as err:
         check(mats, batch, tol=1e-9)
     assert err.value.min_eig == -1.0

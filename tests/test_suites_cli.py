@@ -704,24 +704,14 @@ def test_verify_refuses_a_document_whose_determinant_terms_overflow(tmp_path, ca
 
 
 def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
-    # each run makes the same solves: the input alone, then one stack of its
-    # partial transpose and the ten residuals of the six block suites
+    # each run makes the same solves: the input alone, with the scalar
+    # solver, then one stack of its partial transpose and the ten residuals
+    # of the six block suites
     path, _, names = _file_document(tmp_path, "separable", 2, 4)
     cfg = SuiteConfig(suites=tuple(names))
-    sizes = []
-    real = densemat.hermitian_eigenvalues_stack
-
-    def counting(x):
-        sizes.append(len(x))
-        return real(x)
-
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", counting)
-    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", counting)
-    runs = []
-    for _ in range(2):
-        sizes.clear()
-        runs.append(_doc_without_duration(run_files(cfg, [path])))
-        assert sizes == [1, 11]
+    solves = _Solves(monkeypatch)
+    runs = [_doc_without_duration(run_files(cfg, [path])) for _ in range(2)]
+    assert solves.counts() == (2, [11, 11])
     assert runs[0] == runs[1]
 
 
