@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemat  # is_ppt looks the stacked solver up on the module, where it can be replaced
-from .densemat import DEFAULT_TOL, _require_tol, as_matrix, is_psd, psd_verdict
+from .densemat import DEFAULT_TOL, _require_tol, as_matrix, psd_verdict
 from .errors import BlockIndexError, ShapeError
 
 
@@ -166,20 +166,21 @@ def is_ppt(a, tol: float = DEFAULT_TOL):
 
     Returns ``(ok, min_eig_a, min_eig_atau)`` with both minimum eigenvalues
     reported regardless of the verdict; for a :class:`BlockStack`, arrays
-    with one entry per member. One matrix and its partial transpose are each
-    decided by :func:`~blockineq.densemat.is_psd`. A stack's members and
-    their partial transposes are solved together by one
+    with one entry per member. One matrix is a stack of one. A stack's
+    members and their partial transposes are solved together by one
     :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call and decided
-    by :func:`~blockineq.densemat.psd_verdict`, as :func:`is_psd` decides;
-    :func:`is_psd` on so many members would sweep each alone.
+    by :func:`~blockineq.densemat.psd_verdict`, as
+    :func:`~blockineq.densemat.is_psd` decides, so one matrix's minima are
+    those it has as a member of any stack. A solver error names a matrix by
+    its index in that solve: "stack member k" for member ``k`` of ``B``,
+    "stack member B + k" for its partial transpose.
     """
-    if isinstance(a, BlockStack):
-        _require_tol(tol)
-        mats = np.concatenate([a.mat, partial_transpose(a).mat])
-        min_eig = densemat.hermitian_eigenvalues_stack(mats).values[:, 0]
-        ok = psd_verdict(min_eig, mats, tol)
-        (ok_a, ok_t), (min_a, min_t) = np.split(ok, 2), np.split(min_eig, 2)
-    else:
-        ok_a, min_a = is_psd(a.mat, tol)
-        ok_t, min_t = is_psd(partial_transpose(a).mat, tol)
-    return ok_a & ok_t, min_a, min_t
+    stack = a if isinstance(a, BlockStack) else BlockStack(a.m, a.n, a.mat[np.newaxis])
+    _require_tol(tol)
+    mats = np.concatenate([stack.mat, partial_transpose(stack).mat])
+    min_eig = densemat.hermitian_eigenvalues_stack(mats).values[:, 0]
+    ok = psd_verdict(min_eig, mats, tol)
+    (ok_a, ok_t), (min_a, min_t) = np.split(ok, 2), np.split(min_eig, 2)
+    if stack is a:
+        return ok_a & ok_t, min_a, min_t
+    return bool(ok_a[0] and ok_t[0]), float(min_a[0]), float(min_t[0])

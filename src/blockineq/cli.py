@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed; 1 at least one inequality check failed;
 2 usage or parse error (including an output path that cannot be written,
-and an input, explicit or seeded, outside its check's hypothesis at the
-run's ``--tol``); 3 numerical failure (eigensolver did not converge or
+a standard output closed before the output is written, and an input,
+explicit or seeded, outside its check's hypothesis at the run's
+``--tol``); 3 numerical failure (eigensolver did not converge or
 rejected its input: not Hermitian, or a norm that overflows; or a broken
 consistency chain); 4 internal error (an unexpected exception, a defect of
 the program); 5 out of memory (the run needed more memory than the process
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -153,7 +155,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         write_text(out, text)
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout shows here, not at the interpreter's exit
 
 
 def _write_counterexamples(report, out: str | None) -> None:
@@ -239,7 +241,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         save(args.out, block)
     else:
-        print(json.dumps(to_doc(block), allow_nan=False, indent=2))
+        _emit(json.dumps(to_doc(block), allow_nan=False, indent=2), None)
     return 0
 
 
@@ -259,6 +261,11 @@ def main(argv=None) -> int:
         return 3
     except BlockineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader of stdout went away: an output that cannot be written
+        # the interpreter flushes stdout again at exit; send that to devnull, not to a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was written", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a resource limit, not a defect: no traceback
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)

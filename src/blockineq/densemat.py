@@ -7,12 +7,13 @@ iterations that are numerically robust at the desk scale this package
 targets (dimension <= 64):
 
 - :func:`hermitian_eigenvalues` solves one matrix with a scalar loop. It
-  runs whenever one matrix is solved: the input of an explicit input file,
-  the public ``check_*`` functions on one block matrix, and any stack of
-  one, for which it is the faster of the two. It is the stack of one of
-  :func:`_sweep_each`, the one loop that validates a stack once and then
-  sweeps each member in turn with :func:`_sweep`; :func:`is_psd` on a stack
-  of several runs the same loop.
+  runs whenever one matrix is solved: the input of an explicit input file
+  and the public ``check_*`` functions on one block matrix, for which it is
+  the faster of the two. It is the stack of one of :func:`_sweep_each`, the
+  one loop that validates a stack once and then sweeps each member in turn
+  with :func:`_sweep`; :func:`is_psd` on a stack of several runs the same
+  loop, and :func:`hermitian_eigenvalues_stack` on a stack of one, which it
+  names "stack member 0".
   The matrix it rotates stays exactly Hermitian, so each rotation updates
   columns ``p`` and ``q`` and writes their conjugates into rows ``p`` and
   ``q`` in the same pass: bitwise the values of a row pass after a column
@@ -401,7 +402,9 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     are bitwise the same in any stack or chunk (a zero's sign aside), and
     those of the tests' ``(B, d, d)`` reference kernel. Eigenvalues agree
     with :func:`hermitian_eigenvalues`, whose order differs, to rounding. A
-    stack of one is solved by that scalar solver.
+    stack of one is swept by :func:`_sweep_each`, in that scalar solver's
+    order and to its values bitwise; its errors name it "stack member 0",
+    as they name a member of any stack.
 
     Returns
     -------
@@ -427,10 +430,8 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
         raise ShapeError(f"expected a (B, d, d) stack of square matrices, got shape {x.shape}")
     count, n = x.shape[0], x.shape[1]
     if count == 1:
-        one = hermitian_eigenvalues(x[0])
-        return EigenResult(
-            one.values[np.newaxis], np.array([one.offdiag_residual]), np.array([one.sweeps])
-        )
+        values, offdiag, sweeps, _ = _sweep_each(x)
+        return EigenResult(values, offdiag, sweeps)
     sweeps = np.zeros(count, dtype=np.int64)
     if count == 0 or n == 0:
         return EigenResult(np.empty((count, n)), np.zeros(count), sweeps)
@@ -713,7 +714,7 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     errors name a member by its index in ``x``. A caller with many members
     whose minima need not be the scalar solver's solves them with
     :func:`hermitian_eigenvalues_stack` and decides them by
-    :func:`psd_verdict`, as ``blockops.is_ppt`` does on a stack. Every call
+    :func:`psd_verdict`, as ``blockops.is_ppt`` does. Every call
     solves: nothing is kept between calls.
 
     Raises

@@ -65,6 +65,7 @@ from .densemat import (
     as_matrix,
     determinant,
     frobenius_stack,
+    hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     is_psd,
     kron,
@@ -142,7 +143,11 @@ class CheckReport:
 
 
 def _verdict(gap: np.ndarray, terms, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each gap's scale ``max(1, |term|, ...)`` and whether ``gap >= -tol * scale``."""
+    """Each gap's scale ``max(1, |term|, ...)`` and whether ``gap >= -tol * scale``.
+
+    A residual side is decided by the same rule, its minimum eigenvalue the
+    gap and its two sides' Frobenius norms the terms.
+    """
     scale = np.ones_like(gap)
     for term in terms:
         scale = np.maximum(scale, np.abs(term))
@@ -284,8 +289,10 @@ def _check_block(check_name: str, a, tol: float):
     still missing is solved one entry at a time: the hypothesis first, so
     that the first member outside it (PSD, or PPT) is refused before any
     residual is solved, and then each side's residual. An error so names a
-    member by its index in the check's own stack, and one matrix makes
-    only scalar solves, which on one matrix are the faster.
+    member by its index in the check's own stack, a stack of one included,
+    and one matrix "matrix": one matrix makes only scalar solves
+    (:func:`~blockineq.densemat.hermitian_eigenvalues`), which on one
+    matrix are the faster.
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -310,7 +317,10 @@ def _check_block(check_name: str, a, tol: float):
 
     def minimum(key) -> np.ndarray:
         if key not in minima:
-            minima[key] = hermitian_eigenvalues_stack(mats[key]).values[:, 0]
+            if stack is a:
+                minima[key] = hermitian_eigenvalues_stack(mats[key]).values[:, 0]
+            else:
+                minima[key] = hermitian_eigenvalues(mats[key][0]).values[:1]
         return minima[key]
 
     ok = np.logical_and.reduce([psd_verdict(minimum(k), mats[k], tol) for k in keys])
@@ -321,8 +331,8 @@ def _check_block(check_name: str, a, tol: float):
     passed = np.ones(count, dtype=bool)
     gap_mins = []
     for (label, lhs, rhs), min_eig in zip(sides, side_mins):
-        scale = np.maximum(1.0, np.maximum(frobenius_stack(lhs), frobenius_stack(rhs)))
-        passed &= min_eig >= -tol * scale
+        scale, ok = _verdict(min_eig, (frobenius_stack(lhs), frobenius_stack(rhs)), tol)
+        passed &= ok
         details[f"min_eig_{label}"] = min_eig.tolist()
         details[f"scale_{label}"] = scale.tolist()
     for label, lhs, rhs in gaps:

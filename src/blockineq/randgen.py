@@ -218,10 +218,7 @@ def random_ppt(
     are tested as one stack; each seed keeps its first accepted attempt.
     Attempt ``t`` of a seed depends only on ``derive_seed(seed,
     "ppt-attempt", t)`` and the stacked solver treats each member as if it
-    were alone, so each member is what its seed gives alone. The stacked
-    solver rotates in another order than the scalar one, so a candidate whose
-    minimum eigenvalue lies within rounding of the threshold may be judged
-    differently here than by :func:`is_ppt` on one :class:`BlockMatrix`.
+    were alone, so each member is what its seed gives alone.
     """
     if max_attempts < 1:
         raise UsageError(f"max_attempts must be positive, got {max_attempts}")

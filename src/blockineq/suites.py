@@ -6,6 +6,15 @@ replayed from the provenance string in its report without re-running the
 batch. Reports are assembled in canonical suite order and trial order; the
 wall-clock duration is the only nondeterministic field in a serialized run.
 
+The registry ``_RUNNERS`` holds one runner per family of suites, each
+called as ``runner(suite, cfg, rec, batches)``: ``_run_block`` for the
+table-driven block suites, ``_run_block2`` for ``block2`` (which adds its
+consistency chain), ``_run_submatrix`` for the exhaustive submatrix suites
+and ``_run_choi_certs``. A block or submatrix suite is a row of
+``_BLOCK_SUITES`` or ``_SUBMATRIX_SUITES``: the checker it calls, by name,
+and what its runner and its seeded stream read, so a new such suite is a
+new row.
+
 :func:`run_files` checks explicit documents instead, through the same
 runners (``_RUNNERS``). It solves all of a document's block-suite residuals
 as one stack and hands the document to the checkers together with those
@@ -27,6 +36,7 @@ from .blockops import BlockMatrix, BlockStack
 from .densemat import DEFAULT_TOL
 from .errors import SelfCheckError, UsageError
 from .inequalities import (
+    _BLOCK_INEQUALITIES,
     CheckReport,
     PairReports,
     _chunk_members,
@@ -52,16 +62,26 @@ from .maps import (
 from .matio import load, to_doc
 from .randgen import MAX_SEED, derive_seed, random_ppt, random_psd, random_separable
 
-# block suite -> the inequality it checks (an entry of the block-inequality table)
+# A suite of a table-driven family is a row; its runner reads the row and
+# calls the checker ``check_<name>`` that the row names, looked up in this
+# module when it runs.
+# block suite -> (the inequality it checks, an entry of the block-inequality
+# table; whether its trials open with the entangled pattern). A suite of a
+# PPT inequality draws PPT inputs, one of a PSD inequality Gram draws.
 _BLOCK_SUITES = {
-    "theorem2": "copositive_partial_trace",
-    "corollary3": "ppt_reduction",
-    "combined": "combined_reduction",
-    "upper_bound": "upper_bound",
-    "corollary6": "phi_lower",
-    "block2": "block2",
+    "theorem2": ("copositive_partial_trace", True),
+    "corollary3": ("ppt_reduction", False),
+    "combined": ("combined_reduction", False),
+    "upper_bound": ("upper_bound", False),
+    "corollary6": ("phi_lower", True),
+    "block2": ("block2", False),
 }
-_SUBMATRIX_SUITES = frozenset({"thm8_9", "eqlin"})
+# submatrix suite -> (the bound it checks on every pair; whether pairs with
+# alpha = beta are left out; whether each report adds the Desnanot-Jacobi gap)
+_SUBMATRIX_SUITES = {
+    "thm8_9": ("trace_submatrix", False, False),
+    "eqlin": ("det_submatrix", True, True),
+}
 
 DEFAULT_SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3))
 DEFAULT_DIMS = (4, 5)
@@ -301,11 +321,11 @@ def _rank_for_trial(dim: int, trial: int) -> int:
 # draws its seeded stream.
 
 
-def _gram_inputs(cfg: SuiteConfig, suite: str, include_pattern: bool):
-    """Yield one batch per shape: its trials, drawn as one stack."""
+def _gram_inputs(cfg: SuiteConfig, suite: str):
+    """Yield one batch per shape: its trials, drawn as one stack, its row's pattern first."""
     for m, n in cfg.shapes:
         dim = m * n
-        pattern = include_pattern and m == n and m >= 2
+        pattern = _BLOCK_SUITES[suite][1] and m == n and m >= 2
         trials = range(1 if pattern else 0, cfg.trials)
         ranks = [_rank_for_trial(dim, t) for t in trials]
         seeds = [derive_seed(cfg.seed, suite, m, n, t) for t in trials]
@@ -343,12 +363,12 @@ def _psd_inputs(cfg: SuiteConfig, suite: str):
     """Yield each dimension's trials, drawn as one stack, in batches of one check chunk.
 
     A batch holds the members a submatrix check evaluates at a time
-    (:func:`~blockineq.inequalities._chunk_members` of the pairs the suite
-    checks: all of them for thm8_9, those with ``alpha != beta`` for eqlin),
-    so that a run holds one batch's pair reports at a time.
+    (:func:`~blockineq.inequalities._chunk_members` of the pairs the suite's
+    row checks: all of them, or those with ``alpha != beta``), so that a run
+    holds one batch's pair reports at a time.
     """
     for n in cfg.dims:
-        size = _chunk_members(exhaustive_pairs(n, distinct=suite == "eqlin"))
+        size = _chunk_members(exhaustive_pairs(n, distinct=_SUBMATRIX_SUITES[suite][1]))
         ranks = [_rank_for_trial(n, t) for t in range(cfg.trials)]
         seeds = [derive_seed(cfg.seed, suite, n, t) for t in range(cfg.trials)]
         mats = random_psd(n, ranks, seeds)
@@ -357,35 +377,22 @@ def _psd_inputs(cfg: SuiteConfig, suite: str):
             yield mats[lo : lo + size], infos[lo : lo + size], lo
 
 
-def _run_theorem2(cfg, rec, batches=None):
-    for a, infos, trial in batches or _gram_inputs(cfg, "theorem2", include_pattern=True):
-        rec.record("theorem2", check_copositive_partial_trace(a, cfg.tol), a, infos, trial)
+def _run_block(suite, cfg, rec, batches=None):
+    """A block suite: the inequality its row names, on each batch.
+
+    Its seeded stream is PPT draws for a PPT inequality, Gram draws for a PSD one.
+    """
+    check = _BLOCK_SUITES[suite][0]
+    checker = globals()[f"check_{check}"]
+    draws = _ppt_inputs if _BLOCK_INEQUALITIES[check][0] == "ppt" else _gram_inputs
+    for a, infos, trial in batches or draws(cfg, suite):
+        rec.record(suite, checker(a, cfg.tol), a, infos, trial)
 
 
-def _run_corollary3(cfg, rec, batches=None):
-    for a, infos, trial in batches or _ppt_inputs(cfg, "corollary3"):
-        rec.record("corollary3", check_ppt_reduction(a, cfg.tol), a, infos, trial)
-
-
-def _run_combined(cfg, rec, batches=None):
-    for a, infos, trial in batches or _ppt_inputs(cfg, "combined"):
-        rec.record("combined", check_combined_reduction(a, cfg.tol), a, infos, trial)
-
-
-def _run_upper_bound(cfg, rec, batches=None):
-    for a, infos, trial in batches or _gram_inputs(cfg, "upper_bound", include_pattern=False):
-        rec.record("upper_bound", check_upper_bound(a, cfg.tol), a, infos, trial)
-
-
-def _run_corollary6(cfg, rec, batches=None):
-    for a, infos, trial in batches or _gram_inputs(cfg, "corollary6", include_pattern=True):
-        rec.record("corollary6", check_phi_lower(a, cfg.tol), a, infos, trial)
-
-
-def _run_block2(cfg, rec, batches=None):
+def _run_block2(suite, cfg, rec, batches=None):
     two_block = replace(cfg, shapes=tuple(s for s in cfg.shapes if s[0] == 2))
-    for a, infos, trial in batches or _gram_inputs(two_block, "block2", include_pattern=False):
-        for rep in rec.record("block2", check_block2(a, cfg.tol), a, infos, trial):
+    for a, infos, trial in batches or _gram_inputs(two_block, suite):
+        for rep in rec.record(suite, check_block2(a, cfg.tol), a, infos, trial):
             d = rep.details
             # when G certifies PSD, the traced-out scalar bounds must follow
             if d["min_eig_g"] >= -cfg.tol * d["scale_g"] and not (
@@ -398,14 +405,16 @@ def _run_block2(cfg, rec, batches=None):
                 )
 
 
-def _record_exhaustive(rec, suite, check_name, reports, inputs, infos, first_trial, extra=None):
+def _record_exhaustive(rec, suite, reports, inputs, infos, first_trial):
     """Record each member's exhaustive check as one report; each failing pair is a counterexample.
 
     ``reports`` holds one :class:`PairReports` per matrix of ``inputs``, or
     is one for one matrix, a batch of one. A failing pair of member ``k``
-    is a counterexample of trial ``first_trial + k``. ``extra(pairs)``, if
-    given, adds details to each member's report.
+    is a counterexample of trial ``first_trial + k``. The report is named
+    after the suite row's check, and adds the Desnanot-Jacobi gap where the
+    row asks for it.
     """
+    check, _, desnanot = _SUBMATRIX_SUITES[suite]
     if isinstance(reports, PairReports):
         reports, inputs = [reports], [inputs]
     for k, (pairs, mat, info) in enumerate(zip(reports, inputs, infos)):
@@ -421,12 +430,12 @@ def _record_exhaustive(rec, suite, check_name, reports, inputs, infos, first_tri
             "worst_alpha": alpha,
             "worst_beta": beta,
         }
-        if extra is not None:
-            details.update(extra(pairs))
+        if desnanot:
+            details.update(_desnanot_details(pairs))
         # its failing pairs are the counterexamples
         rec.reports[suite].append(
             CheckReport(
-                check_name=check_name,
+                check_name=f"{check}_exhaustive",
                 passed=failed.size == 0,
                 residual_min_eig=None,
                 scalar_gap=float(pairs.scalar_gap[worst]),
@@ -438,27 +447,17 @@ def _record_exhaustive(rec, suite, check_name, reports, inputs, infos, first_tri
         )
 
 
-def _run_thm8_9(cfg, rec, batches=None):
-    """The trace bounds on every (alpha, beta) pair of each matrix, as one batch of pairs."""
-    for a, infos, trial in batches or _psd_inputs(cfg, "thm8_9"):
-        mats = a.mat if isinstance(a, BlockMatrix) else a
-        reports = check_trace_submatrix(a, exhaustive_pairs(mats.shape[-1]), tol=cfg.tol)
-        _record_exhaustive(rec, "thm8_9", "trace_submatrix_exhaustive", reports, mats, infos, trial)
-
-
-def _run_eqlin(cfg, rec, batches=None):
-    """The determinant bound on every pair with alpha != beta of each matrix, as one batch."""
-    for a, infos, trial in batches or _psd_inputs(cfg, "eqlin"):
+def _run_submatrix(suite, cfg, rec, batches=None):
+    """A submatrix suite: the bound its row names on every pair of each matrix, as one batch."""
+    check, distinct, _ = _SUBMATRIX_SUITES[suite]
+    checker = globals()[f"check_{check}"]
+    for a, infos, trial in batches or _psd_inputs(cfg, suite):
         mats = a.mat if isinstance(a, BlockMatrix) else a
         n = mats.shape[-1]
-        pairs = exhaustive_pairs(n, distinct=True)
+        pairs = exhaustive_pairs(n, distinct=distinct)
         if not len(pairs):
             raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
-        reports = check_det_submatrix(a, pairs, tol=cfg.tol)
-        _record_exhaustive(
-            rec, "eqlin", "det_submatrix_exhaustive", reports, mats, infos, trial,
-            extra=_desnanot_details,
-        )
+        _record_exhaustive(rec, suite, checker(a, pairs, tol=cfg.tol), mats, infos, trial)
 
 
 def _desnanot_details(pairs):
@@ -468,7 +467,7 @@ def _desnanot_details(pairs):
     return {"desnanot_max_relgap": float(np.max(relgap, initial=0.0))}
 
 
-def _run_choi_certs(cfg, rec):
+def _run_choi_certs(suite, cfg, rec, batches=None):
     for n in _CHOI_CERT_DIMS:
         for name in BUILTIN_MAPS:
             phi = builtin_map(name, n)
@@ -491,20 +490,16 @@ def _run_choi_certs(cfg, rec):
                     "min_eig_co_choi": min_co,
                 },
             )
-            rec.record("choi_certs", rep, phi, [f"builtin map {name!r}, n={n}"], 0)
+            rec.record(suite, rep, phi, [f"builtin map {name!r}, n={n}"], 0)
 
 
 # The registry of suites, in canonical order: run_suite and run_files both
-# dispatch through it.
+# dispatch through it, as ``_RUNNERS[name](name, cfg, rec, batches)``. One
+# runner serves each family; a block or submatrix suite is a row of its table.
 _RUNNERS = {
-    "theorem2": _run_theorem2,
-    "corollary3": _run_corollary3,
-    "combined": _run_combined,
-    "upper_bound": _run_upper_bound,
-    "corollary6": _run_corollary6,
+    **dict.fromkeys(("theorem2", "corollary3", "combined", "upper_bound", "corollary6"), _run_block),
     "block2": _run_block2,
-    "thm8_9": _run_thm8_9,
-    "eqlin": _run_eqlin,
+    **dict.fromkeys(_SUBMATRIX_SUITES, _run_submatrix),
     "choi_certs": _run_choi_certs,
 }
 SUITE_NAMES = tuple(_RUNNERS)
@@ -520,7 +515,7 @@ def run_suite(config: SuiteConfig) -> RunReport:
         raise UsageError("dims must be nonempty for the submatrix suites")
     rec = _Recorder(names)
     for name in names:
-        _RUNNERS[name](config, rec)
+        _RUNNERS[name](name, config, rec)
     return RunReport(config, rec.reports, rec.counterexamples, time.perf_counter() - start)
 
 
@@ -553,7 +548,7 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     if not paths:
         raise UsageError("no input files given")
     block_names = [name for name in names if name in _BLOCK_SUITES]
-    block_checks = [_BLOCK_SUITES[name] for name in block_names]
+    block_checks = [_BLOCK_SUITES[name][0] for name in block_names]
     rec = _Recorder(names)
     for idx, path in enumerate(paths):
         obj = load(path)
@@ -568,5 +563,5 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
             )
         infos = [f"file {path}"]
         for name in names:
-            _RUNNERS[name](config, rec, [(obj, infos, idx)])
+            _RUNNERS[name](name, config, rec, [(obj, infos, idx)])
     return RunReport(config, rec.reports, rec.counterexamples, time.perf_counter() - start)

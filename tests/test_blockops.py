@@ -339,3 +339,15 @@ def test_is_ppt_of_a_stack_is_per_member():
     for k, mat in enumerate(members):
         want = is_ppt(BlockMatrix(2, 2, mat))
         assert (bool(ok[k]), min_a[k], min_t[k]) == pytest.approx(want, abs=1e-13)
+
+
+def test_is_ppt_of_one_matrix_is_that_of_a_stack_member():
+    # one BlockMatrix is a stack of one: its verdict and minima are bitwise
+    # those it has as a member of any stack
+    rng = np.random.default_rng(97)
+    members = [kron(random_psd_lapack(rng, 2), random_psd_lapack(rng, 3)) for _ in range(20)]
+    ok, min_a, min_t = is_ppt(BlockStack(2, 3, np.stack(members)))
+    for k, mat in enumerate(members):
+        got = is_ppt(BlockMatrix(2, 3, mat))
+        assert got == (bool(ok[k]), min_a[k], min_t[k])
+        assert [type(v) for v in got] == [bool, float, float]

@@ -327,6 +327,16 @@ def test_stack_of_one_is_the_scalar_solve():
     assert one.offdiag_residual.tolist() == [scalar.offdiag_residual]
 
 
+def test_stack_of_one_names_its_member_as_any_stack_does():
+    # swept in the scalar order, but named as a stack's member, not "matrix"
+    a = random_hermitian(np.random.default_rng(59), 4)
+    a[0, 1] += 1e-3
+    with pytest.raises(HermiticityError, match="^stack member 0 is not Hermitian"):
+        hermitian_eigenvalues_stack(a[np.newaxis])
+    with pytest.raises(HermiticityError, match="^matrix is not Hermitian"):
+        hermitian_eigenvalues(a)
+
+
 def test_stacked_eigenvalues_empty_and_shape_errors():
     assert hermitian_eigenvalues_stack(np.zeros((0, 3, 3))).values.shape == (0, 3)
     assert hermitian_eigenvalues_stack(np.zeros((2, 0, 0))).values.shape == (2, 0)

@@ -865,7 +865,7 @@ def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, mon
 
 
 def _count_solves(monkeypatch) -> tuple[list, list]:
-    """The matrices the scalar solver solved, and the sizes of stacked solves of several."""
+    """The matrices the scalar solver solved, and the sizes of stacked solves, of one too."""
     scalar, stacked = [], []
 
     def solve_one(x):
@@ -873,13 +873,12 @@ def _count_solves(monkeypatch) -> tuple[list, list]:
         return hermitian_eigenvalues(x)
 
     def solve_stack(x):
-        if len(x) > 1:
-            stacked.append(len(x))
-        return hermitian_eigenvalues_stack(x)  # a stack of one calls solve_one above
+        stacked.append(len(x))
+        return hermitian_eigenvalues_stack(x)
 
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues", solve_one)
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", solve_stack)
-    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", solve_stack)
+    for module in (densemat, inequalities):
+        monkeypatch.setattr(module, "hermitian_eigenvalues", solve_one)
+        monkeypatch.setattr(module, "hermitian_eigenvalues_stack", solve_stack)
     return scalar, stacked
 
 
@@ -921,9 +920,9 @@ def test_block_check_refuses_a_bad_tol_before_any_solve(name, tol, monkeypatch):
     def no_solve(x):
         raise AssertionError("a matrix was solved before tol was refused")
 
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues", no_solve)
-    monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", no_solve)
-    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", no_solve)
+    for module in (densemat, inequalities):
+        monkeypatch.setattr(module, "hermitian_eigenvalues", no_solve)
+        monkeypatch.setattr(module, "hermitian_eigenvalues_stack", no_solve)
     big = np.full((4, 4), 1e160, dtype=np.complex128)
     for a in (BlockMatrix(2, 2, big), BlockStack(2, 2, np.stack([np.eye(4), big]))):
         with pytest.raises(UsageError, match="^tolerance must be finite and nonnegative"):
@@ -940,6 +939,18 @@ def test_block_check_overflow_is_reported_without_a_numpy_warning(name):
     for a, where in ((alone, "matrix"), (stack, "stack member 0")):
         with pytest.raises(NormOverflowError, match=f"^{where} is too large to solve"):
             _BLOCK_CHECKERS[name](a)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_block_check_names_a_stack_of_one_as_a_stack(name):
+    # a solver error in a BlockStack of one names "stack member 0", as its
+    # hypothesis refusal does; one BlockMatrix is "matrix"
+    a = random_psd(4, 4, 3)
+    a[0, 1] += 1e-3
+    with pytest.raises(HermiticityError, match="^stack member 0 is not Hermitian"):
+        _BLOCK_CHECKERS[name](BlockStack(2, 2, a[np.newaxis]))
+    with pytest.raises(HermiticityError, match="^matrix is not Hermitian"):
+        _BLOCK_CHECKERS[name](BlockMatrix(2, 2, a))
 
 
 # ------------------------------------------------ batched submatrix checks

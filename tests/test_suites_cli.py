@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import blockineq
 from blockineq import cli, densemat, inequalities, suites
 from blockineq.blockops import BlockMatrix, BlockStack, is_ppt, partial_transpose
 from blockineq.cli import _build_parser, main
@@ -85,6 +87,26 @@ def test_suite_names_registry_and_cli_choices_agree():
         "theorem2", "corollary3", "combined", "upper_bound", "corollary6", "block2",
         "thm8_9", "eqlin", "choi_certs",
     )
+
+
+_TABLE_ROWS = [(name, "block") for name in suites._BLOCK_SUITES] + [
+    (name, "submatrix") for name in suites._SUBMATRIX_SUITES
+]
+
+
+@pytest.mark.parametrize("suite, family", _TABLE_ROWS, ids=[name for name, _ in _TABLE_ROWS])
+def test_each_table_row_names_a_public_checker_and_runs_under_its_family_runner(suite, family):
+    # a runner finds its row's checker by name when it runs, so a mistyped
+    # row would otherwise show only when its suite runs
+    table = suites._BLOCK_SUITES if family == "block" else suites._SUBMATRIX_SUITES
+    check = table[suite][0]
+    assert f"check_{check}" in blockineq.__all__
+    assert getattr(suites, f"check_{check}") is getattr(blockineq, f"check_{check}")
+    runners = {"block": suites._run_block, "submatrix": suites._run_submatrix}
+    assert suites._RUNNERS[suite] is (suites._run_block2 if suite == "block2" else runners[family])
+    cfg = SuiteConfig(suites=(suite,), trials=1, shapes=((2, 2),), dims=(3,), seed=42)
+    want = check if family == "block" else f"{check}_exhaustive"
+    assert [rep.check_name for rep in run_suite(cfg).reports[suite]] == [want]
 
 
 def test_expand_normalizes_order_and_duplicates():
@@ -398,7 +420,7 @@ def test_runner_given_batches_checks_only_them(monkeypatch, suite):
         a, _ = _replay(suite, 2, 2, 0 if _REPLAY[suite][1] == "ppt" else 2, cfg.seed, cfg.tol)
         b, _ = _replay(suite, 2, 2, 4, cfg.seed, cfg.tol)
         stack = BlockStack(2, 2, np.stack([a.mat, b.mat]))
-        suites._RUNNERS[suite](cfg, rec, [(stack, infos, 5)])
+        suites._RUNNERS[suite](suite, cfg, rec, [(stack, infos, 5)])
         want = _REPLAY[suite][0](stack, cfg.tol)
         assert rec.reports[suite] == [replace(w, seed_info=i) for w, i in zip(want, infos)]
         assert all(rep.passed for rep in rec.reports[suite])
@@ -407,7 +429,7 @@ def test_runner_given_batches_checks_only_them(monkeypatch, suite):
     # a submatrix suite: one report per matrix, its failing pairs numbered by the batch's trial
     good = random_psd(3, 3, derive_seed(cfg.seed, suite, 3, 0))
     batches = [(good, infos[:1], 5), (_GAP_MATRIX, infos[1:], 9)]
-    suites._RUNNERS[suite](cfg, rec, batches)
+    suites._RUNNERS[suite](suite, cfg, rec, batches)
     reports = rec.reports[suite]
     assert [rep.seed_info for rep in reports] == infos
     assert [rep.shape for rep in reports] == [3, 2]
@@ -630,7 +652,7 @@ def _file_document(tmp_path, kind, m, n, seed=17):
 
 
 class _Solves:
-    """Counts eigensolves: scalar ones, and stacked ones of more than one matrix."""
+    """Counts eigensolves: scalar ones, and the sizes of stacked ones, of one matrix too."""
 
     def __init__(self, monkeypatch):
         self.scalar = 0
@@ -643,13 +665,12 @@ class _Solves:
             return real_scalar(x)
 
         def stack(x):
-            if len(x) > 1:
-                self.stacked.append(len(x))
-            return real_stack(x)  # a stack of one calls scalar() above
+            self.stacked.append(len(x))
+            return real_stack(x)
 
-        monkeypatch.setattr(densemat, "hermitian_eigenvalues", scalar)
-        monkeypatch.setattr(densemat, "hermitian_eigenvalues_stack", stack)
-        monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", stack)
+        for module in (densemat, inequalities):
+            monkeypatch.setattr(module, "hermitian_eigenvalues", scalar)
+            monkeypatch.setattr(module, "hermitian_eigenvalues_stack", stack)
 
     def counts(self):
         return self.scalar, list(self.stacked)
@@ -844,8 +865,8 @@ def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, erro
     for name in names:
         runner = suites._RUNNERS[name]
 
-        def recording(cfg, rec, batches, name=name, runner=runner):
-            runner(cfg, rec, batches)
+        def recording(suite, cfg, rec, batches, name=name, runner=runner):
+            runner(suite, cfg, rec, batches)
             completed.append(name)
 
         monkeypatch.setitem(suites._RUNNERS, name, recording)
@@ -867,9 +888,9 @@ def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, caps
     solves = _Solves(monkeypatch)
     assert main(["verify", "--suite", "block2", str(path)]) == 0
     assert "suite block2: checks=1 failed=0" in capsys.readouterr().out
-    # the input, then its one residual; the checker reads both from the
-    # document it is handed
-    assert solves.counts() == (2, [])
+    # the input alone, then its one residual, a stack of one; the checker
+    # reads both from the document it is handed
+    assert solves.counts() == (1, [1])
     solves.scalar, solves.stacked = 0, []
     names = ("theorem2", "upper_bound", "corollary6", "block2")
     assert run_files(SuiteConfig(suites=names), [path]).passed
@@ -1426,6 +1447,36 @@ def test_console_script_smoke():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["summary"] == {"checks": 15, "failed": 0, "passed": True}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "gram_psd", "--m", "2", "--n", "2"],
+        ["choi", "--map", "phi", "--n", "2"],
+        ["verify", "--suite", "block2", "--trials", "1", "--shapes", "2x2"],
+    ],
+    ids=["gen", "choi", "verify"],
+)
+def test_cli_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    # an output that cannot be written, not a defect (exit 4); the pipe has
+    # no reader before the child starts, so its first write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockineq", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: standard output was closed before the output was written\n"
 
 
 def test_module_entry_matches_console_script():
