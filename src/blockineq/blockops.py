@@ -174,6 +174,11 @@ def is_ppt(a, tol: float = DEFAULT_TOL):
     those it has as a member of any stack. A solver error names a matrix by
     its index in that solve: "stack member k" for member ``k`` of ``B``,
     "stack member B + k" for its partial transpose.
+
+    :func:`~blockineq.randgen.random_ppt` does not call it: it decides its
+    rejection candidates with LAPACK, by a margin inside this test's
+    threshold at ``DEFAULT_TOL``, so each draw it accepts passes this test
+    too. The tests hold its decisions to this function's.
     """
     stack = a if isinstance(a, BlockStack) else BlockStack(a.m, a.n, a.mat[np.newaxis])
     _require_tol(tol)

@@ -16,7 +16,8 @@ draw its seed gives alone.
 The PSD and separable generators solve nothing: their outputs are PSD or
 PPT by construction, and each checker tests its own hypothesis on every
 draw, at the run's tolerance. Only :func:`random_ppt` solves, to accept or
-reject its candidates.
+reject its candidates, with LAPACK's ``eigvalsh``: the package's one LAPACK
+eigensolve, whose minima decide a draw and reach no report.
 
 Each thread keeps one Philox generator and re-keys it for every draw, since
 building a keyed ``Philox`` first seeds it from OS entropy, which costs more
@@ -33,13 +34,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import BlockMatrix, BlockStack, is_ppt
-from .densemat import kron
+from .blockops import BlockMatrix, BlockStack, partial_transpose
+from .densemat import DEFAULT_TOL, JACOBI_RTOL, frobenius_stack, kron
 from .errors import UsageError
 
 MAX_SEED = 2**64 - 1
 DEFAULT_PPT_ATTEMPTS = 50
 _FALLBACK_TERMS = 3
+# random_ppt accepts a candidate A when LAPACK's smallest eigenvalue of A^tau
+# is at least (_PPT_MARGIN - DEFAULT_TOL) * s, s = max(1, ||A^tau||_F). The
+# checker that gets the draw accepts A^tau when its Jacobi minimum is at least
+# -DEFAULT_TOL * s (psd_verdict). The Jacobi stops once the off-diagonal mass
+# is below JACOBI_RTOL * s, which bounds its diagonal's distance from the
+# spectrum (Weyl), and its rotations' rounding is a few eps * s per sweep;
+# LAPACK is backward stable, within a few d * eps * s. So the two minima
+# differ by about JACOBI_RTOL * s at most (measured: below 1e-15 * s at
+# d <= 9), and a margin of 100 times that makes every accepted draw pass
+# the checker's PPT test too.
+_PPT_MARGIN = 100 * JACOBI_RTOL
 
 
 def _check_seed(seed: int) -> int:
@@ -207,27 +219,36 @@ def random_ppt(
 ) -> tuple[BlockMatrix, str] | tuple[BlockStack, tuple[str, ...]]:
     """Rejection-sample a PPT block matrix; fall back to a separable one.
 
-    Draws full-rank PSD matrices and keeps the first that passes
-    :func:`blockineq.blockops.is_ppt`. After ``max_attempts`` rejections the
-    output comes from :func:`random_separable` instead, which is PPT by
-    construction, so an output is always produced. Returns the matrix and
-    the path that produced it (``"rejection"`` or ``"separable"``).
+    Draws full-rank PSD matrices and keeps the first whose partial transpose
+    is PSD. A candidate is a Gram product, PSD by construction, so only its
+    partial transpose is solved: by LAPACK (``np.linalg.eigvalsh``), and
+    accepted when its smallest eigenvalue clears :func:`blockineq.blockops.is_ppt`'s
+    threshold at ``DEFAULT_TOL`` by a margin that covers both solvers' error,
+    so every accepted draw is PPT by ``is_ppt`` too. The eigenvalue only
+    decides; it is not returned, and a checker solves and reports the draw
+    itself. After ``max_attempts`` rejections the output comes from
+    :func:`random_separable` instead, which is PPT by construction, so an
+    output is always produced. Returns the matrix and the path that
+    produced it (``"rejection"`` or ``"separable"``).
 
     With a sequence of seeds returns a :class:`BlockStack` and a tuple of
     paths. Every attempt of every seed is drawn up front, and all of them
-    are tested as one stack; each seed keeps its first accepted attempt.
-    Attempt ``t`` of a seed depends only on ``derive_seed(seed,
-    "ppt-attempt", t)`` and the stacked solver treats each member as if it
-    were alone, so each member is what its seed gives alone.
+    are decided in one ``eigvalsh`` call on the stack of their partial
+    transposes; each seed keeps its first accepted attempt. Attempt ``t`` of
+    a seed depends only on ``derive_seed(seed, "ppt-attempt", t)`` and LAPACK
+    solves each member of a stack alone, so each member is what its seed
+    gives alone.
     """
     if max_attempts < 1:
         raise UsageError(f"max_attempts must be positive, got {max_attempts}")
     single, seeds, _ = _draws(seed)
     d = m * n
     attempt_seeds = [derive_seed(s, "ppt-attempt", t) for s in seeds for t in range(max_attempts)]
-    candidates = random_psd(d, d, attempt_seeds).reshape(len(seeds), max_attempts, d, d)
-    ok, _, _ = is_ppt(BlockStack(m, n, candidates.reshape(-1, d, d)))
-    ok = ok.reshape(len(seeds), max_attempts)
+    candidates = random_psd(d, d, attempt_seeds)
+    tau = partial_transpose(BlockStack(m, n, candidates)).mat
+    threshold = (_PPT_MARGIN - DEFAULT_TOL) * np.maximum(1.0, frobenius_stack(tau))
+    ok = (np.linalg.eigvalsh(tau)[:, 0] >= threshold).reshape(len(seeds), max_attempts)
+    candidates = candidates.reshape(len(seeds), max_attempts, d, d)
     out = candidates[np.arange(len(seeds)), ok.argmax(axis=1)]
     paths = ["rejection" if accepted else "separable" for accepted in ok.any(axis=1)]
     pending = [k for k, path in enumerate(paths) if path == "separable"]

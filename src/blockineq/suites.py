@@ -393,11 +393,16 @@ def _run_block2(suite, cfg, rec, batches=None):
     two_block = replace(cfg, shapes=tuple(s for s in cfg.shapes if s[0] == 2))
     for a, infos, trial in batches or _gram_inputs(two_block, suite):
         for rep in rec.record(suite, check_block2(a, cfg.tol), a, infos, trial):
-            d = rep.details
-            # when G certifies PSD, the traced-out scalar bounds must follow
+            d, n = rep.details, rep.shape[1]
+            # when G certifies PSD, the traced-out scalar bounds must follow.
+            # gap_eq8 and gap_eq9 are tr(W G) / 2 for W = vv* (x) I_n, v = (1, 1)
+            # and (1, -1): W >= 0 and tr W = 2n. So G >= -eps * I, eps =
+            # tol * scale_g, bounds a gap below by -n * eps only, and the gap's
+            # own rounding adds tol * scale_eq.
+            slack = n * cfg.tol * d["scale_g"]
             if d["min_eig_g"] >= -cfg.tol * d["scale_g"] and not (
-                d["gap_eq8"] >= -cfg.tol * d["scale_eq8"]
-                and d["gap_eq9"] >= -cfg.tol * d["scale_eq9"]
+                d["gap_eq8"] >= -(slack + cfg.tol * d["scale_eq8"])
+                and d["gap_eq9"] >= -(slack + cfg.tol * d["scale_eq9"])
             ):
                 raise SelfCheckError(
                     f"{rep.seed_info}: two-block consistency chain broken: "

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from blockineq import (
+    DEFAULT_TOL,
+    BlockMatrix,
     BlockStack,
     GenSpec,
     UsageError,
@@ -13,6 +15,7 @@ from blockineq import (
     is_ppt,
     is_psd,
     kron,
+    partial_transpose,
     random_ppt,
     random_psd,
     random_separable,
@@ -337,7 +340,7 @@ def test_stacked_random_ppt_equals_each_seed_on_both_paths():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The sizes of the eigensolves made while the test runs: 1 for a scalar solve."""
+    """The sizes of the Jacobi solves made while the test runs: 1 for a scalar solve."""
     sizes = []
     scalar = densemat.hermitian_eigenvalues
     stacked = densemat.hermitian_eigenvalues_stack
@@ -347,8 +350,7 @@ def solves(monkeypatch):
         return scalar(x)
 
     def counted_stack(x):
-        if len(x) > 1:  # a stack of one goes on to the scalar solver
-            sizes.append(len(x))
+        sizes.append(len(x))
         return stacked(x)
 
     monkeypatch.setattr(densemat, "hermitian_eigenvalues", counted_scalar)
@@ -366,25 +368,63 @@ def test_psd_and_separable_draws_solve_nothing(solves):
     assert solves == []
 
 
-def test_random_ppt_makes_one_stacked_solve_per_call(solves):
+def test_random_ppt_makes_no_jacobi_solve(solves):
+    # LAPACK decides the candidates; each checker solves its draws itself
     seeds = list(range(40, 52))
     _, paths = random_ppt(2, 2, seeds, max_attempts=3)
     assert set(paths) == {"rejection", "separable"}
-    # every attempt of every seed and their partial transposes, in one stack
-    assert solves == [2 * len(seeds) * 3]
-    solves.clear()
     random_ppt(3, 3, 7)
-    assert solves == [2 * DEFAULT_PPT_ATTEMPTS]
+    generate(GenSpec("ppt_rejection", 2, 3, 11))
+    assert solves == []
+
+
+def _margin_candidate(depth):
+    """A PSD 2x2-block ``A`` whose partial transpose has minimum ``-depth * max(1, ||A^tau||_F)``.
+
+    ``A = I + cP`` with ``P = sum_ij |ii><jj|`` (eigenvalues 0 and 2) is PSD
+    for ``c >= -1/2``; its partial transpose ``I + cF``, ``F`` the swap, has
+    smallest eigenvalue ``1 - c``.
+    """
+    p = np.zeros((4, 4))
+    p[np.ix_([0, 3], [0, 3])] = 1.0
+    swap = partial_transpose(BlockMatrix(2, 2, p)).mat
+    c = 1.0
+    for _ in range(5):
+        c = 1.0 + depth * np.linalg.norm(np.eye(4) + c * swap)
+    return (np.eye(4) + c * p).astype(np.complex128)
+
+
+@pytest.mark.parametrize(
+    "depth, accepted",
+    [
+        (DEFAULT_TOL - randgen._PPT_MARGIN / 2, False),
+        (DEFAULT_TOL - 2 * randgen._PPT_MARGIN, True),
+    ],
+)
+def test_random_ppt_rejects_a_candidate_within_its_margin(monkeypatch, depth, accepted):
+    # is_ppt accepts both candidates at DEFAULT_TOL; random_ppt keeps only
+    # one whose partial transpose clears that threshold by its margin
+    candidate = _margin_candidate(depth)
+    ok, min_a, min_tau = is_ppt(BlockMatrix(2, 2, candidate))
+    assert ok and min_a > 0
+    assert min_tau == pytest.approx(-depth * np.linalg.norm(candidate), rel=1e-3)
+    real = randgen.random_psd
+
+    def one_candidate(dim, rank, seed):
+        return candidate[np.newaxis] if dim == 4 else real(dim, rank, seed)
+
+    monkeypatch.setattr(randgen, "random_psd", one_candidate)
+    block, path = random_ppt(2, 2, 5, max_attempts=1)
+    assert path == ("rejection" if accepted else "separable")
+    assert np.array_equal(block.mat, candidate) == accepted
 
 
 def _random_ppt_attempt_by_attempt(m, n, seed, max_attempts):
     """``random_ppt`` for one seed as a loop: draw, test, stop at the first PPT draw."""
     for t in range(max_attempts):
         candidate = random_psd(m * n, m * n, derive_seed(seed, "ppt-attempt", t))
-        # a one-member stack: the candidate and its partial transpose go to
-        # the stacked solver, as they do in random_ppt's stack
-        ok, _, _ = is_ppt(BlockStack(m, n, candidate[np.newaxis]))
-        if ok[0]:
+        ok, _, _ = is_ppt(BlockMatrix(m, n, candidate))
+        if ok:
             return candidate, "rejection"
     fallback = random_separable(m, n, 3, derive_seed(seed, "ppt-fallback"))
     return fallback.mat, "separable"
@@ -392,10 +432,19 @@ def _random_ppt_attempt_by_attempt(m, n, seed, max_attempts):
 
 @pytest.mark.parametrize(
     "m, n, max_attempts",
-    [(2, 2, DEFAULT_PPT_ATTEMPTS), (3, 3, DEFAULT_PPT_ATTEMPTS), (2, 2, 1), (3, 3, 1)],
+    [
+        (2, 2, DEFAULT_PPT_ATTEMPTS),
+        (3, 3, DEFAULT_PPT_ATTEMPTS),
+        (2, 3, DEFAULT_PPT_ATTEMPTS),
+        (3, 2, DEFAULT_PPT_ATTEMPTS),
+        (2, 4, DEFAULT_PPT_ATTEMPTS),
+        (2, 2, 1),
+        (3, 3, 1),
+        (2, 3, 2),
+    ],
 )
 def test_random_ppt_equals_an_attempt_by_attempt_loop(m, n, max_attempts):
-    seeds = list(range(60, 72))
+    seeds = list(range(60, 100))
     stack, paths = random_ppt(m, n, seeds, max_attempts=max_attempts)
     for k, s in enumerate(seeds):
         want, path = _random_ppt_attempt_by_attempt(m, n, s, max_attempts)

@@ -95,3 +95,40 @@ def test_all_lists_exactly_the_names_the_package_imports():
     assert sorted(blockineq.__all__) == sorted(imported)
     assert len(set(blockineq.__all__)) == len(blockineq.__all__)
     assert [name for name in blockineq.__all__ if not hasattr(blockineq, name)] == []
+
+
+_LAPACK_SPECTRA = ("eigvalsh", "eigh", "eigvals", "eig")
+
+
+def _lapack_spectrum_names(source: str) -> list[int]:
+    """Lines of ``source`` that name a LAPACK eigensolver, as an attribute or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _LAPACK_SPECTRA:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name in _LAPACK_SPECTRA for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_lapack_eigensolvers_are_called_only_in_randgen():
+    # every reported eigenvalue comes from the package's Jacobi solvers;
+    # random_ppt alone decides its rejection candidates with LAPACK, and its
+    # minima reach no report
+    found = {
+        path.name: _lapack_spectrum_names(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert found.pop("randgen.py")  # the rule sees the call there is
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # and it sees such a call wherever one is written
+    for line in (
+        "np.linalg.eigvalsh(x)",
+        "numpy.linalg.eigh(x)",
+        "scipy.linalg.eigvals(x)",
+        "w = np.linalg.eig(x)[0]",
+        "from numpy.linalg import eigh",
+        "from scipy.linalg import eigvalsh as solve",
+    ):
+        assert _lapack_spectrum_names(line) == [1], line

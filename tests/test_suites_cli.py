@@ -386,6 +386,29 @@ def test_block2_consistency_chain_is_a_typed_error(monkeypatch):
         run_suite(SuiteConfig(suites=("block2",), trials=2, shapes=((2, 2),)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_block2_consistency_chain_allows_the_slack_g_admits(monkeypatch, n):
+    # a gap is tr(W G) / 2 with W >= 0 and tr W = 2n, so G >= -eps * I only
+    # bounds it by -n * eps: a gap that deep is consistent with the G it came
+    # from and breaks no chain, though it is below the gap's own tolerance
+    real = suites.check_block2
+    seen = []
+
+    def admitted_slack(a, tol):
+        reports = real(a, tol)
+        d = reports[0].details
+        eps = 0.9 * tol * d["scale_g"]
+        gap = -(n * eps + 0.9 * tol * d["scale_eq9"])
+        assert gap < -tol * d["scale_eq9"]  # fails the gap's own test
+        seen.append(gap)
+        details = dict(d, min_eig_g=-eps, gap_eq9=gap)
+        return [replace(reports[0], details=details)] + reports[1:]
+
+    monkeypatch.setattr(suites, "check_block2", admitted_slack)
+    run_suite(SuiteConfig(suites=("block2",), trials=2, shapes=((2, n),)))
+    assert len(seen) == 1
+
+
 def test_stacked_suite_path_raises_the_checkers_hypothesis_error():
     # at a tolerance far below rounding, the half-rank draw (trial 1) is no
     # longer PSD; the stacked path refuses it as check_upper_bound does
@@ -810,9 +833,8 @@ def test_run_files_on_a_fresh_draw_reports_as_a_fresh_process(tmp_path):
 
 
 def test_run_files_on_an_accepted_ppt_draw_reports_as_a_fresh_process(tmp_path):
-    # random_ppt solves its candidates in a stack, which rotates in another
-    # order than the scalar solver; the document's report must not carry
-    # the stacked value of its draw in place of the input's own solve
+    # random_ppt decides its candidates with LAPACK; the document's report
+    # must carry the input's own Jacobi solve, not a value from that decision
     draws, paths = random_ppt(2, 2, range(200, 240), max_attempts=2)
     assert paths[1] == "rejection"
     path = tmp_path / "accepted.json"
@@ -924,26 +946,25 @@ def test_run_files_block2_alone_on_three_block_rows_is_a_usage_error(tmp_path, m
     assert solves.counts() == (0, [])
 
 
-_PSD_BLOCK_SUITES = ("theorem2", "upper_bound", "corollary6", "block2")
-_PPT_BLOCK_SUITES = ("corollary3", "combined")
+_BLOCK_SUITE_NAMES = ("theorem2", "upper_bound", "corollary6", "block2", "corollary3", "combined")
 
 
 @pytest.mark.parametrize(
     "suite, shape",
     [
         pytest.param(suite, shape, id=f"{suite}-{shape[0]}x{shape[1]}")
-        for suite in _PSD_BLOCK_SUITES + _PPT_BLOCK_SUITES
+        for suite in _BLOCK_SUITE_NAMES
         for shape in ((2, 2), (3, 3))
         if suite != "block2" or shape[0] == 2
     ],
 )
 def test_block_suite_solve_budget(monkeypatch, suite, shape):
-    # a check solves its draws and their residuals as one stack: a PSD suite
-    # makes that one solve; a PPT suite adds one, random_ppt's stack of every
-    # rejection attempt. A duplicated solve fails this test.
+    # a check solves its draws and their residuals as one stack, and that is
+    # the suite's one solve: random_ppt decides its rejection attempts with
+    # LAPACK, not the Jacobi. A duplicated solve fails this test.
     solves = _Solves(monkeypatch)
     run_suite(SuiteConfig(suites=(suite,), trials=25, shapes=(shape,), seed=42))
-    assert len(solves.stacked) == (1 if suite in _PSD_BLOCK_SUITES else 2)
+    assert solves.scalar == 0 and len(solves.stacked) == 1
 
 
 # ---------------------------------------------------------------------------
