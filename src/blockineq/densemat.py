@@ -28,14 +28,14 @@ targets (dimension <= 64):
   chunk into the next round's order. The sweep plan, every round's pair
   order and the moves between them, is worked out by index arithmetic over
   all rounds at once. A chunk's round views and coefficient workspace are
-  built once for each number of members still sweeping, so a round is about
-  thirty ufunc calls that write into them and creates no array.
-  The seeded block suites go through it: they draw and check each shape's
-  trials as one stack, ``random_ppt`` tests all its attempts in one call, and
-  a check solves its inputs (with their partial transposes, for a PPT check)
-  and the residuals of all its sides in one call. So does file verification:
-  it solves all of a document's residuals, for every requested block suite,
-  as one stack.
+  built once for each number of members still sweeping, so a round is 33
+  numpy calls (37 when a pair is left alone) that write into them and create
+  no array; when every pair rotates, none of them casts an operand or takes
+  a mask. The seeded block suites go through it: they draw and check each
+  shape's trials as one stack, and a check solves its inputs (with their
+  partial transposes, for a PPT check) and the residuals of all its sides in
+  one call. So does file verification: it solves all of a document's
+  residuals, for every requested block suite, as one stack.
 
 Both validate their input in one place, :func:`_validated_stack`, one
 matrix as a stack of one: the same Hermiticity check and symmetrization,
@@ -49,13 +49,12 @@ bitwise. One matrix or a stack of one goes to
 :func:`hermitian_eigenvalues`. A stack of several, such as a chunk of the
 submatrix suites' trials, goes to :func:`_sweep_each` and is decided at the
 scales its one validation found: ``B`` scalar sweeps without ``B`` calls'
-overhead, and one norm per member. A
-caller with many members that need no bitwise scalar minima, such as
-``random_ppt``'s rejection stack or a block checker's inputs and
-residuals, solves them with :func:`hermitian_eigenvalues_stack` and
-decides them by :func:`psd_verdict`; so does a checker handed the minima of
-an input file's stacked solve. :func:`is_psd` keeps no state: every call
-solves what it is given.
+overhead, and one norm per member. A caller with many members that need
+no bitwise scalar minima, such as a block checker's inputs and residuals,
+solves them with :func:`hermitian_eigenvalues_stack` and decides them by
+:func:`psd_verdict`; so does a checker handed the minima of an input file's
+stacked solve. :func:`is_psd` keeps no state: every call solves what it is
+given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
@@ -385,8 +384,9 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     ``MAX_SWEEPS`` sweeps, each relative to that matrix's own norm. The
     sweeps use the round-robin pair ordering of Brent and Luk (SIAM J. Sci.
     Stat. Comput. 6, 1985): each round rotates ``d // 2`` disjoint pairs, so
-    one round is about thirty ufunc calls over a chunk of members. A matrix
-    leaves the sweep loop as soon as it has converged.
+    one round is 33 numpy calls over a chunk of members
+    (:func:`_rotate_round`), with no cast and no mask when every pair
+    rotates. A matrix leaves the sweep loop as soon as it has converged.
 
     Members are swept in chunks of ``_CHUNK_BYTES`` (``b * d^2 * 16``), each
     a contiguous ``(d, d, b)`` array, stack axis last, whose rows and columns
@@ -561,19 +561,20 @@ class _RoundWork:
     """The coefficients of a round's ``k`` rotations on each of ``b`` members, each ``(k, b)``.
 
     ``u`` is ``(u21, u12)`` (also held as its two halves) and ``u_conj``
-    its conjugate; ``idle`` marks the pairs left alone, and ``w`` holds
-    intermediate terms.
+    its conjugate; ``c_complex`` is ``c`` as ``(c, +0)``, the operand numpy
+    would cast ``c`` to in each scaling pass; ``idle`` marks the pairs left
+    alone, and ``w`` holds intermediate terms.
     """
 
     __slots__ = (
-        "mag", "tau", "t", "c", "s", "w", "rot", "idle", "negative",
-        "phase", "phase_conj", "u", "u21", "u12", "u_conj",
+        "mag", "tau", "t", "c", "s", "w", "rot", "idle",
+        "phase", "c_complex", "u", "u21", "u12", "u_conj",
     )  # fmt: skip
 
     def __init__(self, k: int, b: int):
         self.mag, self.tau, self.t, self.c, self.s, self.w = np.empty((6, k, b))
-        self.rot, self.idle, self.negative = np.empty((3, k, b), dtype=bool)
-        self.phase, self.phase_conj = np.empty((2, k, b), dtype=np.complex128)
+        self.rot, self.idle = np.empty((2, k, b), dtype=bool)
+        self.phase, self.c_complex = np.empty((2, k, b), dtype=np.complex128)
         self.u, self.u_conj = np.empty((2, 2, k, b), dtype=np.complex128)
         self.u21, self.u12 = self.u
 
@@ -618,7 +619,7 @@ class _Round:
             view if view.flags.c_contiguous else spare[: view.size].reshape(view.shape)
             for view in (self.cols, self.rows)
         )
-        self.rows_c, self.rows_u = work.c[:, np.newaxis], work.u_conj[:, :, np.newaxis]
+        self.rows_c, self.rows_u = work.c_complex[:, np.newaxis], work.u_conj[:, :, np.newaxis]
 
 
 def _rounds(buffers: np.ndarray, n: int, b: int) -> tuple[_Round, _Round]:
@@ -644,6 +645,19 @@ def _rotate_round(r: _Round, skip: np.ndarray) -> None:
     writes into ``r`` or its workspace, so a round creates no array and no view;
     each ufunc takes its output as its last positional argument, which numpy
     parses faster than ``out=``.
+
+    Its calls are trimmed where that keeps every reported bit. ``c`` is
+    copied once into a complex workspace, ``(c, +0)``, which is what numpy
+    would cast it to inside each of the two large scaling multiplies. ``t``
+    takes the sign of ``tau + 0``, so that ``-0`` counts as positive, with
+    one ``copysign``. ``u21`` is ``-conj(u12)``, whose nonzero parts are
+    those of ``-s conj(phase)``; the sign of a zero part may differ. That
+    sign reaches no nonzero entry, and no diagonal entry: a diagonal entry
+    starts as ``+0`` or nonzero (the symmetrization leaves no ``-0``), and
+    each pass adds a product to ``a_pp c``, ``c >= 1 / sqrt(2)``, so it
+    stays ``+0`` or nonzero. The values, masses and sweep counts keep their
+    bits (the tests pin them to the reference kernel's). When every pair
+    rotates, the pivots are pinned with ``fill`` rather than under a mask.
     """
     w = r.work
     mag, rot, tau, t, c, s, tmp = w.mag, w.rot, w.tau, w.t, w.c, w.s, w.w
@@ -662,15 +676,15 @@ def _rotate_round(r: _Round, skip: np.ndarray) -> None:
     np.multiply(mag, 2.0, tmp)
     np.divide(tau, tmp, tau)
     # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), the sign of tau >= 0 (-0 too) being +1:
-    # -1 / x is exactly -(1 / x)
+    # -1 / x is exactly -(1 / x), and tau + 0 is +0 where tau is -0
     np.multiply(tau, tau, tmp)
     np.add(tmp, 1.0, tmp)
     np.sqrt(tmp, tmp)
     np.absolute(tau, t)
     np.add(t, tmp, tmp)
     np.divide(1.0, tmp, t)
-    np.less(tau, 0.0, w.negative)
-    np.negative(t, t, where=w.negative)
+    np.add(tau, 0.0, tmp)
+    np.copysign(t, tmp, t)
     # c = 1 / sqrt(1 + t^2), s = t c
     np.multiply(t, t, tmp)
     np.add(tmp, 1.0, tmp)
@@ -680,21 +694,25 @@ def _rotate_round(r: _Round, skip: np.ndarray) -> None:
     if not every:
         np.copyto(c, 1.0, where=w.idle)
         np.copyto(s, 0.0, where=w.idle)
-    # u21 = -s conj(phase), u12 = s phase
-    np.negative(s, tmp)
-    np.conjugate(w.phase, w.phase_conj)
-    np.multiply(tmp, w.phase_conj, w.u21)
+    np.copyto(w.c_complex, c)
+    # u12 = s phase, u21 = -conj(u12)
     np.multiply(s, w.phase, w.u12)
+    np.conjugate(w.u12, w.u21)
+    np.negative(w.u21, w.u21)
     np.conjugate(w.u, w.u_conj)
     np.multiply(r.cols_swapped, w.u, r.cols_product)
-    np.multiply(r.cols, c, r.cols_scaled)
+    np.multiply(r.cols, w.c_complex, r.cols_scaled)
     np.add(r.cols_scaled, r.cols_product, r.cols)
     np.multiply(r.rows_swapped, r.rows_u, r.rows_product)
     np.multiply(r.rows, r.rows_c, r.rows_scaled)
     np.add(r.rows_scaled, r.rows_product, r.rows)
     # the pivot pairs are zero by construction; pin them to kill rounding residue
-    np.copyto(r.pivots, 0.0, where=rot)
-    np.copyto(r.mirrors, 0.0, where=rot)
+    if every:
+        r.pivots.fill(0.0)
+        r.mirrors.fill(0.0)
+    else:
+        np.copyto(r.pivots, 0.0, where=rot)
+        np.copyto(r.mirrors, 0.0, where=rot)
 
 
 def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):

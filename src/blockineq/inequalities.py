@@ -599,14 +599,17 @@ class PairBatch:
 
     @classmethod
     def of(cls, alpha: IndexSet, beta: IndexSet) -> "PairBatch":
-        """The batch of the single pair ``(alpha, beta)``."""
+        """The batch of the single pair ``(alpha, beta)``, shared by every call with that pair.
+
+        So a lone pair's plans are built on its first check only.
+        """
         if len(alpha) != len(beta):
             raise UsageError(
                 f"index sets must have equal cardinality, got {len(alpha)} and {len(beta)}"
             )
         alpha._require_same_universe(beta)
-        combos = np.array([alpha.members, beta.members], dtype=np.intp).reshape(2, len(alpha))
-        return cls(alpha.universe, ((combos - 1, np.array([0]), np.array([1])),))
+        masks = (sum(1 << (i - 1) for i in s.members) for s in (alpha, beta))
+        return _pair_batch(alpha.universe, *masks)
 
     def __len__(self) -> int:
         return sum(len(ia) for _, ia, _ in self.groups)
@@ -618,6 +621,21 @@ class PairBatch:
                 return (combos[ia[p]] + 1).tolist(), (combos[ib[p]] + 1).tolist()
             p -= len(ia)
         raise IndexError("pair index out of range")
+
+
+# Room for every pair of a universe of 5 and of 4 (251 + 69): a loop of lone
+# checks over all of them, matrix after matrix, then builds each plan once.
+@lru_cache(maxsize=512)
+def _pair_batch(universe: int, alpha_mask: int, beta_mask: int) -> PairBatch:
+    """:meth:`PairBatch.of` of the pair whose sets hold the members ``i`` with bit ``i - 1`` set."""
+    combos = np.array(
+        [[i for i in range(universe) if mask >> i & 1] for mask in (alpha_mask, beta_mask)],
+        dtype=np.intp,
+    )
+    ia, ib = np.array([0]), np.array([1])
+    for arr in (combos, ia, ib):
+        arr.flags.writeable = False
+    return PairBatch(universe, ((combos, ia, ib),))
 
 
 @lru_cache(maxsize=32)

@@ -3,7 +3,9 @@
 Streams are counter-based (Philox) and keyed by a 64-bit seed, so identical
 arguments reproduce identical matrices on every run regardless of call order.
 Child seeds for composite draws are derived by hashing ``(seed, labels...)``,
-which keeps trials independent and parallel-safe.
+which keeps trials independent and parallel-safe; :func:`derive_seeds`
+derives the seeds of trials ``0..T-1`` under one path of labels, hashing
+that path once and copying its hash state for each trial.
 
 Complex Gaussians are produced by Box-Muller on the uniform stream rather
 than the generator's built-in normal sampler, so the mapping from uniforms
@@ -68,6 +70,30 @@ def derive_seed(seed: int, *parts) -> int:
     distinct paths give statistically independent streams and the result is
     stable across platforms and Python versions.
     """
+    return int.from_bytes(_path_hash(seed, parts).digest(), "little")
+
+
+def derive_seeds(seed: int, *prefix, count: int) -> list[int]:
+    """``[derive_seed(seed, *prefix, t) for t in range(count)]``, hashing the prefix once.
+
+    The hash of ``(seed, *prefix)`` is computed once and copied for each
+    trial ``t``, which is then fed as the last label; the seeds are those
+    ``derive_seed`` gives, and the seed and labels are checked as it checks
+    them, even when ``count`` is 0.
+    """
+    if count < 0:
+        raise UsageError(f"count must be nonnegative, got {count}")
+    prefixed = _path_hash(seed, prefix)
+    seeds = []
+    for t in range(count):
+        h = prefixed.copy()
+        h.update(b"i" + t.to_bytes(8, "little", signed=True))
+        seeds.append(int.from_bytes(h.digest(), "little"))
+    return seeds
+
+
+def _path_hash(seed: int, parts) -> hashlib.blake2b:
+    """The blake2b state of ``seed`` and its labels, each tagged with its type and length."""
     h = hashlib.blake2b(digest_size=8)
     h.update(_check_seed(seed).to_bytes(8, "little"))
     for part in parts:
@@ -78,7 +104,7 @@ def derive_seed(seed: int, *parts) -> int:
             h.update(b"i" + int(part).to_bytes(8, "little", signed=True))
         else:
             raise TypeError(f"seed path labels must be str or int, got {type(part)!r}")
-    return int.from_bytes(h.digest(), "little")
+    return h
 
 
 _local = threading.local()
@@ -203,13 +229,14 @@ def random_separable(
     counts = per["terms"]
     if any(c < 1 for c in counts):
         raise UsageError(f"terms must be positive, got {min(counts)}")
-    terms_of = [(k, t) for k, c in enumerate(counts) for t in range(c)]
-    left = [derive_seed(seeds[k], "separable-left", t) for k, t in terms_of]
-    right = [derive_seed(seeds[k], "separable-right", t) for k, t in terms_of]
+    left, right = (
+        [x for s, c in zip(seeds, counts) for x in derive_seeds(s, side, count=c)]
+        for side in ("separable-left", "separable-right")
+    )
     p, q = random_psd(m, m, left), random_psd(n, n, right)
     total = np.zeros((len(seeds), m * n, m * n), dtype=np.complex128)
     # adds each draw's terms in order t = 0, 1, ..., as one draw alone would
-    np.add.at(total, [k for k, _ in terms_of], kron(p, q))
+    np.add.at(total, [k for k, c in enumerate(counts) for _ in range(c)], kron(p, q))
     out = BlockStack(m, n, total)
     return out[0] if single else out
 
@@ -243,7 +270,9 @@ def random_ppt(
         raise UsageError(f"max_attempts must be positive, got {max_attempts}")
     single, seeds, _ = _draws(seed)
     d = m * n
-    attempt_seeds = [derive_seed(s, "ppt-attempt", t) for s in seeds for t in range(max_attempts)]
+    attempt_seeds = [
+        x for s in seeds for x in derive_seeds(s, "ppt-attempt", count=max_attempts)
+    ]
     candidates = random_psd(d, d, attempt_seeds)
     tau = partial_transpose(BlockStack(m, n, candidates)).mat
     threshold = (_PPT_MARGIN - DEFAULT_TOL) * np.maximum(1.0, frobenius_stack(tau))

@@ -60,7 +60,7 @@ from .maps import (
     choi_matrix,
 )
 from .matio import load, to_doc
-from .randgen import MAX_SEED, derive_seed, random_ppt, random_psd, random_separable
+from .randgen import MAX_SEED, derive_seeds, random_ppt, random_psd, random_separable
 
 # A suite of a table-driven family is a row; its runner reads the row and
 # calls the checker ``check_<name>`` that the row names, looked up in this
@@ -328,7 +328,7 @@ def _gram_inputs(cfg: SuiteConfig, suite: str):
         pattern = _BLOCK_SUITES[suite][1] and m == n and m >= 2
         trials = range(1 if pattern else 0, cfg.trials)
         ranks = [_rank_for_trial(dim, t) for t in trials]
-        seeds = [derive_seed(cfg.seed, suite, m, n, t) for t in trials]
+        seeds = derive_seeds(cfg.seed, suite, m, n, count=cfg.trials)[trials.start :]
         mats = random_psd(dim, ranks, seeds)
         infos = [f"random_psd(dim={dim}, rank={r}, seed={s})" for r, s in zip(ranks, seeds)]
         if pattern:
@@ -340,7 +340,7 @@ def _gram_inputs(cfg: SuiteConfig, suite: str):
 def _ppt_inputs(cfg: SuiteConfig, suite: str):
     """Yield one batch per shape: separable and rejection-sampled PPT trials, as one stack."""
     for m, n in cfg.shapes:
-        seeds = [derive_seed(cfg.seed, suite, m, n, t) for t in range(cfg.trials)]
+        seeds = derive_seeds(cfg.seed, suite, m, n, count=cfg.trials)
         terms = [1 + (t // 2) % 3 for t in range(0, cfg.trials, 2)]
         even = random_separable(m, n, terms, seeds[0::2])
         odd, paths = random_ppt(m, n, seeds[1::2], max_attempts=_SUITE_PPT_ATTEMPTS)
@@ -370,7 +370,7 @@ def _psd_inputs(cfg: SuiteConfig, suite: str):
     for n in cfg.dims:
         size = _chunk_members(exhaustive_pairs(n, distinct=_SUBMATRIX_SUITES[suite][1]))
         ranks = [_rank_for_trial(n, t) for t in range(cfg.trials)]
-        seeds = [derive_seed(cfg.seed, suite, n, t) for t in range(cfg.trials)]
+        seeds = derive_seeds(cfg.seed, suite, n, count=cfg.trials)
         mats = random_psd(n, ranks, seeds)
         infos = [f"random_psd(dim={n}, rank={r}, seed={s})" for r, s in zip(ranks, seeds)]
         for lo in range(0, cfg.trials, size):

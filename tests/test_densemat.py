@@ -36,6 +36,7 @@ from oracles import (
     random_hermitian,
     random_psd_lapack,
     round_robin_pairs,
+    _rotate_reference,
 )
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -369,11 +370,19 @@ def test_stacked_eigenvalues_raise_as_the_scalar_solver(monkeypatch):
 
 def _reference_stack(rng, d, count):
     """Hermitian, Gram (of any rank) and diagonal members; some with exact-zero
-    rows and columns, some all zero, some scaled by 2^400 or 2^-400."""
+    rows and columns, some all zero, some scaled by 2^400 or 2^-400.
+
+    Others reach a round's signed zeros: off-diagonal entries whose real
+    part is exactly +0 or -0 (a purely imaginary pivot), equal diagonal
+    entries, +0 and -0 among them (tau = 0; the symmetrization makes a -0
+    on the diagonal +0), and pairs left idle, below the skip threshold or
+    exactly zero, in the same round as rotating ones. Each member is scaled
+    part by part, since a complex product would reset the sign of a zero.
+    """
     members = []
     for k in range(count):
         g = random_complex(rng, d, d)
-        kind = k % 4
+        kind = k % 7
         if kind == 0:
             a = g + g.conj().T
         elif kind == 1:
@@ -381,14 +390,39 @@ def _reference_stack(rng, d, count):
             a = h.conj().T @ h
         elif kind == 2:
             a = np.diag(rng.standard_normal(d)) + 1e-20 * (g + g.conj().T)
-        else:
+        elif kind == 3:
             a = g + g.conj().T
             zero = rng.integers(0, d, size=1 + k % 2)
             a[zero, :] = 0.0
             a[:, zero] = 0.0
-        if k % 7 == 6:
+        elif kind == 4:
+            # purely imaginary off the diagonal, each real part +0 or -0 with its mirror's
+            a = np.empty((d, d), dtype=np.complex128)
+            negative = np.triu(rng.random((d, d)) < 0.5, 1)
+            a.real = np.where(negative | negative.T, -0.0, 0.0)
+            a.imag = g.imag - g.imag.T
+            a.real[np.diag_indices(d)] = rng.standard_normal(d)
+        elif kind == 5:
+            # one value on the whole diagonal, or +0 and -0 mixed there
+            a = g + g.conj().T
+            a.real[np.diag_indices(d)] = rng.choice([1.5, 0.0, -0.0], size=d if k % 2 else 1)
+            a.imag[np.diag_indices(d)] = 0.0
+        else:
+            # a few rotating pairs, some purely imaginary, among idle ones (tiny or subnormal)
+            a = np.diag(rng.choice([1.0, -1.0, 0.0], size=d)) + 1e-20 * (g + g.conj().T)
+            a[np.triu_indices(d, 1 + k % 3)] *= 1e-300
+            a = np.triu(a) + np.triu(a, 1).conj().T
+            order = rng.permutation(d)
+            for p, q in zip(order[0 : 2 * (1 + k % 2) : 2], order[1 : 2 * (1 + k % 2) : 2]):
+                value = g[p, q] if k % 3 else 1j * g[p, q].imag
+                a[p, q], a[q, p] = value, np.conj(value)
+        if k % 10 == 9:
             a = np.zeros((d, d))
-        members.append(a * 2.0 ** rng.choice([-400, 0, 400]))
+        a = np.array(a, dtype=np.complex128)
+        power = rng.choice([-400, 0, 400])
+        a.real = np.ldexp(a.real, power)
+        a.imag = np.ldexp(a.imag, power)
+        members.append(a)
     return np.array(members, dtype=np.complex128).reshape(count, d, d)
 
 
@@ -526,6 +560,44 @@ def test_stacked_solver_is_bitwise_the_reference_at_every_dimension(monkeypatch,
         a = buffers[0].reshape(d, d)
         assert a[d - 1, d - 1].tobytes() == before[d - 1, d - 1].tobytes()
         assert not np.array_equal(a[: d - 1, : d - 1], before[: d - 1, : d - 1])
+
+
+def test_a_round_counts_a_negative_zero_tau_as_positive():
+    # tau = (a_qq - a_pp) / (2 |a_pq|) is -0 at a_pp = +0, a_qq = -0 (or where
+    # a negative quotient underflows); the round still takes t >= 0 there, as
+    # the reference does, with every pair rotating and with one pair idle
+    # (its pivot is 0) beside a rotating one
+    d, k = 4, 2
+    order = densemat._round_robin(d)[0]
+    p, q = order[:k], order[k : 2 * k]
+    members = []
+    for idle in (False, True):
+        a = np.array(
+            [
+                [0, 1 + 2j, 0.5 - 1j, 2 + 1j],
+                [0, 0, 1 - 1j, -1 + 3j],
+                [0, 0, 1, 0.25 + 0.5j],
+                [0, 0, 0, 3],
+            ]
+        )
+        a = a + np.triu(a, 1).conj().T
+        a[q[0], q[0]] = -0.0
+        a[p[0], p[0]] = 0.0
+        a[p[0], q[0]], a[q[0], p[0]] = 1 + 2j, 1 - 2j
+        if idle:
+            a[p[1], q[1]] = a[q[1], p[1]] = 0.0
+        members.append(a)
+    x = np.array(members)
+    assert np.signbit(x[:, q[0], q[0]].real).all()
+
+    def held(m):  # the chunk layout: entry by entry in the round's order, stack axis last
+        return np.ascontiguousarray(m[:, order][:, :, order].reshape(len(m), d * d).T)
+
+    buffers = np.empty((3, d * d * len(x)), dtype=np.complex128)
+    buffers[0] = held(x).ravel()
+    densemat._rotate_round(densemat._rounds(buffers, d, len(x))[0], np.zeros(len(x)))
+    _rotate_reference(x, p, q, np.zeros((len(x), 1)))
+    assert buffers[0].tobytes() == held(x).tobytes()
 
 
 def test_an_odd_dimension_names_the_member_that_does_not_converge(monkeypatch):

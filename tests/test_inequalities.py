@@ -103,6 +103,39 @@ def test_index_set_algebra():
         inequalities.PairBatch.of(a, IndexSet(4, (1, 2, 3)))
 
 
+def test_a_lone_pair_builds_its_plans_once(monkeypatch):
+    # one batch per pair, whatever IndexSet objects name it, so a lone
+    # check's plans are built on its pair's first check only
+    built = []
+
+    def counted(build):
+        def plan(batch):
+            built.append(build.__name__)
+            return build(batch)
+
+        return plan
+
+    monkeypatch.setattr(inequalities, "_trace_plan", counted(inequalities._trace_plan))
+    monkeypatch.setattr(inequalities, "_det_plan", counted(inequalities._det_plan))
+    mat = random_psd_lapack(np.random.default_rng(5), 5)
+    al, be = IndexSet(5, (1, 3, 4)), IndexSet(5, (2, 4, 5))
+    first = [check_trace_submatrix(mat, al, be), check_det_submatrix(mat, al, be)]
+    again = [
+        check_trace_submatrix(mat, IndexSet(5, (1, 3, 4)), IndexSet(5, (2, 4, 5))),
+        check_det_submatrix(mat, IndexSet.of(5, [4, 3, 1]), IndexSet.of(5, [5, 2, 4])),
+    ]
+    assert built == ["_trace_plan", "_det_plan"]
+    assert again == first
+    batch = inequalities.PairBatch.of(al, be)
+    assert batch is inequalities.PairBatch.of(IndexSet(5, (1, 3, 4)), IndexSet(5, (2, 4, 5)))
+    assert batch.universe == 5 and batch.pair(0) == ([1, 3, 4], [2, 4, 5])
+    assert not any(arr.flags.writeable for arr in batch.groups[0])
+    # another pair, or the same members in another universe, is another batch
+    assert inequalities.PairBatch.of(be, al).pair(0) == ([2, 4, 5], [1, 3, 4])
+    other = inequalities.PairBatch.of(IndexSet(6, (1, 3, 4)), IndexSet(6, (2, 4, 5)))
+    assert other is not batch and other.universe == 6
+
+
 # ---------------------------------------------------------------- submatrix
 
 

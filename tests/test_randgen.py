@@ -1,5 +1,7 @@
 """Seeded generators: determinism, distribution sanity, and PSD/PPT contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,46 @@ def test_derive_seed_rejects_bad_inputs():
         derive_seed(MAX_SEED + 1, "x")
     with pytest.raises(TypeError):
         derive_seed(0, 1.5)
+
+
+def test_derive_seed_is_blake2b_of_the_tagged_path():
+    # written out from the format: the seed's 8 bytes, then "s" + length +
+    # UTF-8 for a string label and "i" + 8 signed bytes for an integer
+    h = hashlib.blake2b(digest_size=8)
+    h.update((42).to_bytes(8, "little"))
+    h.update(b"s" + (8).to_bytes(4, "little") + b"theorem2")
+    for label in (2, 3, -1):
+        h.update(b"i" + label.to_bytes(8, "little", signed=True))
+    assert derive_seed(42, "theorem2", 2, 3, -1) == int.from_bytes(h.digest(), "little")
+
+
+@pytest.mark.parametrize("seed", [0, 42, MAX_SEED, np.uint64(MAX_SEED)])
+@pytest.mark.parametrize(
+    "prefix",
+    [(), ("theorem2",), ("theorem2", 2, 3), ("thm8_9", np.int64(5)), (np.int32(-7), "é", 0)],
+)
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_derive_seeds_are_derive_seed_of_each_trial(seed, prefix, count):
+    seeds = randgen.derive_seeds(seed, *prefix, count=count)
+    assert seeds == [derive_seed(seed, *prefix, t) for t in range(count)]
+    assert all(type(s) is int for s in seeds)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_derive_seeds_reject_what_derive_seed_rejects(count):
+    for seed, labels, error in (
+        (-1, ("x",), UsageError),
+        (MAX_SEED + 1, ("x",), UsageError),
+        (0, (1.5,), TypeError),
+        (0, ("x", None), TypeError),
+    ):
+        with pytest.raises(error) as single:
+            derive_seed(seed, *labels, 0)
+        with pytest.raises(error) as many:
+            randgen.derive_seeds(seed, *labels, count=count)
+        assert str(many.value) == str(single.value)
+    with pytest.raises(UsageError, match="count must be nonnegative"):
+        randgen.derive_seeds(0, "x", count=-1)
 
 
 # -------------------------------------------------------- complex_gaussians
