@@ -1,25 +1,28 @@
 """Dense complex matrix arithmetic and self-contained Hermitian eigensolvers.
 
 All matrices are plain ``numpy.ndarray`` objects with ``complex128`` dtype.
-Every positivity decision in the package funnels through one of two
-eigensolvers, both deliberately dependency-free cyclic complex Jacobi
-iterations that are numerically robust at the desk scale this package
-targets (dimension <= 64):
+Every positivity decision in the package funnels through cyclic complex
+Jacobi iterations, deliberately dependency-free and numerically robust at
+the desk scale this package targets (dimension <= 64). They sweep in one of
+two rotation orders, and the matrix's dimension ``d`` picks which, by one
+rule (:func:`solves_in_round_robin`): from ``d = ROUND_ROBIN_MIN_DIM`` up
+every solve, of one matrix or of a stack, takes the round-robin order of the
+stacked kernel, and below it a matrix solved on its own takes the row order
+of a scalar loop, which is the faster there.
 
-- :func:`hermitian_eigenvalues` solves one matrix with a scalar loop. It
-  runs whenever one matrix is solved: the input of an explicit input file
-  and the public ``check_*`` functions on one block matrix, for which it is
-  the faster of the two. It is the stack of one of :func:`_sweep_each`, the
-  one loop that validates a stack once and then sweeps each member in turn
-  with :func:`_sweep`; :func:`is_psd` on a stack of several runs the same
-  loop, and :func:`hermitian_eigenvalues_stack` on a stack of one, which it
-  names "stack member 0".
-  The matrix it rotates stays exactly Hermitian, so each rotation updates
-  columns ``p`` and ``q`` and writes their conjugates into rows ``p`` and
-  ``q`` in the same pass: bitwise the values of a row pass after a column
-  pass, but for the sign of an exact zero. Its eigenvalues, sweep counts
-  and off-diagonal mass are those of the two-pass loop, which the test
-  oracles keep.
+- :func:`hermitian_eigenvalues` solves one matrix. It is the stack of one
+  of :func:`_sweep_each`, the one loop that validates a stack once and then
+  sweeps its members in the order ``d`` picks: each in turn with the scalar
+  :func:`_sweep` below ``ROUND_ROBIN_MIN_DIM``, all in the kernel from
+  there up. :func:`is_psd` on a stack of several runs the same loop, and
+  :func:`hermitian_eigenvalues_stack` on a stack of one below the crossover,
+  which it names "stack member 0".
+  The matrix the scalar loop rotates stays exactly Hermitian, so each
+  rotation updates columns ``p`` and ``q`` and writes their conjugates into
+  rows ``p`` and ``q`` in the same pass: bitwise the values of a row pass
+  after a column pass, but for the sign of an exact zero. Its eigenvalues,
+  sweep counts and off-diagonal mass are those of the two-pass loop, which
+  the test oracles keep.
 - :func:`hermitian_eigenvalues_stack` solves a ``(B, d, d)`` stack in one
   call, in the round-robin (parallel) pair ordering, vectorized over the
   disjoint pairs of each round and over chunks of members, stack axis last.
@@ -31,11 +34,13 @@ targets (dimension <= 64):
   built once for each number of members still sweeping, so a round is 33
   numpy calls (37 when a pair is left alone) that write into them and create
   no array; when every pair rotates, none of them casts an operand or takes
-  a mask. The seeded block suites go through it: they draw and check each
+  a mask. A member's values are bitwise the same in any stack, one member
+  included. The seeded block suites go through it: they draw and check each
   shape's trials as one stack, and a check solves its inputs (with their
   partial transposes, for a PPT check) and the residuals of all its sides in
   one call. So does file verification: it solves all of a document's
-  residuals, for every requested block suite, as one stack.
+  residuals, for every requested block suite, as one stack, and from the
+  crossover up the document itself in that stack.
 
 Both validate their input in one place, :func:`_validated_stack`, one
 matrix as a stack of one: the same Hermiticity check and symmetrization,
@@ -44,17 +49,19 @@ and the same refusal of any matrix whose Frobenius norm overflows. Its
 stopping rule, and :func:`psd_verdict`, read that one norm.
 
 :func:`is_psd` decides one matrix or a stack by the rule
-:func:`psd_verdict` states, each member at the scalar solver's minimum,
-bitwise. One matrix or a stack of one goes to
-:func:`hermitian_eigenvalues`. A stack of several, such as a chunk of the
-submatrix suites' trials, goes to :func:`_sweep_each` and is decided at the
-scales its one validation found: ``B`` scalar sweeps without ``B`` calls'
-overhead, and one norm per member. A caller with many members that need
-no bitwise scalar minima, such as a block checker's inputs and residuals,
-solves them with :func:`hermitian_eigenvalues_stack` and decides them by
+:func:`psd_verdict` states, each member at the minimum
+:func:`hermitian_eigenvalues` finds for it alone, bitwise. One matrix or a
+stack of one goes to :func:`hermitian_eigenvalues`. A stack of several,
+such as a chunk of the submatrix suites' trials or the Choi matrices of
+maps of one shape, goes to :func:`_sweep_each` and is decided at the scales
+its one validation found: ``B`` scalar sweeps without ``B`` calls'
+overhead, or one kernel call, and one norm per member. A caller with many
+members whose minima need not be each one's lone solve, such as a block
+checker's inputs and residuals, solves them with
+:func:`hermitian_eigenvalues_stack` and decides them by
 :func:`psd_verdict`; so does a checker handed the minima of an input file's
-stacked solve. :func:`is_psd` keeps no state: every call solves what it is
-given.
+stacked solve. From the crossover up the two agree bitwise. :func:`is_psd`
+keeps no state: every call solves what it is given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
@@ -78,6 +85,11 @@ JACOBI_RTOL = 1e-13
 MAX_SWEEPS = 100
 # Bytes, b * d^2 * 16, of the b members the stacked solver sweeps at a time.
 _CHUNK_BYTES = 512 * 1024
+# The dimension from which a lone matrix is swept by the stacked kernel, where
+# it is the faster: one d x d Gram solve took 1.47 ms in the row-cyclic loop
+# and 1.82 ms in the kernel at d = 11, 2.02 and 1.83 ms at d = 12, and 4.79
+# and 2.57 ms at d = 16 (BENCH_23.json).
+ROUND_ROBIN_MIN_DIM = 12
 # Default tolerance for positivity decisions, relative to max(1, ||X||_F).
 DEFAULT_TOL = 1e-9
 
@@ -187,7 +199,10 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
     """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
 
     The matrix is solved as a stack of one by :func:`_sweep_each`, and
-    errors name it "matrix". It must be Hermitian up to
+    errors name it "matrix": below ``ROUND_ROBIN_MIN_DIM`` in the scalar
+    loop's row order, and from there up in the stacked kernel's round-robin
+    order, bitwise as a member of any :func:`hermitian_eigenvalues_stack`
+    call (:func:`solves_in_round_robin`). It must be Hermitian up to
     ``HERMITICITY_RTOL * max(1, ||x||_F)``; it is symmetrized as
     ``(x + x*) / 2`` before solving, which absorbs rounding noise from
     upstream arithmetic. Sweeps continue until the
@@ -214,19 +229,24 @@ def hermitian_eigenvalues(x: np.ndarray) -> EigenResult:
 
 
 def _sweep_each(x: np.ndarray, first: int | None = 0):
-    """Validate a ``(B, d, d)`` stack once, then sweep each member alone, in order.
+    """Validate a ``(B, d, d)`` stack once, then sweep its members in the order ``d`` picks.
 
     The whole stack is validated by :func:`_validated_stack` before any
-    sweep; then each member's rows, as nested lists of native complex,
-    which beat ndarray indexing for the tiny, scalar-heavy rotation
-    updates, go through :func:`_sweep` at ``JACOBI_RTOL`` times its scale.
-    Members are named in errors as ``first`` directs (see
-    :func:`_validated_stack`). Returns the eigenvalues, ``(B, d)`` sorted
-    ascending along the last axis, the off-diagonal masses and sweeps, each
-    of length ``B``, and the scales ``max(1, ||X||_F)``.
+    sweep. At ``d >= ROUND_ROBIN_MIN_DIM`` (:func:`solves_in_round_robin`)
+    the members go through the stacked kernel, :func:`_sweep_round_robin`,
+    which gives a member the same bits in any stack, one member included.
+    Below it each member's rows, as nested lists of native complex, which
+    beat ndarray indexing for the tiny, scalar-heavy rotation updates, go
+    through :func:`_sweep` at ``JACOBI_RTOL`` times its scale. Members are
+    named in errors as ``first`` directs (see :func:`_validated_stack`).
+    Returns the eigenvalues, ``(B, d)`` sorted ascending along the last
+    axis, the off-diagonal masses and sweeps, each of length ``B``, and the
+    scales ``max(1, ||X||_F)``.
     """
     a, scale = _validated_stack(x, first)
     count, n = x.shape[0], x.shape[1]
+    if solves_in_round_robin(n):
+        return (*_sweep_round_robin(a, scale, first), scale)
     values = np.empty((count, n))
     offdiag, sweeps = np.zeros(count), np.zeros(count, dtype=np.int64)
     if n:
@@ -236,6 +256,18 @@ def _sweep_each(x: np.ndarray, first: int | None = 0):
             values[k] = [rows[i][i].real for i in range(n)]
     values.sort(axis=1)
     return values, offdiag, sweeps, scale
+
+
+def solves_in_round_robin(n: int) -> bool:
+    """Whether an ``n x n`` matrix is swept in the stacked kernel's round-robin order.
+
+    It is, at ``n >= ROUND_ROBIN_MIN_DIM``, whether it is solved alone or
+    in a stack of any size, so its values are bitwise the same either way.
+    Below that a lone matrix, or a member of an :func:`is_psd` stack, goes
+    to the row-cyclic scalar loop, the faster there, and a stack of several
+    to :func:`hermitian_eigenvalues_stack` goes to the kernel.
+    """
+    return n >= ROUND_ROBIN_MIN_DIM
 
 
 def _sweep(
@@ -400,11 +432,13 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     allocates nothing. A member's rotations and sums use only its own
     entries, in a fixed order, so its values, sweeps and off-diagonal mass
     are bitwise the same in any stack or chunk (a zero's sign aside), and
-    those of the tests' ``(B, d, d)`` reference kernel. Eigenvalues agree
-    with :func:`hermitian_eigenvalues`, whose order differs, to rounding. A
-    stack of one is swept by :func:`_sweep_each`, in that scalar solver's
-    order and to its values bitwise; its errors name it "stack member 0",
-    as they name a member of any stack.
+    those of the tests' ``(B, d, d)`` reference kernel. From
+    ``ROUND_ROBIN_MIN_DIM`` up they are also :func:`hermitian_eigenvalues`'s
+    bitwise, since it sweeps one matrix in the same kernel; below that its
+    row order differs and they agree to rounding, and a stack of one is
+    swept by :func:`_sweep_each`, in that scalar solver's order and to its
+    values bitwise. A stack of one's errors name it "stack member 0", as
+    they name a member of any stack.
 
     Returns
     -------
@@ -429,7 +463,7 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ShapeError(f"expected a (B, d, d) stack of square matrices, got shape {x.shape}")
     count, n = x.shape[0], x.shape[1]
-    if count == 1:
+    if count == 1 and not solves_in_round_robin(n):
         values, offdiag, sweeps, _ = _sweep_each(x)
         return EigenResult(values, offdiag, sweeps)
     sweeps = np.zeros(count, dtype=np.int64)
@@ -438,10 +472,21 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     a, scale = _validated_stack(x)
     if n == 1:
         return EigenResult(a[:, 0, :].real.copy(), np.zeros(count), sweeps)
+    return EigenResult(*_sweep_round_robin(a, scale, 0))
 
+
+def _sweep_round_robin(a: np.ndarray, scale: np.ndarray, first: int | None):
+    """Sweep a validated ``(B, d, d)`` stack, ``d >= 2``, in the kernel, a chunk at a time.
+
+    ``scale`` holds each member's ``max(1, ||X||_F)``. Returns the sorted
+    eigenvalues, off-diagonal masses and sweeps; a member that does not
+    converge is named as ``first`` directs (see :func:`_validated_stack`).
+    """
+    count, n = a.shape[0], a.shape[1]
     threshold = JACOBI_RTOL * scale
     skip = threshold / (2.0 * n)
     values, offdiag = np.empty((count, n)), np.empty(count)
+    sweeps = np.zeros(count, dtype=np.int64)
     size = max(1, _CHUNK_BYTES // (16 * n * n))
     # two chunk-sized buffers that a round's move ping-pongs between (the idle
     # one also takes products), and one for a round's products, reused by every chunk
@@ -454,8 +499,10 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     failed = np.flatnonzero(offdiag >= threshold)
     if failed.size:
         k = int(failed[0])
-        raise _not_converged(float(offdiag[k]), float(threshold[k]), k)
-    return EigenResult(np.sort(values, axis=1), offdiag, sweeps)
+        member = None if first is None else first + k
+        raise _not_converged(float(offdiag[k]), float(threshold[k]), member)
+    values.sort(axis=1)
+    return values, offdiag, sweeps
 
 
 def _sweep_chunk(x: np.ndarray, threshold: np.ndarray, skip: np.ndarray, buffers: np.ndarray):
@@ -723,14 +770,15 @@ def is_psd(x: np.ndarray, tol: float = DEFAULT_TOL):
     (:func:`psd_verdict`); an empty matrix's minimum is 0. The eigenvalue
     is returned for reporting either way. For a ``(B, d, d)`` stack returns
     the same per member, as a boolean and a float array of length ``B``.
-    Each member's minimum is bitwise the scalar solver's,
+    Each member's minimum is bitwise its lone solve's,
     ``hermitian_eigenvalues(member).values[0]``: one matrix, or a stack of
     one, is solved by :func:`hermitian_eigenvalues`, and a stack of several
     by :func:`_sweep_each`, the same sweep loop on every member after one
     validation, and decided at the scale that validation found, so ``B``
-    members cost ``B`` scalar sweeps, O(B), without ``B`` calls' overhead;
-    errors name a member by its index in ``x``. A caller with many members
-    whose minima need not be the scalar solver's solves them with
+    members cost ``B`` scalar sweeps, O(B), without ``B`` calls' overhead,
+    or from ``ROUND_ROBIN_MIN_DIM`` up one kernel call; errors name a
+    member by its index in ``x``. A caller with many members whose minima
+    need not be their lone solves' solves them with
     :func:`hermitian_eigenvalues_stack` and decides them by
     :func:`psd_verdict`, as ``blockops.is_ppt`` does. Every call
     solves: nothing is kept between calls.

@@ -16,8 +16,10 @@ applied blockwise, split as (trace part, ``-X`` or ``X``). The seeded suites
 check each shape's trials as one stack. Every block check goes one way: it
 lists the matrices it solves (the input, its partial transpose for a PPT
 check, each side's residual), reads those, and their minima, where an
-input file's document already carries them, and solves the rest, on a
-stack as one stacked eigensolve and on one matrix each alone with the
+input file's document already carries them, and solves the rest as one
+stacked eigensolve: on a stack always, and on one matrix from the solvers'
+crossover dimension up, where the kernel sweeps each matrix as it would
+alone. Below it, one matrix's entries are solved each alone with the
 scalar solver, which is the faster there.
 
 The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
@@ -27,8 +29,8 @@ matrices they return a list of those, one per member. Each inequality is
 written once, over the pairs of each cardinality and the members of a
 chunk of the stack; a single pair is a batch of one and a single matrix a
 stack of one. The members of a chunk are tested for PSD in one
-:func:`~blockineq.densemat.is_psd` call, each at the scalar solver's
-minimum, bitwise, as if it were tested alone. A batch keeps the gather
+:func:`~blockineq.densemat.is_psd` call, each at its lone solve's minimum,
+bitwise, as if it were tested alone. A batch keeps the gather
 indices its checks derive from its pairs (:meth:`PairBatch.plan`). The
 exhaustive suites check all pairs of a chunk of trials as one batch.
 
@@ -71,6 +73,7 @@ from .densemat import (
     kron,
     psd_verdict,
     require_square,
+    solves_in_round_robin,
 )
 from .errors import (
     ConvergenceError,
@@ -279,20 +282,24 @@ def _check_block(check_name: str, a, tol: float):
     solves what :func:`_to_solve` lists for it, less what a
     :class:`_Presolved` document already carries. A document that carries
     this check's terms is not assembled again: its matrices and terms are
-    read as :func:`_presolve` built them. On a stack that rest is
-    solved as one stack (:func:`_solve_together`), as :func:`_presolve`
-    solves a document's. A
-    member's rotations do not depend on its stack-mates, so each value is
-    the same in a stack of any size, one member included.
+    read as :func:`_presolve` built them, and what it left unsolved, where
+    its stack raised, is solved one entry at a time as below, not stacked
+    again. Otherwise the rest is solved as one stack
+    (:func:`_solve_together`), as :func:`_presolve` solves a document's: on
+    a stack, and on one matrix whose dimension the kernel sweeps
+    (:func:`~blockineq.densemat.solves_in_round_robin`). A member's
+    rotations do not depend on its stack-mates, so each value is the same
+    in a stack of any size, one member included; from the crossover up one
+    matrix's values are so bitwise those of its entries solved each alone.
 
-    If that call raises a solver error, and always on one matrix, what is
-    still missing is solved one entry at a time: the hypothesis first, so
-    that the first member outside it (PSD, or PPT) is refused before any
-    residual is solved, and then each side's residual. An error so names a
-    member by its index in the check's own stack, a stack of one included,
-    and one matrix "matrix": one matrix makes only scalar solves
-    (:func:`~blockineq.densemat.hermitian_eigenvalues`), which on one
-    matrix are the faster.
+    If that call raises a solver error, and always on one matrix below the
+    crossover, what is still missing is solved one entry at a time: the
+    hypothesis first, so that the first member outside it (PSD, or PPT) is
+    refused before any residual is solved, and then each side's residual.
+    An error so names a member by its index in the check's own stack, a
+    stack of one included, and one matrix "matrix": one matrix's entries
+    are solved by :func:`~blockineq.densemat.hermitian_eigenvalues`, the
+    scalar solver below the crossover, where it is the faster.
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -302,7 +309,8 @@ def _check_block(check_name: str, a, tol: float):
         raise UsageError(f"expected a BlockMatrix or a BlockStack, got {type(a).__name__}")
     _require_tol(tol)
     hypothesis, _ = _BLOCK_INEQUALITIES[check_name]
-    if isinstance(a, _Presolved) and check_name in a.terms:
+    presolved = isinstance(a, _Presolved) and check_name in a.terms
+    if presolved:
         mats, terms = a.mats, a.terms
     else:
         mats, terms = _to_solve(stack, [check_name])
@@ -312,7 +320,7 @@ def _check_block(check_name: str, a, tol: float):
     mats = {key: mats[key] for key in keys + [(check_name, label) for label, _, _ in sides]}
     known = a.minima if isinstance(a, _Presolved) else {}
     minima = {key: np.array([known[key]]) for key in mats if key in known}
-    if stack is a:
+    if not presolved and (stack is a or solves_in_round_robin(stack.m * stack.n)):
         minima.update(_solve_together(mats, [key for key in mats if key not in minima]))
 
     def minimum(key) -> np.ndarray:
@@ -386,32 +394,40 @@ class _Presolved(BlockMatrix):
 def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
     """``a`` carrying the terms and minima of what the named block checks solve for it.
 
-    ``a`` is tested for PSD alone, as a lone check tests it. Only if it is
-    PSD is what :func:`_to_solve` lists for the checks assembled, once for
-    all of them, and the rest of it, the partial transpose (when a check
-    needs PPT) and every residual, solved as one stack: otherwise the first
-    checker refuses it, and needs no residual. The stacked solver rotates in
-    another order than the scalar one, so each such value agrees with a lone
-    check's to rounding, not bitwise; the input's minimum is the lone
-    check's, bitwise.
+    What :func:`_to_solve` lists for the checks is assembled once for all
+    of them and solved as one stack. From the solvers' crossover dimension
+    up (:func:`~blockineq.densemat.solves_in_round_robin`) ``a`` itself is
+    in that stack, with its partial transpose (when a check needs PPT) and
+    every residual, as in a lone check: the kernel gives each the bits of
+    its lone solve, so every value is a lone check's, bitwise. Below it
+    ``a`` is first tested for PSD alone, as a lone check tests it, and the
+    rest is assembled and solved only if it is PSD: otherwise the first
+    checker refuses it, and needs no residual. The stacked solver then
+    rotates in another order than the lone scalar solves, so each residual
+    value agrees with a lone check's to rounding, not bitwise; the input's
+    minimum is the lone check's, bitwise.
 
-    If that stack raises a solver error, only the input's minimum is kept,
-    so that each checker raises what it raises alone: a PPT check refuses a
-    document that is not PPT before solving a residual that another check
-    would fail on. The terms are kept either way. ``check_block2``'s
-    residual is left out unless ``a`` has two block rows.
+    If the stack raises a solver error, only what was solved before it is
+    kept (below the crossover, the input's minimum), and each checker solves
+    the rest one entry at a time, the hypothesis first, so that it raises
+    what it raises alone: a document outside the hypothesis is refused
+    before a residual's error, and a PPT check refuses a document that is
+    not PPT before solving a residual that another check would fail on. The
+    terms are kept either way. ``check_block2``'s residual is left out
+    unless ``a`` has two block rows.
     """
     names = [name for name in check_names if name != "block2" or a.m == 2]
     presolved = _Presolved(a.m, a.n, a.mat)
     if not names:
         return presolved
-    ok, presolved.minima["input"] = is_psd(a.mat, tol)
-    if not ok:
-        return presolved
+    if not solves_in_round_robin(a.dim):
+        ok, presolved.minima["input"] = is_psd(a.mat, tol)
+        if not ok:
+            return presolved
     mats, terms = _to_solve(BlockStack(a.m, a.n, a.mat[np.newaxis]), names)
     presolved.mats.update(mats)
     presolved.terms.update(terms)
-    rest = [key for key in mats if key != "input"]  # the input is solved above, alone
+    rest = [key for key in mats if key not in presolved.minima]
     presolved.minima.update((key, float(v[0])) for key, v in _solve_together(mats, rest).items())
     return presolved
 
@@ -718,8 +734,8 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
 
     One matrix is a stack of one. The members are tested for PSD before any
     pair is evaluated, one :func:`~blockineq.densemat.is_psd` call per chunk
-    of :func:`_chunk_members`, so each minimum is bitwise the scalar
-    solver's, as if the member were tested alone. If a chunk's call raises a
+    of :func:`_chunk_members`, so each minimum is bitwise its lone solve's,
+    as if the member were tested alone. If a chunk's call raises a
     solver error, its members are tested one at a time, in order, so that the
     first member outside the hypothesis is refused first, as
     "stack member k" (one matrix as "input"), and a solver error names its
@@ -864,8 +880,8 @@ def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     returns :class:`PairReports`. ``a`` is one matrix, or a ``(T, n, n)``
     stack, for which the result is a list with one of those per member.
     The members are tested for PSD a chunk at a time (:func:`_chunk_members`),
-    in one :func:`~blockineq.densemat.is_psd` call per chunk, each at the
-    scalar solver's minimum, bitwise; the first member that is not PSD is
+    in one :func:`~blockineq.densemat.is_psd` call per chunk, each at its
+    lone solve's minimum, bitwise; the first member that is not PSD is
     refused as "stack member k" before any pair is evaluated (one matrix is
     refused as "input"). Then each cardinality's blocks are gathered for a
     chunk of members at once and reduced by row sums, so a member's values

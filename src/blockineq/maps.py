@@ -118,18 +118,35 @@ def co_choi_matrix(phi: LinearMapRep) -> BlockMatrix:
     return BlockMatrix(phi.n, phi.k, _images(phi).transpose(1, 2, 0, 3).reshape(size, size))
 
 
-def certify_completely_positive(
-    phi: LinearMapRep, tol: float = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """Certify complete positivity; returns (verdict, Choi min eigenvalue)."""
-    return is_psd(choi_matrix(phi).mat, tol=tol)
+def certify_completely_positive(phi, tol: float = DEFAULT_TOL):
+    """Certify complete positivity; returns (verdict, Choi min eigenvalue).
+
+    ``phi`` is one :class:`LinearMapRep`, or a sequence of maps of one
+    shape ``(n, k)``, whose Choi matrices are decided in one
+    :func:`~blockineq.densemat.is_psd` call, as a stack; the verdicts and
+    minima are then arrays, one entry per map, each bitwise the map's own.
+    """
+    return _certify(choi_matrix, phi, tol)
 
 
-def certify_completely_copositive(
-    phi: LinearMapRep, tol: float = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """Certify complete copositivity; returns (verdict, co-Choi min eigenvalue)."""
-    return is_psd(co_choi_matrix(phi).mat, tol=tol)
+def certify_completely_copositive(phi, tol: float = DEFAULT_TOL):
+    """Certify complete copositivity; returns (verdict, co-Choi min eigenvalue).
+
+    Takes one map or a sequence of maps of one shape, as
+    :func:`certify_completely_positive` does.
+    """
+    return _certify(co_choi_matrix, phi, tol)
+
+
+def _certify(certificate, phi, tol: float):
+    """:func:`~blockineq.densemat.is_psd` of ``certificate(phi)``, or of the stack of each map's."""
+    if isinstance(phi, LinearMapRep):
+        return is_psd(certificate(phi).mat, tol=tol)
+    maps = list(phi)
+    shapes = sorted({(each.n, each.k) for each in maps})
+    if len(shapes) != 1:
+        raise UsageError(f"expected one or more maps of one shape (n, k), got shapes {shapes}")
+    return is_psd(np.stack([certificate(each).mat for each in maps]), tol=tol)
 
 
 def blockwise_image(phi: LinearMapRep, a, swap: bool = False):

@@ -17,10 +17,13 @@ new row.
 
 :func:`run_files` checks explicit documents instead, through the same
 runners (``_RUNNERS``). It solves all of a document's block-suite residuals
-as one stack and hands the document to the checkers together with those
-minima, so their values agree with a lone ``check_*`` call on the document
-to rounding, not bitwise, and do not depend on what the process solved
-before.
+as one stack, with the document itself from the solvers' crossover
+dimension up, and hands the document to the checkers together with those
+minima. So their values are bitwise a lone ``check_*`` call's on the
+document from the crossover up, and agree with it to rounding below, and
+do not depend on what the process solved before. ``_run_choi_certs``
+certifies the builtin maps of each shape ``(n, k)`` in one call per
+certificate.
 """
 
 from __future__ import annotations
@@ -474,10 +477,20 @@ def _desnanot_details(pairs):
 
 def _run_choi_certs(suite, cfg, rec, batches=None):
     for n in _CHOI_CERT_DIMS:
-        for name in BUILTIN_MAPS:
-            phi = builtin_map(name, n)
-            cp, min_choi = certify_completely_positive(phi, cfg.tol)
-            ccp, min_co = certify_completely_copositive(phi, cfg.tol)
+        maps = {name: builtin_map(name, n) for name in BUILTIN_MAPS}
+        # the maps of each shape (n, k) are certified in one call per certificate
+        certified = {}
+        for k in {phi.k for phi in maps.values()}:
+            names = [name for name, phi in maps.items() if phi.k == k]
+            group = [maps[name] for name in names]
+            (cp, min_choi), (ccp, min_co) = (
+                certify(group, cfg.tol)
+                for certify in (certify_completely_positive, certify_completely_copositive)
+            )
+            columns = (cp.tolist(), min_choi.tolist(), ccp.tolist(), min_co.tolist())
+            certified.update(zip(names, zip(*columns)))
+        for name, phi in maps.items():
+            cp, min_choi, ccp, min_co = certified[name]
             exp_cp, exp_ccp = EXPECTED_CERTIFICATION[name]
             rep = CheckReport(
                 check_name="choi_certification",
@@ -532,16 +545,19 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     all index-set pairs exhaustively. ``choi_certs`` never consumes matrix
     files; requesting it by name here is a usage error.
 
-    A document is tested for PSD alone; if it is PSD, the terms of all its
-    requested block suites are then assembled once, and their residuals
-    (and its partial transpose, for the PPT suites) solved as one stack
-    before the checkers run. The document goes to every checker carrying
-    those terms and minima, which they read instead of assembling or
-    solving again: the submatrix suites read its input's, so a document is
-    assembled and solved once however many suites check it. The residual
-    values agree with a lone ``check_*`` call on the document to rounding,
-    not bitwise. Every run solves the same: nothing is kept from one
-    document, or one run, to the next.
+    The terms of all of a document's requested block suites are assembled
+    once, and their residuals (and its partial transpose, for the PPT
+    suites) solved as one stack before the checkers run. From the solvers'
+    crossover dimension up the document itself is in that stack, and every
+    value is bitwise a lone ``check_*`` call's on the document. Below it
+    the document is first tested for PSD alone, the rest is assembled and
+    solved only if it is PSD, and the residual values agree with a lone
+    ``check_*`` call's to rounding, not bitwise. The document goes to every
+    checker carrying those terms and minima, which they read instead of
+    assembling or solving again: the submatrix suites read its input's, so
+    a document is assembled and solved once however many suites check it.
+    Every run solves the same: nothing is kept from one document, or one
+    run, to the next.
     """
     start = time.perf_counter()
     if "choi_certs" in config.suites:

@@ -224,7 +224,7 @@ def _scalar_reference_input(rng, d, rank, kind, real):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    d=st.integers(1, 16),
+    d=st.integers(1, densemat.ROUND_ROBIN_MIN_DIM - 1),
     rank_frac=st.floats(0.0, 1.0),
     kind=st.sampled_from(["gram", "integer", "zeros", "diagonal", "pattern_2", "pattern_3"]),
     real=st.booleans(),
@@ -445,7 +445,7 @@ def test_stacked_solver_is_bitwise_the_reference_sweep(d, chunk, chunks, seed):
     # chunks of ``chunk`` members, so that a stack spans one to three of them
     count = math.ceil(chunks * chunk)
     if count == 1:
-        count = 0  # a stack of one is the scalar solver's (tested above)
+        count = 0  # a stack of one takes the order its dimension picks (tested below)
     x = _reference_stack(np.random.default_rng(seed), d, count)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(densemat, "_CHUNK_BYTES", 16 * d * d * chunk)
@@ -482,6 +482,90 @@ def test_an_error_in_a_later_chunk_names_the_member_in_the_whole_stack(monkeypat
         hermitian_eigenvalues_stack(stack)
     _, offdiag, _ = jacobi_stack_reference(stack, densemat.JACOBI_RTOL, 1)
     assert err.value.offdiag_residual == offdiag[3]
+
+
+# one below the crossover, at it, and the largest dimension the package targets
+_DISPATCH_DIMS = (densemat.ROUND_ROBIN_MIN_DIM - 1, densemat.ROUND_ROBIN_MIN_DIM, 64)
+
+
+def _no_scalar_sweep(monkeypatch) -> list:
+    """The dimensions of the matrices the row-cyclic loop sweeps, from here on."""
+    swept = []
+    real = densemat._sweep
+
+    def counting(a, n, *args):
+        swept.append(n)
+        return real(a, n, *args)
+
+    monkeypatch.setattr(densemat, "_sweep", counting)
+    return swept
+
+
+@pytest.mark.parametrize("d", _DISPATCH_DIMS)
+def test_a_lone_solve_takes_the_order_its_dimension_picks(monkeypatch, d):
+    # from ROUND_ROBIN_MIN_DIM up, a lone matrix, a stack of one and a member
+    # of an is_psd stack are swept by the kernel, bitwise the reference sweep,
+    # and the row-cyclic loop never runs; below it they stay the scalar loop's
+    kernel = densemat.solves_in_round_robin(d)
+    assert kernel == (d >= densemat.ROUND_ROBIN_MIN_DIM)
+    x = _reference_stack(np.random.default_rng(d), d, 7)
+    swept = _no_scalar_sweep(monkeypatch)
+    for k, a in enumerate(x):
+        if kernel:
+            reference = jacobi_stack_reference(
+                a[np.newaxis], densemat.JACOBI_RTOL, densemat.MAX_SWEEPS
+            )
+            values, offdiag, sweeps = (v[0] for v in reference)
+        else:
+            values, offdiag, sweeps = jacobi_scalar_reference(
+                a, densemat.JACOBI_RTOL, densemat.MAX_SWEEPS
+            )
+        lone = hermitian_eigenvalues(a)
+        one = hermitian_eigenvalues_stack(a[np.newaxis])
+        member = densemat.EigenResult(one.values[0], one.offdiag_residual[0], one.sweeps[0])
+        for got in (lone, member):
+            assert got.values.tobytes() == values.tobytes(), k
+            assert np.float64(got.offdiag_residual).tobytes() == np.float64(offdiag).tobytes(), k
+            assert int(got.sweeps) == int(sweeps), k
+        _, min_eig = is_psd(np.stack([x[k - 1], a]))
+        assert min_eig[1].tobytes() == values[0].tobytes(), k
+    # every lone solve, stack of one and is_psd member sweeps a matrix of its own
+    assert swept == ([] if kernel else [d] * 4 * len(x))
+
+
+@pytest.mark.parametrize("d", _DISPATCH_DIMS[1:])
+def test_a_lone_matrix_in_the_kernel_is_still_named_matrix(monkeypatch, d):
+    # the scalar solver's messages, word for word, from the kernel
+    swept = _no_scalar_sweep(monkeypatch)
+    rng = np.random.default_rng(73 + d)
+    good = random_hermitian(rng, d)
+    bad = good.copy()
+    bad[0, 1] += 1.0
+    defect = np.linalg.norm(bad - bad.conj().T)
+    scale = np.linalg.norm(bad)
+    for solve in (hermitian_eigenvalues, is_psd):
+        with pytest.raises(HermiticityError) as err:
+            solve(bad)
+        assert str(err.value) == (
+            f"matrix is not Hermitian: ||X - X*||_F = {defect:.3e} exceeds 1e-10 * {scale:.3e}"
+        )
+        with pytest.raises(NormOverflowError) as err:
+            solve(np.full((d, d), 1e200, dtype=np.complex128))
+        assert str(err.value) == "matrix is too large to solve: ||X||_F = inf overflows float64"
+    monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
+    _, offdiag, _ = jacobi_stack_reference(good[np.newaxis], densemat.JACOBI_RTOL, 1)
+    threshold = densemat.JACOBI_RTOL * np.linalg.norm(good)
+    for solve in (hermitian_eigenvalues, is_psd):
+        with pytest.raises(ConvergenceError) as err:
+            solve(good)
+        assert str(err.value) == (
+            f"Jacobi sweeps did not converge in 1 sweeps "
+            f"(off-diagonal mass {offdiag[0]:.3e} >= {threshold:.3e})"
+        )
+        assert err.value.offdiag_residual == offdiag[0]
+    with pytest.raises(ConvergenceError, match="for stack member 0 "):
+        hermitian_eigenvalues_stack(good[np.newaxis])
+    assert swept == []
 
 
 def _layout_stack(rng, d):

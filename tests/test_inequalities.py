@@ -945,6 +945,59 @@ def test_block_check_on_one_matrix_makes_only_scalar_solves(name, monkeypatch):
     assert (scalar, stacked) == ([], [])
 
 
+def _to_solve_alone(name: str, a: BlockMatrix) -> dict:
+    """What one check solves on ``a``, keyed by the detail that reports each minimum."""
+    sides, _ = _BLOCK_INEQUALITIES[name][1](BlockStack(a.m, a.n, a.mat[np.newaxis]))
+    want = {"input_min_eig": a.mat}
+    if _BLOCK_INEQUALITIES[name][0] == "ppt":
+        want["input_tau_min_eig"] = partial_transpose(a).mat
+    want.update((f"min_eig_{label}", _residual(lhs, rhs)[0]) for label, lhs, rhs in sides)
+    return want
+
+
+# the least block size n at which a 2 x n block matrix is swept in the kernel
+_KERNEL_N = -(-densemat.ROUND_ROBIN_MIN_DIM // 2)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_a_lone_check_from_the_crossover_up_is_one_stacked_solve(name, monkeypatch):
+    # from ROUND_ROBIN_MIN_DIM up, one BlockMatrix solves its input, its
+    # partial transpose (PPT checks) and each side's residual as one stack,
+    # and the kernel gives each the bits of its own solve
+    a = random_separable(2, _KERNEL_N, 2, 7)
+    want = _to_solve_alone(name, a)
+    scalar, stacked = _count_solves(monkeypatch)
+    got = _BLOCK_CHECKERS[name](a)
+    assert (scalar, stacked) == ([], [len(want)])
+    for detail, mat in want.items():
+        alone = hermitian_eigenvalues(mat).values[0]
+        assert np.float64(got.details[detail]).tobytes() == alone.tobytes(), detail
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_a_lone_check_from_the_crossover_up_solves_each_entry_after_an_error(name, monkeypatch):
+    # x = 1e154 on the diagonal: a residual's norm overflows, so the one stack
+    # raises and each entry is solved alone, the hypothesis first. With -x/100
+    # on the diagonal too, the input is refused before that error; without it,
+    # the error is raised, naming one matrix "matrix" (block2's residual holds
+    # no x and solves)
+    d = 2 * _KERNEL_N
+    big = [1e154] + [0.0] * (d - 1)
+    outside = BlockMatrix(2, _KERNEL_N, np.diag(big[:-1] + [-1e152]).astype(np.complex128))
+    scalar, stacked = _count_solves(monkeypatch)
+    hypothesis = _BLOCK_INEQUALITIES[name][0].upper()
+    with pytest.raises(PreconditionError, match=f"^input is not {hypothesis} within tol"):
+        _BLOCK_CHECKERS[name](outside)
+    assert len(stacked) == 1 and len(scalar) == 1 + (hypothesis == "PPT")
+    if name == "block2":
+        return
+    scalar.clear()
+    stacked.clear()
+    with pytest.raises(NormOverflowError, match="^matrix is too large to solve"):
+        _BLOCK_CHECKERS[name](BlockMatrix(2, _KERNEL_N, np.diag(big).astype(np.complex128)))
+    assert len(stacked) == 1 and len(scalar) > 1 + (hypothesis == "PPT")
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0])
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
 def test_block_check_refuses_a_bad_tol_before_any_solve(name, tol, monkeypatch):

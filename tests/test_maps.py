@@ -271,6 +271,39 @@ def test_psi_cp_failure_eigenvalue():
     assert min_eig == pytest.approx(-1.0, abs=1e-10)
 
 
+def _hermitian_preserving_map(rng, n, k):
+    """A map whose Choi matrix is a random Hermitian matrix: its co-Choi is Hermitian too."""
+    g = random_complex(rng, n * k, n * k)
+    blocks = ((g + g.conj().T) / 2).reshape(n, k, n, k).transpose(0, 2, 1, 3)
+    return LinearMapRep(n, k, tuple(blocks.reshape(n * n, k, k)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_certifying_maps_of_one_shape_together_is_bitwise_each_alone(n):
+    # one is_psd call on the stack of their certificates, each member decided
+    # as it is alone, below the kernel's crossover (n = 2, 3) and above it
+    rng = np.random.default_rng(101 + n)
+    maps = [builtin_map(name, n) for name in BUILTINS if name != "trace_map"]
+    maps += [_hermitian_preserving_map(rng, n, n) for _ in range(2)]
+    for certify in (certify_completely_positive, certify_completely_copositive):
+        ok, min_eig = certify(maps)
+        alone = [certify(phi) for phi in maps]
+        assert ok.tolist() == [verdict for verdict, _ in alone]
+        assert min_eig.tobytes() == np.array([value for _, value in alone]).tobytes()
+        assert certify(iter(maps))[1].tobytes() == min_eig.tobytes()
+    assert (~ok).any() and ok.any()
+
+
+def test_certifying_maps_of_several_shapes_together_is_refused():
+    mixed = [builtin_map("phi", 2), builtin_map("trace_map", 2)]
+    refusal = r"^expected one or more maps of one shape \(n, k\), got shapes "
+    for certify in (certify_completely_positive, certify_completely_copositive):
+        with pytest.raises(UsageError, match=refusal + r"\[\(2, 1\), \(2, 2\)\]$"):
+            certify(mixed)
+        with pytest.raises(UsageError, match=refusal + r"\[\]$"):
+            certify([])
+
+
 # ----------------------------------------------------------- blockwise image
 
 

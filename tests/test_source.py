@@ -132,3 +132,34 @@ def test_lapack_eigensolvers_are_called_only_in_randgen():
         "from scipy.linalg import eigvalsh as solve",
     ):
         assert _lapack_spectrum_names(line) == [1], line
+
+
+def _names_in(source: str) -> set[str]:
+    """Every name ``source`` reads or binds, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_the_solver_crossover_is_named_in_densemat_only():
+    # which solver sweeps a d x d matrix is one rule, kept in densemat; other
+    # modules ask solves_in_round_robin(d) and never read the number
+    found = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if "ROUND_ROBIN_MIN_DIM" in _names_in(path.read_text(encoding="utf-8"))
+    )
+    assert found == ["densemat.py"]
+    # and it sees the name wherever it is read
+    for line in (
+        "from .densemat import ROUND_ROBIN_MIN_DIM",
+        "d >= densemat.ROUND_ROBIN_MIN_DIM",
+        "import blockineq.densemat as dm; dm.ROUND_ROBIN_MIN_DIM",
+    ):
+        assert "ROUND_ROBIN_MIN_DIM" in _names_in(line), line

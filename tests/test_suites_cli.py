@@ -21,6 +21,7 @@ from blockineq.densemat import hermitian_eigenvalues, is_psd
 from blockineq.errors import (
     BlockineqError,
     HermiticityError,
+    NormOverflowError,
     PreconditionError,
     SelfCheckError,
     UsageError,
@@ -716,13 +717,23 @@ def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind)
 
     monkeypatch.setattr(suites, "_presolve", presolve)
     report = run_files(SuiteConfig(suites=tuple(names), tol=tol), [path])
-    # the input alone, then every residual (and the partial transpose) in one
-    # stack; the checkers read those values from the document they are handed
-    # and solve nothing more
+    # the checkers read the document's values from what they are handed and
+    # solve nothing more
     assert after_presolve == [solves.counts()]
     scalar, stacked = solves.counts()
-    assert scalar == 1 and len(stacked) == 1
     assert report.passed
+    if densemat.solves_in_round_robin(m * n):
+        # the input joins the one stack of its partial transpose and every
+        # residual, as in a lone check, so every value is the lone check's
+        assert scalar == 0 and len(stacked) == 1
+        for name in names:
+            (got,) = report.reports[name]
+            assert json.dumps(report_to_doc(replace(got, seed_info=None))) == json.dumps(
+                report_to_doc(wants[name])
+            )
+        return
+    # the input alone, then every residual (and the partial transpose) in one stack
+    assert scalar == 1 and len(stacked) == 1
     for name in names:
         (got,) = report.reports[name]
         _assert_agrees(got, wants[name], a, exact=("input_min_eig",))
@@ -861,6 +872,10 @@ def _rank_one_block(m, n, seed):
     return BlockMatrix(m, n, random_psd(m * n, 1, seed))
 
 
+def _diagonal_block(m, diagonal):
+    return BlockMatrix(m, len(diagonal) // m, np.diag(diagonal).astype(np.complex128))
+
+
 @pytest.mark.parametrize(
     "doc, error, stacked",
     [
@@ -872,8 +887,21 @@ def _rank_one_block(m, n, seed):
         (lambda: BlockMatrix(2, 2, np.triu(np.ones((4, 4)))), HermiticityError, False),
         # every suite but block2 applies: check_block2 refuses three block rows
         (lambda: random_separable(3, 2, 2, 5), UsageError, True),
+        # at 4 x 4 the input is solved in its residuals' stack
+        (lambda: partial_transpose(entangled_pattern(4)), PreconditionError, True),
+        (lambda: entangled_pattern(4), PreconditionError, True),
+        (lambda: _rank_one_block(4, 4, 5), PreconditionError, True),
+        (lambda: BlockMatrix(4, 4, np.triu(np.ones((16, 16)))), HermiticityError, True),
+        # PSD, but its theorem2 residual's norm overflows: the stack raises and
+        # each entry is solved alone; not PSD too, it is refused before that error
+        (lambda: _diagonal_block(4, [1e154] + [0.0] * 15), NormOverflowError, True),
+        (lambda: _diagonal_block(4, [1e154] + [0.0] * 14 + [-1e152]), PreconditionError, True),
     ],
-    ids=["not_psd", "pattern_2", "pattern_3", "rank_one", "not_hermitian", "block2_3x2"],
+    ids=[
+        "not_psd", "pattern_2", "pattern_3", "rank_one", "not_hermitian", "block2_3x2",
+        "not_psd_4x4", "pattern_4", "rank_one_4x4", "not_hermitian_4x4", "overflow_4x4",
+        "not_psd_overflow_4x4",
+    ],  # fmt: skip
 )
 def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, error, stacked):
     a = doc()
@@ -1331,6 +1359,31 @@ def test_cli_choi_builtin_text(capsys):
     assert "completely positive: yes" in out
     assert "completely copositive: no" in out
     assert "completely PPT: no" in out
+
+
+# (map, n) -> the Choi and co-Choi minima `choi --format json` printed before
+# the kernel took over from n * n = 12 up; below that they must not move
+_CHOI_MINIMA_BELOW_THE_CROSSOVER = {
+    ("phi", 2): (0.9999999999999998, 0.0),
+    ("phi", 3): (0.9999999999999998, 0.0),
+    ("psi", 2): (-0.9999999999999998, 0.0),
+    ("psi", 3): (-2.0000000000000004, 0.0),
+    ("identity", 2): (0.0, -0.9999999999999998),
+    ("identity", 3): (-3.7548182058203043e-17, -0.9999999999999998),
+    ("transpose", 2): (-0.9999999999999998, 0.0),
+    ("transpose", 3): (-0.9999999999999998, -3.7548182058203043e-17),
+    ("trace_map", 2): (1.0, 1.0),
+    ("trace_map", 3): (1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(_CHOI_MINIMA_BELOW_THE_CROSSOVER))
+def test_cli_choi_minima_below_the_crossover_are_unchanged(capsys, name, n):
+    assert not densemat.solves_in_round_robin(n * n)
+    assert main(["choi", "--map", name, "--n", str(n), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = (doc["completely_positive"]["min_eig"], doc["completely_copositive"]["min_eig"])
+    assert got == _CHOI_MINIMA_BELOW_THE_CROSSOVER[name, n]
 
 
 def test_cli_choi_map_file(tmp_path, capsys):
