@@ -38,9 +38,10 @@ of a scalar loop, which is the faster there.
   included. The seeded block suites go through it: they draw and check each
   shape's trials as one stack, and a check solves its inputs (with their
   partial transposes, for a PPT check) and the residuals of all its sides in
-  one call. So does file verification: it solves all of a document's
-  residuals, for every requested block suite, as one stack, and from the
-  crossover up the document itself in that stack.
+  one call. So does file verification, in one evaluation of all of a
+  document's requested block checks: their residuals (and its partial
+  transpose) are one stack, with the document itself from the crossover up;
+  below it the document is tested alone first, by :func:`is_psd`.
 
 Both validate their input in one place, :func:`_validated_stack`, one
 matrix as a stack of one: the same Hermiticity check and symmetrization,
@@ -56,11 +57,10 @@ such as a chunk of the submatrix suites' trials or the Choi matrices of
 maps of one shape, goes to :func:`_sweep_each` and is decided at the scales
 its one validation found: ``B`` scalar sweeps without ``B`` calls'
 overhead, or one kernel call, and one norm per member. A caller with many
-members whose minima need not be each one's lone solve, such as a block
-checker's inputs and residuals, solves them with
+members whose minima need not be each one's lone solve, such as the
+block checks' inputs and residuals, solves them with
 :func:`hermitian_eigenvalues_stack` and decides them by
-:func:`psd_verdict`; so does a checker handed the minima of an input file's
-stacked solve. From the crossover up the two agree bitwise. :func:`is_psd`
+:func:`psd_verdict`. From the crossover up the two agree bitwise. :func:`is_psd`
 keeps no state: every call solves what it is given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes

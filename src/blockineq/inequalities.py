@@ -13,14 +13,17 @@ return a list of reports, one per member. Each inequality is written once,
 over the stack axis; a single matrix is a stack of one. A partial-trace
 side is the paper's ``Phi(X) = (tr X) I + X`` or ``Psi(X) = (tr X) I - X``
 applied blockwise, split as (trace part, ``-X`` or ``X``). The seeded suites
-check each shape's trials as one stack. Every block check goes one way: it
-lists the matrices it solves (the input, its partial transpose for a PPT
-check, each side's residual), reads those, and their minima, where an
-input file's document already carries them, and solves the rest as one
-stacked eigensolve: on a stack always, and on one matrix from the solvers'
-crossover dimension up, where the kernel sweeps each matrix as it would
-alone. Below it, one matrix's entries are solved each alone with the
-scalar solver, which is the faster there.
+check each shape's trials as one stack. Every block check goes one way,
+through :func:`_check_blocks`, which evaluates any number of checks on one
+input together: it assembles once the matrices they solve (the input, its
+partial transpose for a PPT check, each side's residual) and solves them by
+one plan. On a stack, and on one matrix from the solvers' crossover
+dimension up, that is one stacked eigensolve, where the kernel sweeps each
+matrix as it would alone. Below it one matrix is tested for PSD alone, and
+the rest is solved as one stack for several checks, or entry by entry with
+the scalar solver, the faster there, for one. A lone ``check_*`` call is the
+evaluation of its one check; file verification evaluates all of a
+document's block checks at once, and hands each checker its report.
 
 The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
 and return one report, or a :class:`PairBatch` and return
@@ -76,6 +79,7 @@ from .densemat import (
     solves_in_round_robin,
 )
 from .errors import (
+    BlockineqError,
     ConvergenceError,
     HermiticityError,
     NormOverflowError,
@@ -278,28 +282,49 @@ def _to_solve(stack: BlockStack, check_names) -> tuple[dict, dict]:
 def _check_block(check_name: str, a, tol: float):
     """One block inequality on a BlockMatrix (a report) or a BlockStack (a list).
 
-    A wrong type or a bad ``tol`` is refused before any solve. The check
-    solves what :func:`_to_solve` lists for it, less what a
-    :class:`_Presolved` document already carries. A document that carries
-    this check's terms is not assembled again: its matrices and terms are
-    read as :func:`_presolve` built them, and what it left unsolved, where
-    its stack raised, is solved one entry at a time as below, not stacked
-    again. Otherwise the rest is solved as one stack
-    (:func:`_solve_together`), as :func:`_presolve` solves a document's: on
-    a stack, and on one matrix whose dimension the kernel sweeps
-    (:func:`~blockineq.densemat.solves_in_round_robin`). A member's
-    rotations do not depend on its stack-mates, so each value is the same
-    in a stack of any size, one member included; from the crossover up one
-    matrix's values are so bitwise those of its entries solved each alone.
+    It is ``_check_blocks(a, [check_name], tol)[check_name]``, raised where
+    that is the error the check raises. A document that
+    :func:`~blockineq.suites.run_files` hands the checkers carries what
+    :func:`_check_blocks` returned for it (:class:`_Checked`), which is
+    returned, or raised, as is.
+    """
+    if isinstance(a, _Checked):
+        result = a.reports[check_name]
+    else:
+        result = _check_blocks(a, [check_name], tol)[check_name]
+    if isinstance(result, BlockineqError):
+        raise result
+    return result
 
-    If that call raises a solver error, and always on one matrix below the
-    crossover, what is still missing is solved one entry at a time: the
-    hypothesis first, so that the first member outside it (PSD, or PPT) is
-    refused before any residual is solved, and then each side's residual.
-    An error so names a member by its index in the check's own stack, a
-    stack of one included, and one matrix "matrix": one matrix's entries
-    are solved by :func:`~blockineq.densemat.hermitian_eigenvalues`, the
-    scalar solver below the crossover, where it is the faster.
+
+def _check_blocks(a, check_names, tol: float) -> dict:
+    """The named block inequalities on a BlockMatrix or a BlockStack, evaluated together.
+
+    Returns ``{check name: result}``, in the order of
+    ``_BLOCK_INEQUALITIES``: a check's report on a BlockMatrix, its list of
+    reports on a BlockStack, and for the first check that refuses ``a``
+    (outside its hypothesis, or a solver error) the error it raises, the
+    checks after it left out. A wrong type or a bad ``tol`` is refused
+    before any solve.
+
+    What :func:`_to_solve` lists for the checks is assembled once and solved
+    by one plan. On a stack, and on one matrix whose dimension the kernel
+    sweeps (:func:`~blockineq.densemat.solves_in_round_robin`), it is one
+    :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call. A
+    member's rotations do not depend on its stack-mates, so each value is
+    the same in a stack of any size, and from the crossover up one matrix's
+    values are bitwise those of its entries solved each alone. On one
+    matrix below it the input is tested for PSD alone
+    (:func:`~blockineq.densemat.is_psd`); if it is PSD, several checks
+    solve the rest as one stack, while one check solves each entry alone
+    with the scalar solver, the faster there, as below.
+
+    What is still missing, after a solver error of the stack or on one
+    matrix below the crossover, is solved one entry at a time as each check
+    is decided: its hypothesis first, so that the first member outside it
+    (PSD, or PPT) is refused before any residual is solved, and then each
+    side's residual. An error so names a member by its index in the stack,
+    a stack of one included, and one matrix "matrix".
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -308,144 +333,90 @@ def _check_block(check_name: str, a, tol: float):
     else:
         raise UsageError(f"expected a BlockMatrix or a BlockStack, got {type(a).__name__}")
     _require_tol(tol)
-    hypothesis, _ = _BLOCK_INEQUALITIES[check_name]
-    presolved = isinstance(a, _Presolved) and check_name in a.terms
-    if presolved:
-        mats, terms = a.mats, a.terms
-    else:
-        mats, terms = _to_solve(stack, [check_name])
-    sides, gaps = terms[check_name]
-    # a document carries the matrices of all its checks: keep this one's, in _to_solve's order
-    keys = ["input", "input_tau"] if hypothesis == "ppt" else ["input"]
-    mats = {key: mats[key] for key in keys + [(check_name, label) for label, _, _ in sides]}
-    known = a.minima if isinstance(a, _Presolved) else {}
-    minima = {key: np.array([known[key]]) for key in mats if key in known}
-    if not presolved and (stack is a or solves_in_round_robin(stack.m * stack.n)):
-        minima.update(_solve_together(mats, [key for key in mats if key not in minima]))
+    names = [name for name in _BLOCK_INEQUALITIES if name in check_names]
+    if not names:
+        return {}
+    stacked, count = stack is a, len(stack)
+    mats, terms = _to_solve(stack, names)
+    minima = {}
 
     def minimum(key) -> np.ndarray:
         if key not in minima:
-            if stack is a:
+            if stacked:
                 minima[key] = hermitian_eigenvalues_stack(mats[key]).values[:, 0]
             else:
                 minima[key] = hermitian_eigenvalues(mats[key][0]).values[:1]
         return minima[key]
 
-    ok = np.logical_and.reduce([psd_verdict(minimum(k), mats[k], tol) for k in keys])
-    _refuse_outside(ok, [minima[k] for k in keys], tol, stack is a)
-    side_mins = [minimum((check_name, label)) for label, _, _ in sides]
-    count = len(stack)
-    details = {}
-    passed = np.ones(count, dtype=bool)
-    gap_mins = []
-    for (label, lhs, rhs), min_eig in zip(sides, side_mins):
-        scale, ok = _verdict(min_eig, (frobenius_stack(lhs), frobenius_stack(rhs)), tol)
-        passed &= ok
-        details[f"min_eig_{label}"] = min_eig.tolist()
-        details[f"scale_{label}"] = scale.tolist()
-    for label, lhs, rhs in gaps:
-        gap = rhs - lhs
-        scale, ok = _verdict(gap, (lhs, rhs), tol)
-        passed &= ok
-        details[f"gap_{label}"] = gap.tolist()
-        details[f"scale_{label}"] = scale.tolist()
-        gap_mins.append(gap)
-    if check_name == "upper_bound":
-        details["base_case_m2"] = [stack.m == 2] * count
-    for key in keys:
-        details[f"{key}_min_eig"] = minima[key].tolist()
-    residual = np.min(side_mins, axis=0).tolist()
-    scalar_gap = np.min(gap_mins, axis=0).tolist() if gap_mins else [None] * count
-    reports = [
-        CheckReport(
-            check_name=check_name,
-            passed=ok,
-            residual_min_eig=residual[k],
-            scalar_gap=scalar_gap[k],
-            tolerance=tol,
-            shape=(stack.m, stack.n),
-            details={key: column[k] for key, column in details.items()},
-        )
-        for k, ok in enumerate(passed.tolist())
-    ]
-    return reports if stack is a else reports[0]
+    results = {}
+    try:
+        lone = not (stacked or solves_in_round_robin(stack.m * stack.n))
+        if lone:
+            ok, min_eig = is_psd(stack.mat[0], tol)
+            minima["input"] = np.array([min_eig])
+        if not lone or ok and len(names) > 1:
+            rest = [key for key in mats if key not in minima]
+            try:
+                solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in rest]))
+            except (ConvergenceError, HermiticityError, NormOverflowError):
+                pass  # each entry is solved alone below, so that the first to fail names itself
+            else:
+                minima.update(zip(rest, np.split(solved.values[:, 0], len(rest))))
+        for name in names:
+            keys = ["input", "input_tau"] if _BLOCK_INEQUALITIES[name][0] == "ppt" else ["input"]
+            ok = np.logical_and.reduce([psd_verdict(minimum(k), mats[k], tol) for k in keys])
+            _refuse_outside(ok, [minima[k] for k in keys], tol, stacked)
+            sides, gaps = terms[name]
+            side_mins = [minimum((name, label)) for label, _, _ in sides]
+            details = {}
+            passed = np.ones(count, dtype=bool)
+            gap_mins = []
+            for (label, lhs, rhs), min_eig in zip(sides, side_mins):
+                scale, ok = _verdict(min_eig, (frobenius_stack(lhs), frobenius_stack(rhs)), tol)
+                passed &= ok
+                details[f"min_eig_{label}"] = min_eig.tolist()
+                details[f"scale_{label}"] = scale.tolist()
+            for label, lhs, rhs in gaps:
+                gap = rhs - lhs
+                scale, ok = _verdict(gap, (lhs, rhs), tol)
+                passed &= ok
+                details[f"gap_{label}"] = gap.tolist()
+                details[f"scale_{label}"] = scale.tolist()
+                gap_mins.append(gap)
+            if name == "upper_bound":
+                details["base_case_m2"] = [stack.m == 2] * count
+            for key in keys:
+                details[f"{key}_min_eig"] = minima[key].tolist()
+            residual = np.min(side_mins, axis=0).tolist()
+            scalar_gap = np.min(gap_mins, axis=0).tolist() if gap_mins else [None] * count
+            reports = [
+                CheckReport(
+                    check_name=name,
+                    passed=ok,
+                    residual_min_eig=residual[k],
+                    scalar_gap=scalar_gap[k],
+                    tolerance=tol,
+                    shape=(stack.m, stack.n),
+                    details={key: column[k] for key, column in details.items()},
+                )
+                for k, ok in enumerate(passed.tolist())
+            ]
+            results[name] = reports if stacked else reports[0]
+    except (PreconditionError, ConvergenceError, HermiticityError, NormOverflowError) as exc:
+        results[names[len(results)]] = exc  # the check being decided raises it
+    return results
 
 
 @dataclass(frozen=True)
-class _Presolved(BlockMatrix):
-    """A block matrix with what :func:`_presolve` assembled and solved for its checkers.
+class _Checked(BlockMatrix):
+    """A block document with what :func:`_check_blocks` returned for it.
 
-    ``minima`` maps the keys :func:`_to_solve` lists, ``"input"``,
-    ``"input_tau"`` (the partial transpose) and ``(check name, side
-    label)`` (a residual), to a minimum eigenvalue. ``mats`` and ``terms``
-    are what :func:`_to_solve` returned for the document's block checks. A
-    block checker named in ``terms`` reads its terms and matrices there in
-    place of assembling them again, and each minimum it finds in ``minima``
-    in place of a solve; a submatrix checker reads ``"input"``. Arrays do
-    not compare as one truth value, so ``mats`` and ``terms`` take no part
-    in ``==``.
+    :func:`~blockineq.suites.run_files` evaluates a document's block checks
+    once and hands this to each block checker, which :func:`_check_block`
+    answers from ``reports`` in place of checking again.
     """
 
-    minima: dict = field(default_factory=dict)
-    mats: dict = field(default_factory=dict, compare=False)
-    terms: dict = field(default_factory=dict, compare=False)
-
-
-def _presolve(a: BlockMatrix, check_names, tol: float) -> _Presolved:
-    """``a`` carrying the terms and minima of what the named block checks solve for it.
-
-    What :func:`_to_solve` lists for the checks is assembled once for all
-    of them and solved as one stack. From the solvers' crossover dimension
-    up (:func:`~blockineq.densemat.solves_in_round_robin`) ``a`` itself is
-    in that stack, with its partial transpose (when a check needs PPT) and
-    every residual, as in a lone check: the kernel gives each the bits of
-    its lone solve, so every value is a lone check's, bitwise. Below it
-    ``a`` is first tested for PSD alone, as a lone check tests it, and the
-    rest is assembled and solved only if it is PSD: otherwise the first
-    checker refuses it, and needs no residual. The stacked solver then
-    rotates in another order than the lone scalar solves, so each residual
-    value agrees with a lone check's to rounding, not bitwise; the input's
-    minimum is the lone check's, bitwise.
-
-    If the stack raises a solver error, only what was solved before it is
-    kept (below the crossover, the input's minimum), and each checker solves
-    the rest one entry at a time, the hypothesis first, so that it raises
-    what it raises alone: a document outside the hypothesis is refused
-    before a residual's error, and a PPT check refuses a document that is
-    not PPT before solving a residual that another check would fail on. The
-    terms are kept either way. ``check_block2``'s residual is left out
-    unless ``a`` has two block rows.
-    """
-    names = [name for name in check_names if name != "block2" or a.m == 2]
-    presolved = _Presolved(a.m, a.n, a.mat)
-    if not names:
-        return presolved
-    if not solves_in_round_robin(a.dim):
-        ok, presolved.minima["input"] = is_psd(a.mat, tol)
-        if not ok:
-            return presolved
-    mats, terms = _to_solve(BlockStack(a.m, a.n, a.mat[np.newaxis]), names)
-    presolved.mats.update(mats)
-    presolved.terms.update(terms)
-    rest = [key for key in mats if key not in presolved.minima]
-    presolved.minima.update((key, float(v[0])) for key, v in _solve_together(mats, rest).items())
-    return presolved
-
-
-def _solve_together(mats: dict, keys: list) -> dict:
-    """The members' minimum eigenvalues of each of ``keys`` in ``mats``, solved as one stack.
-
-    One :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call; if it
-    raises a solver error, nothing is solved (``{}``), so that the caller
-    solves each entry alone and the first to fail names itself.
-    """
-    if not keys:
-        return {}
-    try:
-        solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in keys]))
-    except (ConvergenceError, HermiticityError, NormOverflowError):
-        return {}
-    return dict(zip(keys, np.split(solved.values[:, 0], len(keys))))
+    reports: dict
 
 
 def _refuse_outside(ok: np.ndarray, minima: list, tol: float, stacked: bool, first: int = 0):
@@ -740,13 +711,8 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     first member outside the hypothesis is refused first, as
     "stack member k" (one matrix as "input"), and a solver error names its
     member as "stack member k" too (one matrix as "matrix"), ``k`` its index
-    in the stack. A :class:`_Presolved` document
-    is checked as its matrix, and the input's minimum that
-    :func:`_presolve` solved is read instead of solved again.
+    in the stack.
     """
-    known = {}
-    if isinstance(a, _Presolved):
-        a, known = a.mat, a.minima
     mats = np.asarray(a, dtype=np.complex128)
     stacked = mats.ndim == 3
     if stacked:
@@ -758,13 +724,8 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     else:
         mats = as_matrix(mats)[np.newaxis]
     n = require_square(mats[0])
-    if "input" in known:
-        minimum = np.array([known["input"]])
-        verdicts = [(psd_verdict(minimum, mats, tol), minimum)]
-    else:
-        verdicts = _psd_verdicts(mats, _chunk_members(batch), tol, stacked)
     input_mins = []
-    for ok, mins in verdicts:
+    for ok, mins in _psd_verdicts(mats, _chunk_members(batch), tol, stacked):
         _refuse_outside(ok, [mins], tol, stacked, len(input_mins))
         input_mins += mins.tolist()
     if batch.universe != n:

@@ -16,20 +16,19 @@ and what its runner and its seeded stream read, so a new such suite is a
 new row.
 
 :func:`run_files` checks explicit documents instead, through the same
-runners (``_RUNNERS``). It solves all of a document's block-suite residuals
-as one stack, with the document itself from the solvers' crossover
-dimension up, and hands the document to the checkers together with those
-minima. So their values are bitwise a lone ``check_*`` call's on the
-document from the crossover up, and agree with it to rounding below, and
-do not depend on what the process solved before. ``_run_choi_certs``
-certifies the builtin maps of each shape ``(n, k)`` in one call per
-certificate.
+runners (``_RUNNERS``). It evaluates all of a document's requested block
+checks once (:func:`~blockineq.inequalities._check_blocks`) and hands the
+block checkers the document carrying their reports; the submatrix suites
+get its plain matrix. Nothing a report holds depends on what the process
+solved before. ``_run_choi_certs`` certifies the builtin maps of each
+shape ``(n, k)`` in one call per certificate.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -42,8 +41,9 @@ from .inequalities import (
     _BLOCK_INEQUALITIES,
     CheckReport,
     PairReports,
+    _check_blocks,
+    _Checked,
     _chunk_members,
-    _presolve,
     check_block2,
     check_combined_reduction,
     check_copositive_partial_trace,
@@ -136,24 +136,31 @@ class SuiteConfig:
     def __post_init__(self):
         object.__setattr__(self, "suites", tuple(self.suites))
         expand_suites(self.suites)
+        if not _is_integer(self.trials):
+            raise UsageError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
-        shapes = tuple((int(m), int(n)) for m, n in self.shapes)
+        object.__setattr__(self, "trials", int(self.trials))
+        shapes = tuple(self.shapes)
         for m, n in shapes:
-            if m < 1 or n < 1:
-                raise UsageError(f"shapes must be pairs of positive integers, got ({m}, {n})")
-        object.__setattr__(self, "shapes", shapes)
-        dims = tuple(int(d) for d in self.dims)
-        for d in dims:
-            if d < 1:
-                raise UsageError(f"dims must be positive integers, got {d}")
-        object.__setattr__(self, "dims", dims)
+            if not (_is_integer(m) and _is_integer(n) and m >= 1 and n >= 1):
+                raise UsageError(f"shapes must be pairs of positive integers, got ({m!r}, {n!r})")
+        object.__setattr__(self, "shapes", tuple((int(m), int(n)) for m, n in shapes))
+        for d in self.dims:
+            if not (_is_integer(d) and d >= 1):
+                raise UsageError(f"dims must be positive integers, got {d!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not 0 <= int(self.seed) <= MAX_SEED:
             raise UsageError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 0 < self.tol < math.inf:
             raise UsageError(f"tol must be positive and finite, got {self.tol}")
         if self.output_format not in ("text", "json"):
             raise UsageError(f"output format must be 'text' or 'json', got {self.output_format!r}")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _listed(value):
@@ -318,9 +325,8 @@ def _rank_for_trial(dim: int, trial: int) -> int:
 
 # A batch is what a runner's checker takes, the provenance of each report it
 # yields and the trial number of the first: a BlockStack (or one BlockMatrix)
-# for the block suites, a (T, n, n) stack of matrices (or one matrix, or a
-# file's presolved block document, whose matrix is checked) for the
-# submatrix suites. A runner checks the batches it is given; given none, it
+# for the block suites, a (T, n, n) stack of matrices (or one matrix) for
+# the submatrix suites. A runner checks the batches it is given; given none, it
 # draws its seeded stream.
 
 
@@ -460,12 +466,11 @@ def _run_submatrix(suite, cfg, rec, batches=None):
     check, distinct, _ = _SUBMATRIX_SUITES[suite]
     checker = globals()[f"check_{check}"]
     for a, infos, trial in batches or _psd_inputs(cfg, suite):
-        mats = a.mat if isinstance(a, BlockMatrix) else a
-        n = mats.shape[-1]
+        n = a.shape[-1]
         pairs = exhaustive_pairs(n, distinct=distinct)
         if not len(pairs):
             raise UsageError(f"matrix dimension {n} admits no index-set pairs with alpha != beta")
-        _record_exhaustive(rec, suite, checker(a, pairs, tol=cfg.tol), mats, infos, trial)
+        _record_exhaustive(rec, suite, checker(a, pairs, tol=cfg.tol), a, infos, trial)
 
 
 def _desnanot_details(pairs):
@@ -529,6 +534,9 @@ def run_suite(config: SuiteConfig) -> RunReport:
     names = expand_suites(config.suites)
     if any(name in _BLOCK_SUITES for name in names) and not config.shapes:
         raise UsageError("shapes must be nonempty for the block-matrix suites")
+    if "block2" in names and all(m != 2 for m, _ in config.shapes):
+        shapes = ",".join(f"{m}x{n}" for m, n in config.shapes)
+        raise UsageError(f"suite 'block2' needs a shape with two block rows, got shapes {shapes}")
     if any(name in _SUBMATRIX_SUITES for name in names) and not config.dims:
         raise UsageError("dims must be nonempty for the submatrix suites")
     rec = _Recorder(names)
@@ -545,19 +553,22 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     all index-set pairs exhaustively. ``choi_certs`` never consumes matrix
     files; requesting it by name here is a usage error.
 
-    The terms of all of a document's requested block suites are assembled
-    once, and their residuals (and its partial transpose, for the PPT
-    suites) solved as one stack before the checkers run. From the solvers'
+    A block document's requested block checks are evaluated once, before
+    the suites run, by :func:`~blockineq.inequalities._check_blocks`:
+    their terms are assembled once and their residuals (and the partial
+    transpose, for the PPT suites) solved as one stack. From the solvers'
     crossover dimension up the document itself is in that stack, and every
-    value is bitwise a lone ``check_*`` call's on the document. Below it
-    the document is first tested for PSD alone, the rest is assembled and
-    solved only if it is PSD, and the residual values agree with a lone
-    ``check_*`` call's to rounding, not bitwise. The document goes to every
-    checker carrying those terms and minima, which they read instead of
-    assembling or solving again: the submatrix suites read its input's, so
-    a document is assembled and solved once however many suites check it.
-    Every run solves the same: nothing is kept from one document, or one
-    run, to the next.
+    value is bitwise a lone ``check_*`` call's on the document. Below it the
+    document is first tested for PSD alone, and the rest is solved as one
+    stack only for several checks: their residual values agree with lone
+    ``check_*`` calls' to rounding, not bitwise, while one check's are its
+    lone call's, bitwise. ``block2`` is left out of a document without two
+    block rows, which ``check_block2`` refuses at its turn. Each block
+    checker is handed the document carrying the reports, and returns its
+    own, or raises the error it raises alone, at its turn; the submatrix
+    suites get the plain matrix and test it for PSD themselves. Every run
+    solves the same: nothing is kept from one document, or one run, to the
+    next.
     """
     start = time.perf_counter()
     if "choi_certs" in config.suites:
@@ -572,9 +583,12 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     block_checks = [_BLOCK_SUITES[name][0] for name in block_names]
     rec = _Recorder(names)
     for idx, path in enumerate(paths):
-        obj = load(path)
+        obj = checked = load(path)
         if isinstance(obj, BlockMatrix):
-            obj = _presolve(obj, block_checks, config.tol)
+            # check_block2 refuses a document without two block rows at its turn
+            checks = [c for c in block_checks if c != "block2" or obj.m == 2]
+            checked = _Checked(obj.m, obj.n, obj.mat, _check_blocks(obj, checks, config.tol))
+            obj = obj.mat
         elif isinstance(obj, LinearMapRep):
             raise UsageError(f"{path}: expected a matrix document, found a linear map")
         elif block_names:
@@ -584,5 +598,5 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
             )
         infos = [f"file {path}"]
         for name in names:
-            _RUNNERS[name](name, config, rec, [(obj, infos, idx)])
+            _RUNNERS[name](name, config, rec, [(checked if name in _BLOCK_SUITES else obj, infos, idx)])
     return RunReport(config, rec.reports, rec.counterexamples, time.perf_counter() - start)

@@ -937,12 +937,33 @@ def test_block_check_on_one_matrix_makes_only_scalar_solves(name, monkeypatch):
     details.update(((name, label), f"min_eig_{label}") for label, _, _ in sides)
     for key, mat in want.items():
         assert got.details[details[key]] == hermitian_eigenvalues(mat).values[0], key
-    # a document that carries every minimum is checked without a solve
+    # a document that carries its reports is answered from them, without a solve
     scalar.clear()
-    minima = {key: got.details[detail] for key, detail in details.items() if key in want}
-    presolved = inequalities._Presolved(a.m, a.n, a.mat, minima)
-    assert _BLOCK_CHECKERS[name](presolved) == got
+    checked = inequalities._Checked(a.m, a.n, a.mat, {name: got})
+    assert _BLOCK_CHECKERS[name](checked) is got
     assert (scalar, stacked) == ([], [])
+
+
+def test_block_checks_together_stop_at_the_first_that_refuses():
+    # the pattern is PSD, not PPT. In table order, whatever the order asked,
+    # the PSD check is decided, the first PPT check maps to the error it
+    # raises alone, and no check after it is decided
+    a = entangled_pattern()
+    got = inequalities._check_blocks(a, list(reversed(_BLOCK_INEQUALITIES)), 1e-9)
+    assert list(got) == ["copositive_partial_trace", "ppt_reduction"]
+    report, error = got.values()
+    want = check_copositive_partial_trace(a)
+    assert report.passed and report.details["input_min_eig"] == want.details["input_min_eig"]
+    assert type(error) is PreconditionError
+    with pytest.raises(PreconditionError) as alone:
+        check_ppt_reduction(a)
+    assert str(error) == str(alone.value)
+    # and a document that carries the error raises it at that check's turn
+    checked = inequalities._Checked(a.m, a.n, a.mat, got)
+    assert check_copositive_partial_trace(checked) is report
+    with pytest.raises(PreconditionError) as raised:
+        check_ppt_reduction(checked)
+    assert raised.value is error
 
 
 def _to_solve_alone(name: str, a: BlockMatrix) -> dict:

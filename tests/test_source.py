@@ -163,3 +163,38 @@ def test_the_solver_crossover_is_named_in_densemat_only():
         "import blockineq.densemat as dm; dm.ROUND_ROBIN_MIN_DIM",
     ):
         assert "ROUND_ROBIN_MIN_DIM" in _names_in(line), line
+
+
+def _isinstance_readers(source: str, cls: str) -> list[str]:
+    """The functions of ``source`` that test a value with ``isinstance`` against ``cls``."""
+    readers = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2
+                and cls in _names_in(ast.unparse(node.args[1]))
+            ):
+                readers.append(func.name)
+    return readers
+
+
+def test_a_checked_document_is_read_in_check_block_only():
+    # a document's block checks are evaluated once, by _check_blocks; the
+    # document the checkers are handed carries their reports alone, and one
+    # function reads them. No presolved solver state travels with it
+    found = {
+        path.name: _isinstance_readers(path.read_text(encoding="utf-8"), "_Checked")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: readers for name, readers in found.items() if readers} == {
+        "inequalities.py": ["_check_block"]
+    }
+    suites = _names_in((SRC / "suites.py").read_text(encoding="utf-8"))
+    assert "_check_blocks" in suites and "_presolve" not in suites
+    # and it sees such a read wherever one is written
+    for line in ("isinstance(a, _Checked)", "isinstance(a, (BlockStack, inequalities._Checked))"):
+        assert _isinstance_readers(f"def f(a):\n    return {line}\n", "_Checked") == ["f"], line

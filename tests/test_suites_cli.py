@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -153,6 +153,36 @@ def test_config_validation(kwargs, msg):
         SuiteConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, msg",
+    [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": 4.0}, "trials must be an integer, got 4.0"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"shapes": ((2.9, 2),)}, "shapes must be pairs of positive integers, got (2.9, 2)"),
+        ({"shapes": ((2, True),)}, "shapes must be pairs of positive integers, got (2, True)"),
+        ({"shapes": ((2, "3"),)}, "shapes must be pairs of positive integers, got (2, '3')"),
+        ({"dims": (4.7,)}, "dims must be positive integers, got 4.7"),
+        ({"dims": (np.float64(4.0),)}, f"dims must be positive integers, got {np.float64(4.0)!r}"),
+    ],
+)
+def test_config_refuses_values_that_are_not_integers(kwargs, msg):
+    # none is truncated to an integer, or accepted as one, to fail later
+    with pytest.raises(UsageError) as got:
+        SuiteConfig(**kwargs)
+    assert str(got.value) == msg
+
+
+def test_config_takes_numpy_integers_as_ints():
+    # kept as ints, so that the report's config serializes
+    cfg = SuiteConfig(
+        suites=("theorem2",), trials=np.int64(2), shapes=((np.int32(2), 2),), dims=(np.int64(4),)
+    )
+    assert (cfg.trials, cfg.shapes, cfg.dims) == (2, ((2, 2),), (4,))
+    assert all(type(v) is int for v in (cfg.trials, *cfg.shapes[0], *cfg.dims))
+    assert json.loads(run_suite(cfg).to_json())["config"]["trials"] == 2
+
+
 def test_expected_certification_table():
     assert EXPECTED_CERTIFICATION == {
         "phi": (True, True),
@@ -239,6 +269,16 @@ def test_run_suite_embeds_replayable_seed_info():
 def test_run_suite_block2_skips_non_two_row_shapes():
     report = run_suite(SuiteConfig(suites=("block2",), trials=3, shapes=((3, 3), (2, 2))))
     assert len(report.reports["block2"]) == 3  # only the (2, 2) shape contributes
+
+
+@pytest.mark.parametrize("suite", ["block2", "all"])
+def test_verify_refuses_block2_without_a_two_block_row_shape(capsys, suite):
+    # block2 would run no check at all: a vacuous pass, refused as a usage error
+    argv = ["verify", "--suite", suite, "--shapes", "3x3,3x2", "--trials", "2"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: suite 'block2' needs a shape with two block rows, got shapes 3x3,3x2\n"
 
 
 # suite -> (single-matrix checker, input kind) for replaying one trial
@@ -707,19 +747,19 @@ def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind)
     tol = 1e-9
     wants = {name: _REPLAY[name][0](a, tol) for name in names}
     solves = _Solves(monkeypatch)
-    after_presolve = []
-    real_presolve = suites._presolve
+    after_checks = []
+    real_check_blocks = suites._check_blocks
 
-    def presolve(*args):
-        presolved = real_presolve(*args)
-        after_presolve.append(solves.counts())
-        return presolved
+    def check_blocks(*args):
+        checked = real_check_blocks(*args)
+        after_checks.append(solves.counts())
+        return checked
 
-    monkeypatch.setattr(suites, "_presolve", presolve)
+    monkeypatch.setattr(suites, "_check_blocks", check_blocks)
     report = run_files(SuiteConfig(suites=tuple(names), tol=tol), [path])
-    # the checkers read the document's values from what they are handed and
-    # solve nothing more
-    assert after_presolve == [solves.counts()]
+    # the block checks are evaluated once for the document; the checkers
+    # return the reports it carries and solve nothing more
+    assert after_checks == [solves.counts()]
     scalar, stacked = solves.counts()
     assert report.passed
     if densemat.solves_in_round_robin(m * n):
@@ -771,8 +811,8 @@ def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
 
 
 def test_run_files_assembles_each_block_suite_once_per_document(tmp_path, monkeypatch):
-    # _presolve assembles every requested check's terms and residuals, and
-    # each checker reads them from the document it is handed
+    # _check_blocks assembles every requested check's terms and residuals
+    # once, and each checker returns its report from the document it is handed
     path, a, names = _file_document(tmp_path, "separable", 2, 4)
     assert len(names) == len(inequalities._BLOCK_INEQUALITIES) == 6
     calls = dict.fromkeys(inequalities._BLOCK_INEQUALITIES, 0)
@@ -795,10 +835,8 @@ def test_run_files_assembles_each_block_suite_once_per_document(tmp_path, monkey
     assert report.passed
     assert calls == dict.fromkeys(calls, 1)
     assert psd_tests == [(8, 8)]  # the input, alone
-    # what travels with a document takes no part in its equality
-    presolved = inequalities._presolve(a, list(calls), 1e-9)
-    assert presolved.terms and presolved.mats
-    assert presolved == inequalities._presolve(a, list(calls), 1e-9)
+    # what travels with a document is its block matrix and its reports alone
+    assert [f.name for f in fields(inequalities._Checked)] == ["m", "n", "mat", "reports"]
 
 
 @pytest.mark.parametrize(
@@ -811,18 +849,20 @@ def test_run_files_assembles_each_block_suite_once_per_document(tmp_path, monkey
         ("eqlin", random_separable(2, 2, 2, 4), 1e-300),
     ],
 )
-def test_run_files_solves_a_block_document_once_for_a_submatrix_suite(
+def test_run_files_checks_a_block_document_as_a_submatrix_suite_alone(
     tmp_path, monkeypatch, suite, a, tol
 ):
-    # the submatrix checker reads the input minimum the document carries from
-    # its block suites' presolve. The document has counterexamples; they and
-    # every report are those of the suite run alone
+    # the submatrix checker gets the document's plain matrix and tests it for
+    # PSD itself, as when it runs alone. The document has counterexamples;
+    # they and every report are those of the suite run alone
     path = tmp_path / "doc.json"
     save(path, a)
     alone = run_files(SuiteConfig(suites=(suite,), tol=tol), [path])
     solves = _Solves(monkeypatch)
     both = run_files(SuiteConfig(suites=("theorem2", suite), tol=tol), [path])
-    assert solves.counts() == (1, [2])  # the input, then theorem2's two residuals
+    # theorem2, one check below the crossover, solves the input and its two
+    # residuals each alone; then the submatrix suite solves the input
+    assert solves.counts() == (4, [])
     assert both.reports[suite] == alone.reports[suite]
     got = [ce.to_doc() for ce in both.counterexamples if ce.suite == suite]
     assert got and got == [ce.to_doc() for ce in alone.counterexamples]
@@ -938,9 +978,9 @@ def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, caps
     solves = _Solves(monkeypatch)
     assert main(["verify", "--suite", "block2", str(path)]) == 0
     assert "suite block2: checks=1 failed=0" in capsys.readouterr().out
-    # the input alone, then its one residual, a stack of one; the checker
-    # reads both from the document it is handed
-    assert solves.counts() == (1, [1])
+    # one check below the crossover: the input, then its one residual, each
+    # alone; the checker returns the report the document carries
+    assert solves.counts() == (2, [])
     solves.scalar, solves.stacked = 0, []
     names = ("theorem2", "upper_bound", "corollary6", "block2")
     assert run_files(SuiteConfig(suites=names), [path]).passed
@@ -972,6 +1012,36 @@ def test_run_files_block2_alone_on_three_block_rows_is_a_usage_error(tmp_path, m
     with pytest.raises(UsageError, match="check_block2 requires block shape m=2, got m=3"):
         run_files(SuiteConfig(suites=("block2",)), [path])
     assert solves.counts() == (0, [])
+
+
+def test_verify_refuses_a_non_psd_three_block_row_document_at_theorem2_first(tmp_path, capsys):
+    # block2 is left out of the document's one evaluation; theorem2 refuses
+    # the document at its turn, before check_block2 refuses three block rows
+    a = _diagonal_block(3, [1.0, 2.0, 3.0, 4.0, 5.0, -1.0])
+    path = tmp_path / "doc.json"
+    save(path, a)
+    with pytest.raises(PreconditionError) as want:
+        check_copositive_partial_trace(load(path))
+    assert str(want.value).startswith("input is not PSD within tol")
+    assert main(["verify", "--suite", "theorem2", "--suite", "block2", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
+@pytest.mark.parametrize("suite", ["theorem2", "corollary3", "combined", "corollary6"])
+def test_run_files_of_one_block_suite_is_bitwise_the_lone_check(tmp_path, monkeypatch, suite):
+    # one check below the crossover solves each of its entries alone, as a
+    # lone check_* call does, so each of its several residuals' minima is the
+    # lone call's, bitwise, and not a stacked solve's
+    path, a, _ = _file_document(tmp_path, "separable", 2, 4)
+    checker, kind = _REPLAY[suite]
+    want = checker(a, 1e-9)
+    entries = (2 if kind == "ppt" else 1) + 2  # the hypothesis, then two residuals
+    solves = _Solves(monkeypatch)
+    (got,) = run_files(SuiteConfig(suites=(suite,)), [path]).reports[suite]
+    assert solves.counts() == (entries, [])
+    assert json.dumps(report_to_doc(replace(got, seed_info=None))) == json.dumps(
+        report_to_doc(want)
+    )
 
 
 _BLOCK_SUITE_NAMES = ("theorem2", "upper_bound", "corollary6", "block2", "corollary3", "combined")
@@ -1504,6 +1574,13 @@ def test_cli_gen_rejects_bad_rank(capsys):
 # ---------------------------------------------------------------------------
 
 
+def _module_env(**env) -> dict:
+    """The environment of a ``python -m blockineq`` child, which imports the package from ``src``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [
@@ -1545,7 +1622,7 @@ def test_cli_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
             stderr=subprocess.PIPE,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            env=_module_env(PYTHONUNBUFFERED=unbuffered),
         )
     finally:
         os.close(write)
@@ -1559,6 +1636,7 @@ def test_module_entry_matches_console_script():
         capture_output=True,
         text=True,
         timeout=120,
+        env=_module_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "completely positive: no" in proc.stdout
