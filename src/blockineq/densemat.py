@@ -4,19 +4,18 @@ All matrices are plain ``numpy.ndarray`` objects with ``complex128`` dtype.
 Every positivity decision in the package funnels through cyclic complex
 Jacobi iterations, deliberately dependency-free and numerically robust at
 the desk scale this package targets (dimension <= 64). They sweep in one of
-two rotation orders, and the matrix's dimension ``d`` picks which, by one
-rule (:func:`solves_in_round_robin`): from ``d = ROUND_ROBIN_MIN_DIM`` up
-every solve, of one matrix or of a stack, takes the round-robin order of the
-stacked kernel, and below it a matrix solved on its own takes the row order
+two rotation orders. A stack handed to :func:`hermitian_eigenvalues_stack`,
+of any size, takes the round-robin order of the stacked kernel. A matrix
+solved on its own, or as a member of an :func:`is_psd` stack, takes the
+order its dimension ``d`` picks, by one rule (:func:`solves_in_round_robin`):
+from ``d = ROUND_ROBIN_MIN_DIM`` up the kernel's, and below it the row order
 of a scalar loop, which is the faster there.
 
 - :func:`hermitian_eigenvalues` solves one matrix. It is the stack of one
   of :func:`_sweep_each`, the one loop that validates a stack once and then
   sweeps its members in the order ``d`` picks: each in turn with the scalar
   :func:`_sweep` below ``ROUND_ROBIN_MIN_DIM``, all in the kernel from
-  there up. :func:`is_psd` on a stack of several runs the same loop, and
-  :func:`hermitian_eigenvalues_stack` on a stack of one below the crossover,
-  which it names "stack member 0".
+  there up. :func:`is_psd` on a stack of several runs the same loop.
   The matrix the scalar loop rotates stays exactly Hermitian, so each
   rotation updates columns ``p`` and ``q`` and writes their conjugates into
   rows ``p`` and ``q`` in the same pass: bitwise the values of a row pass
@@ -34,8 +33,9 @@ of a scalar loop, which is the faster there.
   built once for each number of members still sweeping, so a round is 33
   numpy calls (37 when a pair is left alone) that write into them and create
   no array; when every pair rotates, none of them casts an operand or takes
-  a mask. A member's values are bitwise the same in any stack, one member
-  included. The seeded block suites go through it: they draw and check each
+  a mask. Every stack is one kernel call, whatever its size, so a member's
+  values are bitwise the same in any stack, one member included. The seeded
+  block suites go through it: they draw and check each
   shape's trials as one stack, and a check solves its inputs (with their
   partial transposes, for a PPT check) and the residuals of all its sides in
   one call. So does file verification, in one evaluation of all of a
@@ -53,7 +53,7 @@ stopping rule, and :func:`psd_verdict`, read that one norm.
 :func:`psd_verdict` states, each member at the minimum
 :func:`hermitian_eigenvalues` finds for it alone, bitwise. One matrix or a
 stack of one goes to :func:`hermitian_eigenvalues`. A stack of several,
-such as a chunk of the submatrix suites' trials or the Choi matrices of
+such as the trials a submatrix check is handed or the Choi matrices of
 maps of one shape, goes to :func:`_sweep_each` and is decided at the scales
 its one validation found: ``B`` scalar sweeps without ``B`` calls'
 overhead, or one kernel call, and one norm per member. A caller with many
@@ -158,7 +158,7 @@ def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def determinant(x: np.ndarray):
-    """Determinant via LU with partial pivoting; ``det`` of 0x0 is 1.
+    """Determinant via LU with partial pivoting; ``det`` of 0x0 is 1, as numpy's.
 
     A ``(k, k)`` matrix gives a complex number; a ``(B, k, k)`` stack gives
     the complex array of its ``B`` determinants, in one call.
@@ -166,9 +166,7 @@ def determinant(x: np.ndarray):
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim == 3 and x.shape[1] == x.shape[2]:
         return np.linalg.det(x)
-    n = require_square(x)
-    if n == 0:
-        return 1.0 + 0.0j
+    require_square(x)
     return complex(np.linalg.det(x))
 
 
@@ -237,7 +235,8 @@ def _sweep_each(x: np.ndarray, first: int | None = 0):
     which gives a member the same bits in any stack, one member included.
     Below it each member's rows, as nested lists of native complex, which
     beat ndarray indexing for the tiny, scalar-heavy rotation updates, go
-    through :func:`_sweep` at ``JACOBI_RTOL`` times its scale. Members are
+    through :func:`_sweep` at ``JACOBI_RTOL`` times its scale. A member is
+    converted when its turn comes, so a large stack is never held twice. Members are
     named in errors as ``first`` directs (see :func:`_validated_stack`).
     Returns the eigenvalues, ``(B, d)`` sorted ascending along the last
     axis, the off-diagonal masses and sweeps, each of length ``B``, and the
@@ -250,7 +249,8 @@ def _sweep_each(x: np.ndarray, first: int | None = 0):
     values = np.empty((count, n))
     offdiag, sweeps = np.zeros(count), np.zeros(count, dtype=np.int64)
     if n:
-        for k, (rows, s) in enumerate(zip(a.tolist(), scale.tolist())):
+        for k, s in enumerate(scale.tolist()):
+            rows = a[k].tolist()
             member = None if first is None else first + k
             offdiag[k], sweeps[k] = _sweep(rows, n, JACOBI_RTOL * s, member)
             values[k] = [rows[i][i].real for i in range(n)]
@@ -264,8 +264,9 @@ def solves_in_round_robin(n: int) -> bool:
     It is, at ``n >= ROUND_ROBIN_MIN_DIM``, whether it is solved alone or
     in a stack of any size, so its values are bitwise the same either way.
     Below that a lone matrix, or a member of an :func:`is_psd` stack, goes
-    to the row-cyclic scalar loop, the faster there, and a stack of several
-    to :func:`hermitian_eigenvalues_stack` goes to the kernel.
+    to the row-cyclic scalar loop, the faster there. A stack handed to
+    :func:`hermitian_eigenvalues_stack`, a stack of one included, goes to
+    the kernel at every ``n``.
     """
     return n >= ROUND_ROBIN_MIN_DIM
 
@@ -432,12 +433,12 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     allocates nothing. A member's rotations and sums use only its own
     entries, in a fixed order, so its values, sweeps and off-diagonal mass
     are bitwise the same in any stack or chunk (a zero's sign aside), and
-    those of the tests' ``(B, d, d)`` reference kernel. From
-    ``ROUND_ROBIN_MIN_DIM`` up they are also :func:`hermitian_eigenvalues`'s
-    bitwise, since it sweeps one matrix in the same kernel; below that its
-    row order differs and they agree to rounding, and a stack of one is
-    swept by :func:`_sweep_each`, in that scalar solver's order and to its
-    values bitwise. A stack of one's errors name it "stack member 0", as
+    those of the tests' ``(B, d, d)`` reference kernel. Every stack is
+    swept so, a stack of one included; a 0x0 or 1x1 member has no pair to
+    rotate and is its diagonal. From ``ROUND_ROBIN_MIN_DIM`` up the values
+    are also :func:`hermitian_eigenvalues`'s bitwise, since it sweeps one
+    matrix in the same kernel; below that its row order differs and they
+    agree to rounding. A stack of one's errors name it "stack member 0", as
     they name a member of any stack.
 
     Returns
@@ -462,16 +463,10 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ShapeError(f"expected a (B, d, d) stack of square matrices, got shape {x.shape}")
-    count, n = x.shape[0], x.shape[1]
-    if count == 1 and not solves_in_round_robin(n):
-        values, offdiag, sweeps, _ = _sweep_each(x)
-        return EigenResult(values, offdiag, sweeps)
-    sweeps = np.zeros(count, dtype=np.int64)
-    if count == 0 or n == 0:
-        return EigenResult(np.empty((count, n)), np.zeros(count), sweeps)
     a, scale = _validated_stack(x)
-    if n == 1:
-        return EigenResult(a[:, 0, :].real.copy(), np.zeros(count), sweeps)
+    if x.shape[1] < 2:  # no pair to rotate: a 0x0 or 1x1 matrix is its diagonal
+        zeros = np.zeros(len(x))
+        return EigenResult(a.diagonal(axis1=1, axis2=2).real.copy(), zeros, zeros.astype(np.int64))
     return EigenResult(*_sweep_round_robin(a, scale, 0))
 
 

@@ -31,9 +31,9 @@ and return one report, or a :class:`PairBatch` and return
 matrices they return a list of those, one per member. Each inequality is
 written once, over the pairs of each cardinality and the members of a
 chunk of the stack; a single pair is a batch of one and a single matrix a
-stack of one. The members of a chunk are tested for PSD in one
-:func:`~blockineq.densemat.is_psd` call, each at its lone solve's minimum,
-bitwise, as if it were tested alone. A batch keeps the gather
+stack of one. The members are tested for PSD in one
+:func:`~blockineq.densemat.is_psd` call, however many there are, each at
+its lone solve's minimum, bitwise, as if it were tested alone. A batch keeps the gather
 indices its checks derive from its pairs (:meth:`PairBatch.plan`). The
 exhaustive suites check all pairs of a chunk of trials as one batch.
 
@@ -704,14 +704,13 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     """The input as a ``(T, n, n)`` stack, each member's minimum eigenvalue, and if it is a stack.
 
     One matrix is a stack of one. The members are tested for PSD before any
-    pair is evaluated, one :func:`~blockineq.densemat.is_psd` call per chunk
-    of :func:`_chunk_members`, so each minimum is bitwise its lone solve's,
-    as if the member were tested alone. If a chunk's call raises a
-    solver error, its members are tested one at a time, in order, so that the
-    first member outside the hypothesis is refused first, as
-    "stack member k" (one matrix as "input"), and a solver error names its
-    member as "stack member k" too (one matrix as "matrix"), ``k`` its index
-    in the stack.
+    pair is evaluated, in one :func:`~blockineq.densemat.is_psd` call
+    whatever their number, so each minimum is bitwise its lone solve's, as
+    if the member were tested alone. If that call raises a solver error, the
+    members are tested one at a time from the first, so that the first
+    member outside the hypothesis is refused first, as "stack member k" (one
+    matrix as "input"), and a solver error names its member as "stack member
+    k" too (one matrix as "matrix"), ``k`` its index in the stack.
     """
     mats = np.asarray(a, dtype=np.complex128)
     stacked = mats.ndim == 3
@@ -724,8 +723,14 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
     else:
         mats = as_matrix(mats)[np.newaxis]
     n = require_square(mats[0])
+    try:
+        verdicts = [is_psd(mats, tol)]
+    except (ConvergenceError, HermiticityError, NormOverflowError):
+        if not stacked:
+            raise
+        verdicts = (_psd_each(mats[k : k + 1], tol, k) for k in range(len(mats)))
     input_mins = []
-    for ok, mins in _psd_verdicts(mats, _chunk_members(batch), tol, stacked):
+    for ok, mins in verdicts:
         _refuse_outside(ok, [mins], tol, stacked, len(input_mins))
         input_mins += mins.tolist()
     if batch.universe != n:
@@ -733,26 +738,6 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
             f"index-set universe {batch.universe} does not match matrix dimension {n}"
         )
     return mats, input_mins, stacked
-
-
-def _psd_verdicts(mats: np.ndarray, size: int, tol: float, stacked: bool):
-    """Yield :func:`~blockineq.densemat.is_psd` of each chunk of ``size`` members, in order.
-
-    A chunk of a stack whose call raises a solver error is tested again one
-    member at a time, each named by its index in ``mats``, so that a member
-    outside the hypothesis is refused before a later member's error is
-    raised. One matrix (``stacked`` false) raises its error as it is.
-    """
-    for lo in range(0, len(mats), size):
-        chunk = mats[lo : lo + size]
-        try:
-            verdict = is_psd(chunk, tol)
-        except (ConvergenceError, HermiticityError, NormOverflowError):
-            if not stacked:
-                raise
-            yield from (_psd_each(chunk[k : k + 1], tol, lo + k) for k in range(len(chunk)))
-        else:
-            yield verdict
 
 
 # Bytes, b * 16 * (entries of one member's largest gather), of the b members
@@ -840,9 +825,9 @@ def check_trace_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
     returns :class:`PairReports`. ``a`` is one matrix, or a ``(T, n, n)``
     stack, for which the result is a list with one of those per member.
-    The members are tested for PSD a chunk at a time (:func:`_chunk_members`),
-    in one :func:`~blockineq.densemat.is_psd` call per chunk, each at its
-    lone solve's minimum, bitwise; the first member that is not PSD is
+    The members are tested for PSD in one
+    :func:`~blockineq.densemat.is_psd` call, each at its lone solve's
+    minimum, bitwise; the first member that is not PSD is
     refused as "stack member k" before any pair is evaluated (one matrix is
     refused as "input"). Then each cardinality's blocks are gathered for a
     chunk of members at once and reduced by row sums, so a member's values
@@ -890,9 +875,10 @@ def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float, names: list):
     ------
     NormOverflowError
         If a term, ``x``, ``y``, ``(tr A[a])(tr A[b])`` or ``|tr A[a,b]|^2``,
-        is not finite in float64, as it can be for a member whose
-        ``||A||_F`` is finite but whose square is not; names the first such
-        member of the chunk, by ``names``, and its first such pair.
+        or a side of thm8, ``x + y`` or ``R+``, is not finite in float64, as
+        it can be for a member whose ``||A||_F`` is finite but whose square
+        is not; names the first such member of the chunk, by ``names``, and
+        its first such pair.
     """
     groups, cardinality = batch.plan(_trace_plan)
     floats = flat.view(np.float64)  # Re and Im of each entry, side by side
@@ -912,11 +898,12 @@ def _trace_columns(flat: np.ndarray, batch: PairBatch, tol: float, names: list):
         tr_ab *= tr_ab
         parts.append((x, y, tr[:, ia] * tr[:, ib], tr_ab.sum(axis=-1)))
     x, y, tr_prod, abs_tr_ab_sq = (np.concatenate(c, axis=1) for c in zip(*parts))
-    _refuse_overflow(names, batch, "trace", x, y, tr_prod, abs_tr_ab_sq)
+    x_plus_y = x + y
     r_plus = tr_prod + abs_tr_ab_sq
+    _refuse_overflow(names, batch, "trace", x, y, tr_prod, abs_tr_ab_sq, x_plus_y, r_plus)
     r_minus = tr_prod - abs_tr_ab_sq
-    gap8 = r_plus - (x + y)
-    scale8, ok8 = _verdict(gap8, (x + y, r_plus), tol)
+    gap8 = r_plus - x_plus_y
+    scale8, ok8 = _verdict(gap8, (x_plus_y, r_plus), tol)
     gap9 = r_minus - np.abs(x - y)
     scale9, ok9 = _verdict(gap9, (x - y, r_minus), tol)
     details = {
@@ -990,7 +977,7 @@ def check_det_submatrix(a, alpha, beta=None, tol: float = DEFAULT_TOL):
     Takes one pair of :class:`IndexSet` and returns a :class:`CheckReport`,
     or a :class:`PairBatch` in place of ``alpha`` (``tol`` by keyword) and
     returns :class:`PairReports`; ``a`` is one matrix or a ``(T, n, n)``
-    stack, tested for PSD a chunk at a time and refused as
+    stack, tested for PSD and refused as
     :func:`check_trace_submatrix` does, for which the result is a list with
     one of those per member. For a chunk of members, the principal minors
     the batch needs are one stacked :func:`~blockineq.densemat.determinant`

@@ -150,10 +150,18 @@ class SuiteConfig:
             if not (_is_integer(d) and d >= 1):
                 raise UsageError(f"dims must be positive integers, got {d!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not 0 <= int(self.seed) <= MAX_SEED:
-            raise UsageError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 < self.tol < math.inf:
+        if not (_is_integer(self.seed) and 0 <= self.seed <= MAX_SEED):
+            raise UsageError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise UsageError(f"tol must be a real number, got {self.tol!r}")
+        try:
+            tol = float(self.tol)
+        except OverflowError:  # an int past float64's range
+            tol = math.inf
+        if not 0 < tol < math.inf:
             raise UsageError(f"tol must be positive and finite, got {self.tol}")
+        object.__setattr__(self, "tol", tol)
         if self.output_format not in ("text", "json"):
             raise UsageError(f"output format must be 'text' or 'json', got {self.output_format!r}")
 
@@ -518,9 +526,10 @@ def _run_choi_certs(suite, cfg, rec, batches=None):
 
 # The registry of suites, in canonical order: run_suite and run_files both
 # dispatch through it, as ``_RUNNERS[name](name, cfg, rec, batches)``. One
-# runner serves each family; a block or submatrix suite is a row of its table.
+# runner serves each family; a block or submatrix suite is a row of its table,
+# and block2 keeps its row's place with a runner of its own.
 _RUNNERS = {
-    **dict.fromkeys(("theorem2", "corollary3", "combined", "upper_bound", "corollary6"), _run_block),
+    **dict.fromkeys(_BLOCK_SUITES, _run_block),
     "block2": _run_block2,
     **dict.fromkeys(_SUBMATRIX_SUITES, _run_submatrix),
     "choi_certs": _run_choi_certs,

@@ -319,17 +319,25 @@ def test_stacked_eigenvalues_do_not_depend_on_the_rest_of_the_stack():
     assert np.array_equal(whole[:2], pair)
 
 
-def test_stack_of_one_is_the_scalar_solve():
-    a = random_hermitian(np.random.default_rng(53), 5)
-    one = hermitian_eigenvalues_stack(a[np.newaxis])
-    scalar = hermitian_eigenvalues(a)
-    assert np.array_equal(one.values[0], scalar.values)
-    assert one.sweeps.tolist() == [scalar.sweeps]
-    assert one.offdiag_residual.tolist() == [scalar.offdiag_residual]
+@pytest.mark.parametrize("d", [2, 5, densemat.ROUND_ROBIN_MIN_DIM - 1])
+def test_stack_of_one_is_a_member_of_any_stack(d):
+    # a stack of one is swept in the kernel at every dimension, so its member
+    # is bitwise the same member of a larger stack, and the reference sweep's
+    rng = np.random.default_rng(53 + d)
+    x = np.stack([random_hermitian(rng, d) for _ in range(3)])
+    one = hermitian_eigenvalues_stack(x[1:2])
+    many = hermitian_eigenvalues_stack(x)
+    values, offdiag, sweeps = jacobi_stack_reference(
+        x[1:2], densemat.JACOBI_RTOL, densemat.MAX_SWEEPS
+    )
+    for got, k in ((one, 0), (many, 1)):
+        assert got.values[k : k + 1].tobytes() == values.tobytes()
+        assert got.offdiag_residual[k : k + 1].tobytes() == offdiag.tobytes()
+        assert got.sweeps[k : k + 1].tolist() == sweeps.tolist()
 
 
 def test_stack_of_one_names_its_member_as_any_stack_does():
-    # swept in the scalar order, but named as a stack's member, not "matrix"
+    # named as a stack's member, not "matrix"
     a = random_hermitian(np.random.default_rng(59), 4)
     a[0, 1] += 1e-3
     with pytest.raises(HermiticityError, match="^stack member 0 is not Hermitian"):
@@ -442,10 +450,9 @@ def _assert_bitwise_as_reference(x):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_solver_is_bitwise_the_reference_sweep(d, chunk, chunks, seed):
-    # chunks of ``chunk`` members, so that a stack spans one to three of them
+    # chunks of ``chunk`` members, so that a stack spans one to three of them;
+    # a stack of one is swept as any other
     count = math.ceil(chunks * chunk)
-    if count == 1:
-        count = 0  # a stack of one takes the order its dimension picks (tested below)
     x = _reference_stack(np.random.default_rng(seed), d, count)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(densemat, "_CHUNK_BYTES", 16 * d * d * chunk)
@@ -503,34 +510,34 @@ def _no_scalar_sweep(monkeypatch) -> list:
 
 @pytest.mark.parametrize("d", _DISPATCH_DIMS)
 def test_a_lone_solve_takes_the_order_its_dimension_picks(monkeypatch, d):
-    # from ROUND_ROBIN_MIN_DIM up, a lone matrix, a stack of one and a member
-    # of an is_psd stack are swept by the kernel, bitwise the reference sweep,
-    # and the row-cyclic loop never runs; below it they stay the scalar loop's
+    # from ROUND_ROBIN_MIN_DIM up, a lone matrix and a member of an is_psd
+    # stack are swept by the kernel, bitwise the reference sweep, and the
+    # row-cyclic loop never runs; below it they stay the scalar loop's. A
+    # stack of one is the kernel's at every dimension
     kernel = densemat.solves_in_round_robin(d)
     assert kernel == (d >= densemat.ROUND_ROBIN_MIN_DIM)
     x = _reference_stack(np.random.default_rng(d), d, 7)
     swept = _no_scalar_sweep(monkeypatch)
     for k, a in enumerate(x):
+        reference = jacobi_stack_reference(a[np.newaxis], densemat.JACOBI_RTOL, densemat.MAX_SWEEPS)
         if kernel:
-            reference = jacobi_stack_reference(
-                a[np.newaxis], densemat.JACOBI_RTOL, densemat.MAX_SWEEPS
-            )
             values, offdiag, sweeps = (v[0] for v in reference)
         else:
             values, offdiag, sweeps = jacobi_scalar_reference(
                 a, densemat.JACOBI_RTOL, densemat.MAX_SWEEPS
             )
-        lone = hermitian_eigenvalues(a)
         one = hermitian_eigenvalues_stack(a[np.newaxis])
-        member = densemat.EigenResult(one.values[0], one.offdiag_residual[0], one.sweeps[0])
-        for got in (lone, member):
-            assert got.values.tobytes() == values.tobytes(), k
-            assert np.float64(got.offdiag_residual).tobytes() == np.float64(offdiag).tobytes(), k
-            assert int(got.sweeps) == int(sweeps), k
+        assert one.values.tobytes() == reference[0].tobytes(), k
+        assert one.offdiag_residual.tobytes() == reference[1].tobytes(), k
+        assert one.sweeps.tolist() == reference[2].tolist(), k
+        lone = hermitian_eigenvalues(a)
+        assert lone.values.tobytes() == values.tobytes(), k
+        assert np.float64(lone.offdiag_residual).tobytes() == np.float64(offdiag).tobytes(), k
+        assert int(lone.sweeps) == int(sweeps), k
         _, min_eig = is_psd(np.stack([x[k - 1], a]))
         assert min_eig[1].tobytes() == values[0].tobytes(), k
-    # every lone solve, stack of one and is_psd member sweeps a matrix of its own
-    assert swept == ([] if kernel else [d] * 4 * len(x))
+    # every lone solve and is_psd member sweeps a matrix of its own
+    assert swept == ([] if kernel else [d] * 3 * len(x))
 
 
 @pytest.mark.parametrize("d", _DISPATCH_DIMS[1:])

@@ -1299,7 +1299,7 @@ def test_a_member_checks_bitwise_the_same_in_a_stack_of_any_size(monkeypatch, n,
 
 @pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
 def test_a_stack_refuses_its_first_member_outside_before_a_later_solver_error(check):
-    # member 2 is not Hermitian, so the chunk's one is_psd call raises; its
+    # member 2 is not Hermitian, so the stack's one is_psd call raises; its
     # members are then tested one at a time, in order, and member 1, which is
     # not PSD, is refused first, as it is when each member is tested alone
     bad = np.eye(4, dtype=np.complex128)
@@ -1313,12 +1313,40 @@ def test_a_stack_refuses_its_first_member_outside_before_a_later_solver_error(ch
 
 
 @pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
+def test_a_stack_longer_than_a_chunk_is_tested_for_psd_in_one_call(check, monkeypatch):
+    # the hypothesis of a stack of five, evaluated two members at a time, is
+    # one is_psd call; each member's minimum is bitwise its lone solve's, and
+    # member 2, not PSD, is refused before member 3's Hermiticity error
+    pairs = exhaustive_pairs(4, distinct=True)
+    monkeypatch.setattr(inequalities, "_CHUNK_BYTES", 2 * _member_bytes(pairs))
+    assert inequalities._chunk_members(pairs) == 2
+    calls = []
+    real_is_psd = inequalities.is_psd
+
+    def counting(x, tol):
+        calls.append(x.shape)
+        return real_is_psd(x, tol)
+
+    monkeypatch.setattr(inequalities, "is_psd", counting)
+    mats = random_psd(4, [4, 2, 1, 3, 4], [derive_seed(17, "chunks", t) for t in range(5)])
+    reports = check(mats, pairs, tol=1e-9)
+    assert calls == [(5, 4, 4)]
+    for mat, rep in zip(mats, reports):
+        assert _same_bits(rep.input_min_eig, hermitian_eigenvalues(mat).values[0])
+    mats[2] = -mats[2]
+    mats[3, 0, 1] += 1e-3
+    with pytest.raises(PreconditionError, match="^stack member 2 is not PSD"):
+        check(mats, pairs, tol=1e-9)
+    assert calls[1:] == [(5, 4, 4)]
+
+
+@pytest.mark.parametrize("check", [check_trace_submatrix, check_det_submatrix])
 def test_a_submatrix_check_names_a_members_solver_error_by_its_index_in_the_stack(
     check, monkeypatch
 ):
     # as the block checkers do: "stack member k", k counted over the whole
-    # stack, also when its chunk's call is retried member by member; one
-    # matrix is "matrix"
+    # stack, also when the stack's call is retried member by member and
+    # whatever the chunks its pairs are evaluated in; one matrix is "matrix"
     mats = random_psd(4, 4, [1, 2, 3])
     mats[2, 0, 1] += 1e-3
     pairs = exhaustive_pairs(4, distinct=True)
@@ -1326,13 +1354,13 @@ def test_a_submatrix_check_names_a_members_solver_error_by_its_index_in_the_stac
         check(mats, pairs)
     with pytest.raises(HermiticityError, match="^matrix is not Hermitian"):
         check(mats[2], pairs)
-    # one member a chunk: member 2 fails in the third chunk
+    # one member a chunk
     monkeypatch.setattr(inequalities, "_CHUNK_BYTES", 1)
     assert inequalities._chunk_members(pairs) == 1
     with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
         check(mats, pairs)
-    # two members a chunk: member 2 is the first of the second chunk, and
-    # member 3's convergence failure is named by its index too
+    # two members a chunk, and member 3's convergence failure is named by
+    # its index too
     monkeypatch.setattr(inequalities, "_CHUNK_BYTES", 2 * 16 * 256)
     assert inequalities._chunk_members(pairs) == 2
     with pytest.raises(HermiticityError, match="^stack member 2 is not Hermitian"):
@@ -1345,9 +1373,11 @@ def test_a_submatrix_check_names_a_members_solver_error_by_its_index_in_the_stac
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_submatrix_term_that_overflows_names_the_member_and_its_first_pair():
-    # the products of minors of a PSD matrix scaled by 1e100 overflow, and
-    # (tr A[a])(tr A[b]) does at 6e153 I; each check refuses the member by
-    # name, with the first such pair, and no numpy warning is shown
+    # the products of minors of a PSD matrix scaled by 1e100 overflow, and at
+    # c I, c = 6e153, R+ = 8 c^2 of alpha = beta = {1, 2} does, before any
+    # term (the first, (tr A[a])(tr A[b]) = 9 c^2, at |alpha| = 3); each check
+    # refuses the member by name, with the first such pair, and no numpy
+    # warning is shown
     small = random_psd(4, 4, 3)
     stack = np.stack([small, small * 1e100])
     distinct = exhaustive_pairs(4, distinct=True)
@@ -1360,7 +1390,7 @@ def test_a_submatrix_term_that_overflows_names_the_member_and_its_first_pair():
         check_det_submatrix(stack[1], distinct, tol=1e-9)
     assert all(rep.passed.all() for rep in check_trace_submatrix(stack, distinct, tol=1e-9))
     with pytest.raises(NormOverflowError, match=(
-        r"^input is too large to check: a trace term of pair alpha=\[1, 2, 3\], beta=\[1, 2, 3\] "
+        r"^input is too large to check: a trace term of pair alpha=\[1, 2\], beta=\[1, 2\] "
     )):
         check_trace_submatrix(np.eye(4) * 6e153, exhaustive_pairs(4), tol=1e-9)
 

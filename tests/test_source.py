@@ -198,3 +198,31 @@ def test_a_checked_document_is_read_in_check_block_only():
     # and it sees such a read wherever one is written
     for line in ("isinstance(a, _Checked)", "isinstance(a, (BlockStack, inequalities._Checked))"):
         assert _isinstance_readers(f"def f(a):\n    return {line}\n", "_Checked") == ["f"], line
+
+
+def _function_names(source: str, function: str) -> set[str]:
+    """Every name the module-level ``function`` of ``source`` reads, by :func:`_names_in`."""
+    (node,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return _names_in(ast.unparse(node))
+
+
+# what picks a rotation order by a matrix's dimension
+_ORDER_PICKERS = {"solves_in_round_robin", "_sweep_each"}
+
+
+def test_a_stack_is_one_kernel_solve_whatever_its_size():
+    # hermitian_eigenvalues_stack sweeps every stack, a stack of one
+    # included, in the round-robin kernel: it asks no dimension rule and
+    # never hands a stack to the loop that picks an order per dimension
+    source = (SRC / "densemat.py").read_text(encoding="utf-8")
+    names = _function_names(source, "hermitian_eigenvalues_stack")
+    assert "_sweep_round_robin" in names  # the rule sees the names the function reads
+    assert names & _ORDER_PICKERS == set()
+    # and it sees such a read wherever one is written
+    for body in ("return _sweep_each(x)", "return densemat.solves_in_round_robin(2)"):
+        source = f"def hermitian_eigenvalues_stack(x):\n    {body}\n"
+        assert _function_names(source, "hermitian_eigenvalues_stack") & _ORDER_PICKERS, body

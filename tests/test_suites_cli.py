@@ -146,6 +146,7 @@ def test_config_defaults():
         ({"suites": ("bogus",)}, "unknown suite"),
         ({"tol": math.inf}, "tol must be positive and finite"),
         ({"tol": math.nan}, "tol must be positive and finite"),
+        ({"tol": 2**1024}, "tol must be positive and finite"),
     ],
 )
 def test_config_validation(kwargs, msg):
@@ -173,14 +174,39 @@ def test_config_refuses_values_that_are_not_integers(kwargs, msg):
     assert str(got.value) == msg
 
 
-def test_config_takes_numpy_integers_as_ints():
-    # kept as ints, so that the report's config serializes
+@pytest.mark.parametrize(
+    "kwargs, msg",
+    [
+        ({"seed": 1.5}, "seed must be a 64-bit unsigned integer, got 1.5"),
+        ({"seed": "7"}, "seed must be a 64-bit unsigned integer, got '7'"),
+        ({"seed": True}, "seed must be a 64-bit unsigned integer, got True"),
+        ({"tol": True}, "tol must be a real number, got True"),
+        ({"tol": "1e-9"}, "tol must be a real number, got '1e-9'"),
+    ],
+)
+def test_config_refuses_a_seed_or_tol_of_the_wrong_type(kwargs, msg):
+    # a report's config replays only if it holds the seed and tol that ran
+    with pytest.raises(UsageError) as got:
+        SuiteConfig(**kwargs)
+    assert str(got.value) == msg
+
+
+def test_config_takes_numpy_numbers_as_python_ones():
+    # kept as ints, and tol as a float, so that the report's config serializes
     cfg = SuiteConfig(
-        suites=("theorem2",), trials=np.int64(2), shapes=((np.int32(2), 2),), dims=(np.int64(4),)
+        suites=("theorem2",),
+        trials=np.int64(2),
+        shapes=((np.int32(2), 2),),
+        dims=(np.int64(4),),
+        seed=np.uint64(7),
+        tol=np.float32(1e-9),
     )
-    assert (cfg.trials, cfg.shapes, cfg.dims) == (2, ((2, 2),), (4,))
-    assert all(type(v) is int for v in (cfg.trials, *cfg.shapes[0], *cfg.dims))
-    assert json.loads(run_suite(cfg).to_json())["config"]["trials"] == 2
+    tol = float(np.float32(1e-9))
+    assert (cfg.trials, cfg.shapes, cfg.dims, cfg.seed, cfg.tol) == (2, ((2, 2),), (4,), 7, tol)
+    assert all(type(v) is int for v in (cfg.trials, *cfg.shapes[0], *cfg.dims, cfg.seed))
+    assert type(cfg.tol) is float
+    config = json.loads(run_suite(cfg).to_json())["config"]
+    assert (config["trials"], config["seed"], config["tol"]) == (2, 7, tol)
 
 
 def test_expected_certification_table():
@@ -796,6 +822,24 @@ def test_verify_refuses_a_document_whose_determinant_terms_overflow(tmp_path, ca
     assert not out.exists() and not list(tmp_path.glob("counterexample-*"))
     assert main(["verify", "--suite", "thm8_9", *args]) == 0
     assert json.loads(out.read_text())["summary"]["passed"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_refuses_a_document_whose_trace_sides_overflow(tmp_path, capsys, fmt):
+    # diag(1e154, 0, 0, 0) is PSD and its norm fits in float64, and so does
+    # each trace term of alpha = beta = {1}, 1e308, but x + y and R+ do not:
+    # thm8_9 refuses it as a numerical failure, naming that pair, and writes
+    # no report and no counterexample
+    path = tmp_path / "big.json"
+    save(path, np.diag([1e154, 0.0, 0.0, 0.0]))
+    out = tmp_path / "report.out"
+    assert main(["verify", "--suite", "thm8_9", "--format", fmt, "--out", str(out), str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: input is too large to check: a trace term of pair "
+        "alpha=[1], beta=[1] overflows float64\n"
+    )
+    assert not out.exists() and not list(tmp_path.glob("counterexample-*"))
 
 
 def test_run_files_reports_are_byte_identical_run_to_run(tmp_path, monkeypatch):
