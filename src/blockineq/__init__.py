@@ -5,8 +5,11 @@ and scalar inequalities about positive semidefinite block matrices: partial
 trace / partial transpose bounds, two-block trace bounds, submatrix trace
 and determinant bounds, and Choi-matrix certification of completely
 positive / completely copositive maps. Every positivity verdict comes from a
-self-contained Jacobi eigensolver (scalar for one matrix, vectorized for a
-stack), every random input is addressable by an explicit seed, and every
+self-contained Jacobi eigensolver: a vectorized round-robin kernel for any
+stack handed to ``hermitian_eigenvalues_stack`` (every block residual among
+them) and for any matrix of dimension 12 or more, and a scalar row-cyclic
+loop for a smaller matrix solved alone or as a member of an ``is_psd``
+stack. Every random input is addressable by an explicit seed, and every
 check returns a replayable report.
 """
 

@@ -34,14 +34,17 @@ of a scalar loop, which is the faster there.
   numpy calls (37 when a pair is left alone) that write into them and create
   no array; when every pair rotates, none of them casts an operand or takes
   a mask. Every stack is one kernel call, whatever its size, so a member's
-  values are bitwise the same in any stack, one member included. The seeded
-  block suites go through it: they draw and check each
+  values are bitwise the same in any stack, one member included. Every
+  block check goes through it, so the kernel is the one order a block
+  residual is swept in. The seeded block suites draw and check each
   shape's trials as one stack, and a check solves its inputs (with their
-  partial transposes, for a PPT check) and the residuals of all its sides in
-  one call. So does file verification, in one evaluation of all of a
-  document's requested block checks: their residuals (and its partial
-  transpose) are one stack, with the document itself from the crossover up;
-  below it the document is tested alone first, by :func:`is_psd`.
+  partial transposes, for a PPT check) and the residuals of all its sides
+  in one call. One matrix, in a lone ``check_*`` call or a verified
+  document, is handled alike, with one check or several: their residuals
+  (and its partial transpose) are one stack, with the matrix itself from
+  the crossover up; below it the matrix is tested alone first, by
+  :func:`is_psd`. After a stack's solver error each entry is swept alone,
+  in the same kernel.
 
 Both validate their input in one place, :func:`_validated_stack`, one
 matrix as a stack of one: the same Hermiticity check and symmetrization,
@@ -60,8 +63,9 @@ overhead, or one kernel call, and one norm per member. A caller with many
 members whose minima need not be each one's lone solve, such as the
 block checks' inputs and residuals, solves them with
 :func:`hermitian_eigenvalues_stack` and decides them by
-:func:`psd_verdict`. From the crossover up the two agree bitwise. :func:`is_psd`
-keeps no state: every call solves what it is given.
+:func:`psd_verdict`. From the crossover up the two agree bitwise, below it
+to rounding. :func:`is_psd` keeps no state: every call solves what it is
+given.
 
 :func:`determinant` (LU with partial pivoting, through numpy) likewise takes
 one matrix or a ``(B, k, k)`` stack; the submatrix suites compute the
@@ -71,6 +75,7 @@ minors of a chunk of matrices in a few stacked calls.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -379,7 +384,9 @@ def _validated_stack(x: np.ndarray, first: int | None = 0) -> tuple[np.ndarray, 
     Raises
     ------
     NormOverflowError
-        If any member's ``||X||_F`` is not finite in float64.
+        If the sum of any member's squared entries overflows float64, its
+        ``||X||_F`` finite or not; the message gives the norm, by
+        :func:`frobenius_stack`, where that is finite.
     HermiticityError
         If any member is not Hermitian within ``HERMITICITY_RTOL`` of its scale.
     """
@@ -391,8 +398,14 @@ def _validated_stack(x: np.ndarray, first: int | None = 0) -> tuple[np.ndarray, 
     if not finite.all():
         k = int(np.argmin(finite))
         name = "matrix" if first is None else f"stack member {first + k}"
+        frobenius = frobenius_stack(x[k : k + 1])[0]
+        if np.isfinite(frobenius):
+            raise NormOverflowError(
+                f"{name} is too large to solve: the sum of its squared entries overflows "
+                f"float64 (||X||_F = {frobenius:.3e})"
+            )
         raise NormOverflowError(
-            f"{name} is too large to solve: ||X||_F = {norm[k]} overflows float64"
+            f"{name} is too large to solve: ||X||_F = {frobenius} overflows float64"
         )
     scale = np.maximum(1.0, norm)
     bad = defect > HERMITICITY_RTOL * scale
@@ -463,21 +476,21 @@ def hermitian_eigenvalues_stack(x: np.ndarray) -> EigenResult:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise ShapeError(f"expected a (B, d, d) stack of square matrices, got shape {x.shape}")
-    a, scale = _validated_stack(x)
-    if x.shape[1] < 2:  # no pair to rotate: a 0x0 or 1x1 matrix is its diagonal
-        zeros = np.zeros(len(x))
-        return EigenResult(a.diagonal(axis1=1, axis2=2).real.copy(), zeros, zeros.astype(np.int64))
-    return EigenResult(*_sweep_round_robin(a, scale, 0))
+    return EigenResult(*_sweep_round_robin(*_validated_stack(x), 0))
 
 
 def _sweep_round_robin(a: np.ndarray, scale: np.ndarray, first: int | None):
-    """Sweep a validated ``(B, d, d)`` stack, ``d >= 2``, in the kernel, a chunk at a time.
+    """Sweep a validated ``(B, d, d)`` stack in the kernel, a chunk at a time.
 
     ``scale`` holds each member's ``max(1, ||X||_F)``. Returns the sorted
     eigenvalues, off-diagonal masses and sweeps; a member that does not
     converge is named as ``first`` directs (see :func:`_validated_stack`).
+    A 0x0 or 1x1 member has no pair to rotate and is its diagonal.
     """
     count, n = a.shape[0], a.shape[1]
+    if n < 2:
+        zeros = np.zeros(count)
+        return a.diagonal(axis1=1, axis2=2).real.copy(), zeros, zeros.astype(np.int64)
     threshold = JACOBI_RTOL * scale
     skip = threshold / (2.0 * n)
     values, offdiag = np.empty((count, n)), np.empty(count)
@@ -826,6 +839,16 @@ def psd_verdict(min_eig, x: np.ndarray, tol: float):
     return min_eig >= -tol * np.maximum(1.0, _norms(x))
 
 
-def _require_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:
+def _require_tol(tol) -> None:
+    """Refuse a ``tol`` that is not a real number (a bool included), or is negative or not finite.
+
+    An integer past float64's range counts as not finite.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise UsageError(f"tolerance must be a real number, got {tol!r}")
+    try:
+        value = float(tol)
+    except OverflowError:
+        value = math.inf
+    if not 0 <= value < math.inf:
         raise UsageError(f"tolerance must be finite and nonnegative, got {tol}")

@@ -16,14 +16,13 @@ applied blockwise, split as (trace part, ``-X`` or ``X``). The seeded suites
 check each shape's trials as one stack. Every block check goes one way,
 through :func:`_check_blocks`, which evaluates any number of checks on one
 input together: it assembles once the matrices they solve (the input, its
-partial transpose for a PPT check, each side's residual) and solves them by
-one plan. On a stack, and on one matrix from the solvers' crossover
-dimension up, that is one stacked eigensolve, where the kernel sweeps each
-matrix as it would alone. Below it one matrix is tested for PSD alone, and
-the rest is solved as one stack for several checks, or entry by entry with
-the scalar solver, the faster there, for one. A lone ``check_*`` call is the
-evaluation of its one check; file verification evaluates all of a
-document's block checks at once, and hands each checker its report.
+partial transpose for a PPT check, each side's residual) and solves them in
+one stacked eigensolve, where the kernel sweeps each matrix as it would
+alone; only one matrix below the solvers' crossover dimension is tested for
+PSD alone first. So a residual's minimum is the same bits however the
+input was handed in and whatever checks ran with it. A lone ``check_*``
+call is the evaluation of its one check; file verification evaluates all
+of a document's block checks at once, and hands each checker its report.
 
 The submatrix checkers take one ``(alpha, beta)`` pair of :class:`IndexSet`
 and return one report, or a :class:`PairBatch` and return
@@ -51,6 +50,7 @@ it is computed from, because its rounding error is relative to them.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -67,10 +67,11 @@ from .densemat import (
     DEFAULT_TOL,
     _psd_each,
     _require_tol,
+    _sweep_round_robin,
+    _validated_stack,
     as_matrix,
     determinant,
     frobenius_stack,
-    hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     is_psd,
     kron,
@@ -89,6 +90,18 @@ from .errors import (
 )
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _index(i) -> int:
+    """``i`` as an index of an :class:`IndexSet`; a non-integer or a bool is refused, not truncated."""
+    if not _is_integer(i):
+        raise UsageError(f"indices must be integers, got {i!r}")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """A sorted, duplicate-free subset of ``{1, ..., universe}`` (1-based)."""
@@ -97,9 +110,10 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.universe < 1:
-            raise UsageError(f"universe must be positive, got {self.universe}")
-        members = tuple(int(i) for i in self.members)
+        if not (_is_integer(self.universe) and self.universe >= 1):
+            raise UsageError(f"universe must be a positive integer, got {self.universe!r}")
+        object.__setattr__(self, "universe", int(self.universe))
+        members = tuple(_index(i) for i in self.members)
         for prev, cur in zip((0,) + members, members):
             if not 1 <= cur <= self.universe:
                 raise UsageError(
@@ -112,7 +126,7 @@ class IndexSet:
     @classmethod
     def of(cls, universe: int, members) -> "IndexSet":
         """Build from any iterable of indices; sorts and deduplicates."""
-        return cls(universe, tuple(sorted(set(int(i) for i in members))))
+        return cls(universe, tuple(sorted(set(_index(i) for i in members))))
 
     @classmethod
     def full(cls, universe: int) -> "IndexSet":
@@ -308,23 +322,23 @@ def _check_blocks(a, check_names, tol: float) -> dict:
     before any solve.
 
     What :func:`_to_solve` lists for the checks is assembled once and solved
-    by one plan. On a stack, and on one matrix whose dimension the kernel
-    sweeps (:func:`~blockineq.densemat.solves_in_round_robin`), it is one
-    :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call. A
-    member's rotations do not depend on its stack-mates, so each value is
-    the same in a stack of any size, and from the crossover up one matrix's
-    values are bitwise those of its entries solved each alone. On one
-    matrix below it the input is tested for PSD alone
-    (:func:`~blockineq.densemat.is_psd`); if it is PSD, several checks
-    solve the rest as one stack, while one check solves each entry alone
-    with the scalar solver, the faster there, as below.
+    in one :func:`~blockineq.densemat.hermitian_eigenvalues_stack` call,
+    however many checks there are. A member's rotations do not depend on
+    its stack-mates, so each value is the same in a stack of any size, one
+    entry alone included: a residual's minimum does not depend on which
+    checks were evaluated with it, nor on whether its input came as one
+    matrix or as a member of a stack. The one value that does is the input's
+    own minimum on one matrix below the solvers' crossover dimension
+    (:func:`~blockineq.densemat.solves_in_round_robin`): that matrix is
+    tested for PSD alone first (:func:`~blockineq.densemat.is_psd`), in the
+    scalar order, and only its partial transpose and residuals are the stack.
 
-    What is still missing, after a solver error of the stack or on one
-    matrix below the crossover, is solved one entry at a time as each check
-    is decided: its hypothesis first, so that the first member outside it
-    (PSD, or PPT) is refused before any residual is solved, and then each
-    side's residual. An error so names a member by its index in the stack,
-    a stack of one included, and one matrix "matrix".
+    What is still missing after a solver error of the stack is solved one
+    entry at a time in the same kernel as each check is decided: its
+    hypothesis first, so that the first member outside it (PSD, or PPT) is
+    refused before any residual is solved, and then each side's residual.
+    An error so names a member by its index in the stack, a stack of one
+    included, and one matrix "matrix".
     """
     if isinstance(a, BlockMatrix):
         stack = BlockStack(a.m, a.n, a.mat[np.newaxis])
@@ -339,13 +353,11 @@ def _check_blocks(a, check_names, tol: float) -> dict:
     stacked, count = stack is a, len(stack)
     mats, terms = _to_solve(stack, names)
     minima = {}
+    first = 0 if stacked else None
 
     def minimum(key) -> np.ndarray:
         if key not in minima:
-            if stacked:
-                minima[key] = hermitian_eigenvalues_stack(mats[key]).values[:, 0]
-            else:
-                minima[key] = hermitian_eigenvalues(mats[key][0]).values[:1]
+            minima[key] = _sweep_round_robin(*_validated_stack(mats[key], first), first)[0][:, 0]
         return minima[key]
 
     results = {}
@@ -354,7 +366,7 @@ def _check_blocks(a, check_names, tol: float) -> dict:
         if lone:
             ok, min_eig = is_psd(stack.mat[0], tol)
             minima["input"] = np.array([min_eig])
-        if not lone or ok and len(names) > 1:
+        if not lone or ok:
             rest = [key for key in mats if key not in minima]
             try:
                 solved = hermitian_eigenvalues_stack(np.concatenate([mats[key] for key in rest]))
@@ -718,11 +730,12 @@ def _psd_stack(a, batch: PairBatch, tol: float) -> tuple[np.ndarray, list, bool]
         t, rows, cols = mats.shape
         if rows != cols:
             raise ShapeError(f"expected a (T, n, n) stack of square matrices, got shape {mats.shape}")
-        # as_matrix checks a stack's members as the rows of one matrix: nonempty and finite
-        as_matrix(mats.reshape(t * rows, cols))
+        if t:  # as_matrix checks the members as the rows of one matrix: nonempty and finite
+            as_matrix(mats.reshape(t * rows, cols))
     else:
         mats = as_matrix(mats)[np.newaxis]
-    n = require_square(mats[0])
+        require_square(mats[0])
+    n = mats.shape[1]
     try:
         verdicts = [is_psd(mats, tol)]
     except (ConvergenceError, HermiticityError, NormOverflowError):

@@ -19,9 +19,11 @@ new row.
 runners (``_RUNNERS``). It evaluates all of a document's requested block
 checks once (:func:`~blockineq.inequalities._check_blocks`) and hands the
 block checkers the document carrying their reports; the submatrix suites
-get its plain matrix. Nothing a report holds depends on what the process
-solved before. ``_run_choi_certs`` certifies the builtin maps of each
-shape ``(n, k)`` in one call per certificate.
+get its plain matrix. A block report is the same bytes whatever other
+suites run with it, and its residual minima are those of the seeded member
+it was drawn as. Nothing a report holds depends on what the process solved
+before. ``_run_choi_certs`` certifies the builtin maps of each shape
+``(n, k)`` in one call per certificate.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .inequalities import (
     _check_blocks,
     _Checked,
     _chunk_members,
+    _is_integer,
     check_block2,
     check_combined_reduction,
     check_copositive_partial_trace,
@@ -164,11 +167,6 @@ class SuiteConfig:
         object.__setattr__(self, "tol", tol)
         if self.output_format not in ("text", "json"):
             raise UsageError(f"output format must be 'text' or 'json', got {self.output_format!r}")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _listed(value):
@@ -565,19 +563,19 @@ def run_files(config: SuiteConfig, paths) -> RunReport:
     A block document's requested block checks are evaluated once, before
     the suites run, by :func:`~blockineq.inequalities._check_blocks`:
     their terms are assembled once and their residuals (and the partial
-    transpose, for the PPT suites) solved as one stack. From the solvers'
-    crossover dimension up the document itself is in that stack, and every
-    value is bitwise a lone ``check_*`` call's on the document. Below it the
-    document is first tested for PSD alone, and the rest is solved as one
-    stack only for several checks: their residual values agree with lone
-    ``check_*`` calls' to rounding, not bitwise, while one check's are its
-    lone call's, bitwise. ``block2`` is left out of a document without two
-    block rows, which ``check_block2`` refuses at its turn. Each block
-    checker is handed the document carrying the reports, and returns its
-    own, or raises the error it raises alone, at its turn; the submatrix
-    suites get the plain matrix and test it for PSD themselves. Every run
-    solves the same: nothing is kept from one document, or one run, to the
-    next.
+    transpose, for the PPT suites) solved as one stack, in the kernel that
+    gives an entry the same bits in any stack. So every value is bitwise a
+    lone ``check_*`` call's on the document, whatever suites are requested,
+    and each residual minimum is the one a seeded run reports for the same
+    matrix. From the solvers' crossover dimension up the document itself is
+    in that stack; below it the document is first tested for PSD alone, so
+    its ``input_min_eig`` agrees with a seeded member's to rounding.
+    ``block2`` is left out of a document without two block rows, which
+    ``check_block2`` refuses at its turn. Each block checker is handed the
+    document carrying the reports, and returns its own, or raises the error
+    it raises alone, at its turn; the submatrix suites get the plain matrix
+    and test it for PSD themselves. Every run solves the same: nothing is
+    kept from one document, or one run, to the next.
     """
     start = time.perf_counter()
     if "choi_certs" in config.suites:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,7 +262,10 @@ def test_scalar_solver_errors_keep_their_messages(monkeypatch):
     )
     with pytest.raises(NormOverflowError) as err:
         hermitian_eigenvalues(np.full((3, 3), 1e200, dtype=np.complex128))
-    assert str(err.value) == "matrix is too large to solve: ||X||_F = inf overflows float64"
+    assert str(err.value) == (
+        "matrix is too large to solve: the sum of its squared entries overflows float64 "
+        "(||X||_F = 3.000e+200)"
+    )
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
     _, offdiag, _ = jacobi_scalar_reference(good, densemat.JACOBI_RTOL, 1)
     threshold = densemat.JACOBI_RTOL * np.linalg.norm(good)
@@ -558,7 +562,10 @@ def test_a_lone_matrix_in_the_kernel_is_still_named_matrix(monkeypatch, d):
         )
         with pytest.raises(NormOverflowError) as err:
             solve(np.full((d, d), 1e200, dtype=np.complex128))
-        assert str(err.value) == "matrix is too large to solve: ||X||_F = inf overflows float64"
+        assert str(err.value) == (
+            "matrix is too large to solve: the sum of its squared entries overflows float64 "
+            f"(||X||_F = {d * 1e200:.3e})"
+        )
     monkeypatch.setattr(densemat, "MAX_SWEEPS", 1)
     _, offdiag, _ = jacobi_stack_reference(good[np.newaxis], densemat.JACOBI_RTOL, 1)
     threshold = densemat.JACOBI_RTOL * np.linalg.norm(good)
@@ -717,7 +724,12 @@ def test_overflowing_norm_is_named_before_any_sweep(monkeypatch):
     big = np.full((4, 4), 1e200, dtype=np.complex128)
     with pytest.raises(NormOverflowError, match=r"^matrix is too large to solve: .* overflows"):
         hermitian_eigenvalues(big)
-    with pytest.raises(NormOverflowError, match=r"^stack member 1 is too large to solve: .*= inf"):
+    # the norm, 4e200, is finite: the message gives it, and says its sum of squares overflows
+    with pytest.raises(
+        NormOverflowError,
+        match=r"^stack member 1 is too large to solve: the sum of its squared entries "
+        r"overflows float64 \(\|\|X\|\|_F = 4\.000e\+200\)$",
+    ):
         hermitian_eigenvalues_stack(np.stack([np.eye(4), big, big]))
     with pytest.raises(NormOverflowError, match="stack member 0 .*= nan overflows"):
         hermitian_eigenvalues_stack(np.stack([np.full((4, 4), np.nan), np.eye(4)]))
@@ -906,13 +918,17 @@ def test_is_psd_of_a_stack_names_a_failing_member_as_the_scalar_solver_fails_it(
         if accepted:
             assert np.array(minima).tobytes() == np.array([min(order)] * 3).tobytes()
     assert verdicts == {True, False}  # the edge cuts through the orders
-    # twice that is refused by all three, by name
+    # twice that is refused by all three, by name, with its finite norm
     edge = 2 * np.diag(entries).astype(np.complex128)
-    with pytest.raises(NormOverflowError, match="^matrix is too large to solve: .*= inf"):
+    norm = f"{2 * 1e154 * np.linalg.norm(np.array(entries) / 1e154):.3e}"
+    says = re.escape(
+        f"is too large to solve: the sum of its squared entries overflows float64 (||X||_F = {norm})"
+    )
+    with pytest.raises(NormOverflowError, match=f"^matrix {says}$"):
         hermitian_eigenvalues(edge)
-    with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve: .*= inf"):
+    with pytest.raises(NormOverflowError, match=f"^stack member 1 {says}$"):
         hermitian_eigenvalues_stack(np.stack([eye, edge]))
-    with pytest.raises(NormOverflowError, match="^stack member 1 is too large to solve: .*= inf"):
+    with pytest.raises(NormOverflowError, match=f"^stack member 1 {says}$"):
         is_psd(np.stack([eye, edge, eye]))
     with pytest.raises(NormOverflowError, match="^stack member 0 .*= nan overflows"):
         is_psd(np.stack([np.full((4, 4), np.nan), np.eye(4)]))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from blockineq import (
     submatrix,
 )
 from blockineq import densemat, inequalities
-from blockineq.blockops import partial_transpose
+from blockineq.blockops import is_ppt, partial_transpose
 from blockineq.densemat import hermitian_eigenvalues, hermitian_eigenvalues_stack
 from blockineq.suites import RunReport, SuiteConfig
 from blockineq.inequalities import _BLOCK_INEQUALITIES, _residual, _verdict
@@ -94,6 +95,39 @@ def test_index_set_validation():
 def test_index_set_of_sorts_and_dedupes():
     assert IndexSet.of(5, [4, 1, 4, 2]).members == (1, 2, 4)
     assert IndexSet.full(3).members == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [(1.5,), (1, 2.9), (1.0,), (True,), (np.bool_(True),), ("1",), (np.float64(2.0),)],
+    ids=["half", "second_float", "whole_float", "bool", "numpy_bool", "str", "numpy_float"],
+)
+def test_index_set_refuses_an_index_that_is_not_an_integer(members):
+    # int() would truncate 1.5 to 1 and take True as 1: a set nobody asked for
+    with pytest.raises(UsageError, match="^indices must be integers, got "):
+        IndexSet(3, members)
+    with pytest.raises(UsageError, match="^indices must be integers, got "):
+        IndexSet.of(3, members)
+
+
+@pytest.mark.parametrize("universe", [2.5, 3.0, True, np.float64(3.0), "3"])
+def test_index_set_refuses_a_universe_that_is_not_an_integer(universe):
+    with pytest.raises(UsageError, match="^universe must be a positive integer, got "):
+        IndexSet(universe, (1,))
+
+
+def test_index_set_takes_numpy_integers_as_ints():
+    s = IndexSet(np.int64(3), (np.int64(1), np.uint8(3)))
+    assert s.members == (1, 3) and all(type(i) is int for i in s.members)
+    assert type(s.universe) is int
+    assert IndexSet.of(3, np.array([3, 1, 3])).members == (1, 3)
+    # so a checker is handed the pair it was asked for, or none, and its
+    # report's shape is an int that JSON writes
+    a = random_psd(3, 3, 5)
+    rep = check_trace_submatrix(a, IndexSet(np.int64(3), (1,)), IndexSet(np.int64(3), (2,)))
+    assert type(rep.shape) is int
+    with pytest.raises(UsageError, match="^indices must be integers"):
+        check_trace_submatrix(a, IndexSet(3, (1.5,)), IndexSet(3, (2.7,)))
 
 
 def test_index_set_algebra():
@@ -596,6 +630,21 @@ def test_det_submatrix_hand_example_3x3_desnanot():
     assert rep.details["desnanot_case"] is True
 
 
+@pytest.mark.parametrize(
+    "check, distinct", [(check_trace_submatrix, False), (check_det_submatrix, True)]
+)
+def test_a_submatrix_check_of_an_empty_stack_is_an_empty_list(check, distinct):
+    # as a block checker's of an empty BlockStack; the pairs' universe must
+    # still be the members' dimension, and tol is still checked
+    empty = np.zeros((0, 3, 3))
+    assert check(empty, exhaustive_pairs(3, distinct), tol=1e-9) == []
+    assert check(empty, IndexSet(3, (1,)), IndexSet(3, (2,))) == []
+    with pytest.raises(ShapeError, match="^index-set universe 3 does not match matrix dimension 4$"):
+        check(np.zeros((0, 4, 4)), exhaustive_pairs(3, distinct), tol=1e-9)
+    with pytest.raises(UsageError, match="^tolerance must be finite and nonnegative"):
+        check(empty, exhaustive_pairs(3, distinct), tol=-1.0)
+
+
 def test_det_submatrix_disjoint_uses_empty_intersection():
     rng = np.random.default_rng(71)
     a = random_psd_lapack(rng, 4)
@@ -879,11 +928,11 @@ def test_block_check_refuses_a_member_outside_the_hypothesis_before_an_overflow(
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
-def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, monkeypatch):
+def test_block_check_on_a_one_member_stack_is_bitwise_the_lone_check(name, monkeypatch):
     # a one-member stack solves its input and its residuals as one merged
-    # stack of at least two, which the stacked solver takes; one BlockMatrix
-    # solves each alone, and the stacked solver hands a stack of one to the
-    # scalar solver
+    # stack; one BlockMatrix tests its input alone and solves the rest as one
+    # stack. The kernel gives an entry the same bits in either, so only the
+    # input's own minimum, the scalar solver's for one matrix, may differ
     one = _ppt_stack(1)
     sides, _ = _BLOCK_INEQUALITIES[name][1](one)
     shapes = _count_residual_solves(monkeypatch)
@@ -891,57 +940,91 @@ def test_block_check_on_a_one_member_stack_agrees_with_the_scalar_path(name, mon
     assert shapes == [(_tested(name) + len(sides), 6, 6)]
     want = _BLOCK_CHECKERS[name](one[0])
     assert got.passed == want.passed
-    for label, _, _ in sides:
-        bound = STACK_AGREEMENT_RTOL * want.details[f"scale_{label}"]
-        drift = abs(got.details[f"min_eig_{label}"] - want.details[f"min_eig_{label}"])
-        assert drift <= bound, label
+    bound = STACK_AGREEMENT_RTOL * max(1.0, np.linalg.norm(one.mat))
+    assert abs(got.details["input_min_eig"] - want.details["input_min_eig"]) <= bound
+    got.details["input_min_eig"] = want.details["input_min_eig"]
+    assert json.dumps(got.details) == json.dumps(want.details)
+    assert _same_bits(got.residual_min_eig, want.residual_min_eig)
 
 
 def _count_solves(monkeypatch) -> tuple[list, list]:
-    """The matrices the scalar solver solved, and the sizes of stacked solves, of one too."""
-    scalar, stacked = [], []
+    """The matrices the scalar solver solved alone, and the sizes of the block checks' kernel solves.
+
+    A kernel solve is a stacked one, or one entry solved alone after the
+    stack raised.
+    """
+    scalar, kernel = [], []
 
     def solve_one(x):
         scalar.append(np.array(x))
         return hermitian_eigenvalues(x)
 
     def solve_stack(x):
-        stacked.append(len(x))
+        kernel.append(len(x))
         return hermitian_eigenvalues_stack(x)
 
-    for module in (densemat, inequalities):
-        monkeypatch.setattr(module, "hermitian_eigenvalues", solve_one)
-        monkeypatch.setattr(module, "hermitian_eigenvalues_stack", solve_stack)
-    return scalar, stacked
+    def sweep_entry(a, scale, first):
+        kernel.append(len(a))
+        return densemat._sweep_round_robin(a, scale, first)
+
+    monkeypatch.setattr(densemat, "hermitian_eigenvalues", solve_one)
+    monkeypatch.setattr(inequalities, "hermitian_eigenvalues_stack", solve_stack)
+    monkeypatch.setattr(inequalities, "_sweep_round_robin", sweep_entry)
+    return scalar, kernel
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
-def test_block_check_on_one_matrix_makes_only_scalar_solves(name, monkeypatch):
-    # one BlockMatrix solves its input, its partial transpose (PPT checks) and
-    # each side's residual alone, with the scalar solver, which is the faster
-    # on one matrix; each reported minimum is that solver's, bitwise
-    one = _ppt_stack(1)
-    a = one[0]
-    sides, _ = _BLOCK_INEQUALITIES[name][1](one)
-    want = {"input": a.mat}
-    if _BLOCK_INEQUALITIES[name][0] == "ppt":
-        want["input_tau"] = partial_transpose(a).mat
-    want.update(((name, label), _residual(lhs, rhs)[0]) for label, lhs, rhs in sides)
-    scalar, stacked = _count_solves(monkeypatch)
+def test_block_check_on_one_matrix_solves_all_but_its_input_in_one_stack(name, monkeypatch):
+    # below the crossover one BlockMatrix is tested for PSD alone, with the
+    # scalar solver; its partial transpose (PPT checks) and each side's
+    # residual are one kernel solve, where each minimum has the bits of that
+    # entry's own kernel solve, as in a stack of any size
+    a = _ppt_stack(1)[0]
+    want = _to_solve_alone(name, a)
+    scalar, kernel = _count_solves(monkeypatch)
     got = _BLOCK_CHECKERS[name](a)
-    assert stacked == []
-    assert len(scalar) == len(want) == _tested(name) + len(sides)
-    for solved, mat in zip(scalar, want.values()):
-        assert np.array_equal(solved, mat)
-    details = {"input": "input_min_eig", "input_tau": "input_tau_min_eig"}
-    details.update(((name, label), f"min_eig_{label}") for label, _, _ in sides)
-    for key, mat in want.items():
-        assert got.details[details[key]] == hermitian_eigenvalues(mat).values[0], key
+    assert len(scalar) == 1 and np.array_equal(scalar[0], a.mat)
+    assert kernel == [len(want) - 1]
+    assert got.details["input_min_eig"] == hermitian_eigenvalues(a.mat).values[0]
+    del want["input_min_eig"]
+    for detail, mat in want.items():
+        alone = hermitian_eigenvalues_stack(mat[np.newaxis]).values[0, 0]
+        assert _same_bits(got.details[detail], alone), detail
     # a document that carries its reports is answered from them, without a solve
     scalar.clear()
+    kernel.clear()
     checked = inequalities._Checked(a.m, a.n, a.mat, {name: got})
     assert _BLOCK_CHECKERS[name](checked) is got
-    assert (scalar, stacked) == ([], [])
+    assert (scalar, kernel) == ([], [])
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
+def test_no_block_residual_reaches_the_row_cyclic_sweep(name, monkeypatch):
+    # the row-cyclic loop sweeps one thing of a block check: the input, for
+    # one matrix below the crossover. A partial transpose or a residual is
+    # swept in the kernel, on one matrix or a stack, and after a stack error
+    swept = []
+    real_sweep = densemat._sweep
+
+    def sweep(rows, n, threshold, member=None):
+        swept.append(np.array(rows))
+        return real_sweep(rows, n, threshold, member)
+
+    monkeypatch.setattr(densemat, "_sweep", sweep)
+    a = _ppt_stack(1)[0]
+    _BLOCK_CHECKERS[name](a)
+    assert len(swept) == 1 and np.array_equal(swept[0], a.mat)
+    swept.clear()
+    _BLOCK_CHECKERS[name](_ppt_stack(3))
+    # diag(1e154, 0, ...): the stack raises on an overflowing residual, and each entry is
+    # solved alone; its input alone is PSD-tested in the scalar loop
+    big = BlockMatrix(2, 2, np.diag([1e154, 0.0, 0.0, 0.0]).astype(np.complex128))
+    for x in (big, BlockStack(2, 2, big.mat[np.newaxis])):
+        try:
+            _BLOCK_CHECKERS[name](x)
+        except NormOverflowError:
+            pass
+    assert len(swept) == 1 and np.array_equal(swept[0], big.mat)
 
 
 def test_block_checks_together_stop_at_the_first_that_refuses():
@@ -987,9 +1070,9 @@ def test_a_lone_check_from_the_crossover_up_is_one_stacked_solve(name, monkeypat
     # and the kernel gives each the bits of its own solve
     a = random_separable(2, _KERNEL_N, 2, 7)
     want = _to_solve_alone(name, a)
-    scalar, stacked = _count_solves(monkeypatch)
+    scalar, kernel = _count_solves(monkeypatch)
     got = _BLOCK_CHECKERS[name](a)
-    assert (scalar, stacked) == ([], [len(want)])
+    assert (scalar, kernel) == ([], [len(want)])
     for detail, mat in want.items():
         alone = hermitian_eigenvalues(mat).values[0]
         assert np.float64(got.details[detail]).tobytes() == alone.tobytes(), detail
@@ -998,25 +1081,27 @@ def test_a_lone_check_from_the_crossover_up_is_one_stacked_solve(name, monkeypat
 @pytest.mark.parametrize("name", sorted(_BLOCK_CHECKERS))
 def test_a_lone_check_from_the_crossover_up_solves_each_entry_after_an_error(name, monkeypatch):
     # x = 1e154 on the diagonal: a residual's norm overflows, so the one stack
-    # raises and each entry is solved alone, the hypothesis first. With -x/100
-    # on the diagonal too, the input is refused before that error; without it,
-    # the error is raised, naming one matrix "matrix" (block2's residual holds
-    # no x and solves)
+    # raises and each entry is solved alone in the kernel, the hypothesis
+    # first. With -x/100 on the diagonal too, the input is refused before
+    # that error; without it, the error is raised, naming one matrix
+    # "matrix" (block2's residual holds no x and solves)
     d = 2 * _KERNEL_N
     big = [1e154] + [0.0] * (d - 1)
     outside = BlockMatrix(2, _KERNEL_N, np.diag(big[:-1] + [-1e152]).astype(np.complex128))
-    scalar, stacked = _count_solves(monkeypatch)
+    scalar, kernel = _count_solves(monkeypatch)
     hypothesis = _BLOCK_INEQUALITIES[name][0].upper()
     with pytest.raises(PreconditionError, match=f"^input is not {hypothesis} within tol"):
         _BLOCK_CHECKERS[name](outside)
-    assert len(stacked) == 1 and len(scalar) == 1 + (hypothesis == "PPT")
+    # the stack, then the hypothesis' entries, each alone
+    want = [len(_to_solve_alone(name, outside))] + [1] * _tested(name)
+    assert (scalar, kernel) == ([], want)
     if name == "block2":
         return
-    scalar.clear()
-    stacked.clear()
+    kernel.clear()
     with pytest.raises(NormOverflowError, match="^matrix is too large to solve"):
         _BLOCK_CHECKERS[name](BlockMatrix(2, _KERNEL_N, np.diag(big).astype(np.complex128)))
-    assert len(stacked) == 1 and len(scalar) > 1 + (hypothesis == "PPT")
+    # then the residuals alone, up to the one refused as it is validated, before its sweep
+    assert scalar == [] and kernel[: len(want)] == want and set(kernel[len(want) :]) <= {1}
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0])
@@ -1024,16 +1109,51 @@ def test_a_lone_check_from_the_crossover_up_solves_each_entry_after_an_error(nam
 def test_block_check_refuses_a_bad_tol_before_any_solve(name, tol, monkeypatch):
     # the member of 1e160 entries has a norm that overflows: a solve would
     # raise NormOverflowError (exit 3) in place of the usage error (exit 2)
-    def no_solve(x):
+    def no_solve(*args):
         raise AssertionError("a matrix was solved before tol was refused")
 
-    for module in (densemat, inequalities):
-        monkeypatch.setattr(module, "hermitian_eigenvalues", no_solve)
-        monkeypatch.setattr(module, "hermitian_eigenvalues_stack", no_solve)
+    for module in (densemat, inequalities):  # every solve validates its matrices here first
+        monkeypatch.setattr(module, "_validated_stack", no_solve)
     big = np.full((4, 4), 1e160, dtype=np.complex128)
     for a in (BlockMatrix(2, 2, big), BlockStack(2, 2, np.stack([np.eye(4), big]))):
         with pytest.raises(UsageError, match="^tolerance must be finite and nonnegative"):
             _BLOCK_CHECKERS[name](a, tol)
+
+
+@pytest.mark.parametrize(
+    "tol, says",
+    [
+        (True, "a real number, got True"),
+        (np.bool_(False), "a real number, got "),
+        ("1e-9", "a real number, got '1e-9'"),
+        (None, "a real number, got None"),
+        (1e-9j, "a real number, got 1e-09j"),
+        (2**1024, "finite and nonnegative, got 1797"),
+    ],
+    ids=["true", "numpy_bool", "str", "none", "complex", "int_past_float64"],
+)
+def test_a_tol_that_is_not_a_finite_real_number_is_refused_everywhere(tol, says):
+    # a bool is not a tolerance (True would pass diag(1, -0.5) as PSD), and a
+    # string is a usage error, not a TypeError from deep in a comparison
+    a = np.diag([1.0, -0.5]).astype(np.complex128)
+    block = BlockMatrix(2, 2, np.eye(4, dtype=np.complex128))
+    calls = [
+        lambda: densemat.is_psd(a, tol),
+        lambda: densemat.psd_verdict(np.array([-0.5]), a[np.newaxis], tol),
+        lambda: is_ppt(block, tol),
+        lambda: check_upper_bound(block, tol),
+        lambda: check_ppt_reduction(BlockStack(2, 2, block.mat[np.newaxis]), tol),
+        lambda: check_trace_submatrix(a.real, IndexSet(2, (1,)), IndexSet(2, (2,)), tol),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match=f"^tolerance must be {re.escape(says)}"):
+            call()
+
+
+def test_a_tol_of_any_real_type_is_taken():
+    a = np.diag([1.0, 1e-12]).astype(np.complex128)
+    for tol in (0, np.float32(1e-9), np.int64(1), np.float64(1e-9)):
+        assert densemat.is_psd(a, tol) == (True, 1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

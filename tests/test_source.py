@@ -226,3 +226,32 @@ def test_a_stack_is_one_kernel_solve_whatever_its_size():
     for body in ("return _sweep_each(x)", "return densemat.solves_in_round_robin(2)"):
         source = f"def hermitian_eigenvalues_stack(x):\n    {body}\n"
         assert _function_names(source, "hermitian_eigenvalues_stack") & _ORDER_PICKERS, body
+
+
+# what sweeps a matrix alone in the row-cyclic order below the crossover
+_ROW_CYCLIC = {"hermitian_eigenvalues", "_sweep", "_sweep_each"}
+
+
+def _names_and_imports(source: str) -> set[str]:
+    """:func:`_names_in`, and the name each import takes from its module, renamed or not."""
+    return _names_in(source) | {
+        node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.alias)
+    }
+
+
+def test_block_residuals_are_swept_in_the_kernel_only():
+    # a block check sweeps its partial transposes and residuals in the
+    # round-robin kernel, whatever their number and however they came: the
+    # checkers name no solver that takes the row-cyclic order. A lone input
+    # is PSD-tested through is_psd, which is what decides its order
+    names = _names_and_imports((SRC / "inequalities.py").read_text(encoding="utf-8"))
+    assert {"_sweep_round_robin", "hermitian_eigenvalues_stack", "is_psd"} <= names
+    assert names & _ROW_CYCLIC == set()
+    # and it sees such a name wherever it is read
+    for line in (
+        "from .densemat import hermitian_eigenvalues",
+        "from .densemat import hermitian_eigenvalues as solve",
+        "densemat._sweep(rows, n, t)",
+        "_sweep_each(x, 0)",
+    ):
+        assert _names_and_imports(line) & _ROW_CYCLIC, line

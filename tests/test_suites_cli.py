@@ -347,15 +347,14 @@ def _agreement_scale(key, details, input_scale):
     return input_scale
 
 
-def _assert_agrees(got, want, a, exact=()):
-    """``got`` has ``want``'s name, verdict, shape and detail keys; its flags and
-    the details named in ``exact`` are equal, and its other numbers agree
-    within ``STACK_AGREEMENT_RTOL`` of their scale."""
+def _assert_agrees(got, want, a):
+    """``got`` has ``want``'s name, verdict, shape and detail keys; its flags are
+    equal, and its numbers agree within ``STACK_AGREEMENT_RTOL`` of their scale."""
     assert (got.check_name, got.passed, got.shape) == (want.check_name, want.passed, want.shape)
     assert list(got.details) == list(want.details)
     input_scale = max(1.0, np.linalg.norm(a.mat))
     for key, value in want.details.items():
-        if isinstance(value, bool) or key in exact:
+        if isinstance(value, bool):
             assert got.details[key] == value, key
             continue
         bound = STACK_AGREEMENT_RTOL * _agreement_scale(key, want.details, input_scale)
@@ -742,28 +741,38 @@ def _file_document(tmp_path, kind, m, n, seed=17):
 
 
 class _Solves:
-    """Counts eigensolves: scalar ones, and the sizes of stacked ones, of one matrix too."""
+    """Counts eigensolves: the scalar solver's lone ones, and the sizes of the block checks' kernel ones.
+
+    A kernel solve is a stacked one, or one entry solved alone after the
+    stack raised.
+    """
 
     def __init__(self, monkeypatch):
         self.scalar = 0
-        self.stacked = []
+        self.kernel = []
         real_scalar = densemat.hermitian_eigenvalues
         real_stack = densemat.hermitian_eigenvalues_stack
+        real_entry = densemat._sweep_round_robin
 
         def scalar(x):
             self.scalar += 1
             return real_scalar(x)
 
         def stack(x):
-            self.stacked.append(len(x))
+            self.kernel.append(len(x))
             return real_stack(x)
 
+        def entry(a, scale, first):
+            self.kernel.append(len(a))
+            return real_entry(a, scale, first)
+
+        monkeypatch.setattr(densemat, "hermitian_eigenvalues", scalar)
         for module in (densemat, inequalities):
-            monkeypatch.setattr(module, "hermitian_eigenvalues", scalar)
             monkeypatch.setattr(module, "hermitian_eigenvalues_stack", stack)
+        monkeypatch.setattr(inequalities, "_sweep_round_robin", entry)
 
     def counts(self):
-        return self.scalar, list(self.stacked)
+        return self.scalar, list(self.kernel)
 
 
 @pytest.mark.parametrize("kind", _FILE_KINDS)
@@ -786,23 +795,18 @@ def test_run_files_matches_each_checker_alone(tmp_path, monkeypatch, m, n, kind)
     # the block checks are evaluated once for the document; the checkers
     # return the reports it carries and solve nothing more
     assert after_checks == [solves.counts()]
-    scalar, stacked = solves.counts()
+    scalar, kernel = solves.counts()
     assert report.passed
-    if densemat.solves_in_round_robin(m * n):
-        # the input joins the one stack of its partial transpose and every
-        # residual, as in a lone check, so every value is the lone check's
-        assert scalar == 0 and len(stacked) == 1
-        for name in names:
-            (got,) = report.reports[name]
-            assert json.dumps(report_to_doc(replace(got, seed_info=None))) == json.dumps(
-                report_to_doc(wants[name])
-            )
-        return
-    # the input alone, then every residual (and the partial transpose) in one stack
-    assert scalar == 1 and len(stacked) == 1
+    # from the crossover up the input joins the one stack of its partial
+    # transpose and every residual; below it the input is tested alone first.
+    # A lone check does the same, and the kernel gives an entry the same bits
+    # in any stack, so every value is the lone check's
+    assert scalar == (0 if densemat.solves_in_round_robin(m * n) else 1) and len(kernel) == 1
     for name in names:
         (got,) = report.reports[name]
-        _assert_agrees(got, wants[name], a, exact=("input_min_eig",))
+        assert json.dumps(report_to_doc(replace(got, seed_info=None))) == json.dumps(
+            report_to_doc(wants[name])
+        )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -904,9 +908,9 @@ def test_run_files_checks_a_block_document_as_a_submatrix_suite_alone(
     alone = run_files(SuiteConfig(suites=(suite,), tol=tol), [path])
     solves = _Solves(monkeypatch)
     both = run_files(SuiteConfig(suites=("theorem2", suite), tol=tol), [path])
-    # theorem2, one check below the crossover, solves the input and its two
-    # residuals each alone; then the submatrix suite solves the input
-    assert solves.counts() == (4, [])
+    # theorem2, one check below the crossover, tests the input alone and
+    # solves its two residuals as one stack; then the submatrix suite tests the input
+    assert solves.counts() == (2, [2])
     assert both.reports[suite] == alone.reports[suite]
     got = [ce.to_doc() for ce in both.counterexamples if ce.suite == suite]
     assert got and got == [ce.to_doc() for ce in alone.counterexamples]
@@ -1009,7 +1013,9 @@ def test_run_files_raises_as_each_checker_alone(tmp_path, monkeypatch, doc, erro
         run_files(SuiteConfig(suites=tuple(names)), [path])
     assert str(got.value) == str(want)
     assert completed == done_alone
-    assert len(solves.stacked) == (1 if stacked else 0)
+    # the document's one stack, when its input is not refused first; after it
+    # raises, each entry is solved alone
+    assert bool(solves.kernel) == stacked and set(solves.kernel[1:]) <= {1}
 
 
 def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, capsys):
@@ -1022,10 +1028,10 @@ def test_block2_on_a_scaled_rank_one_document_passes(tmp_path, monkeypatch, caps
     solves = _Solves(monkeypatch)
     assert main(["verify", "--suite", "block2", str(path)]) == 0
     assert "suite block2: checks=1 failed=0" in capsys.readouterr().out
-    # one check below the crossover: the input, then its one residual, each
-    # alone; the checker returns the report the document carries
-    assert solves.counts() == (2, [])
-    solves.scalar, solves.stacked = 0, []
+    # one check below the crossover: the input alone, then its one residual
+    # in the kernel; the checker returns the report the document carries
+    assert solves.counts() == (1, [1])
+    solves.scalar, solves.kernel = 0, []
     names = ("theorem2", "upper_bound", "corollary6", "block2")
     assert run_files(SuiteConfig(suites=names), [path]).passed
     assert solves.counts() == (1, [6])
@@ -1073,19 +1079,67 @@ def test_verify_refuses_a_non_psd_three_block_row_document_at_theorem2_first(tmp
 
 @pytest.mark.parametrize("suite", ["theorem2", "corollary3", "combined", "corollary6"])
 def test_run_files_of_one_block_suite_is_bitwise_the_lone_check(tmp_path, monkeypatch, suite):
-    # one check below the crossover solves each of its entries alone, as a
-    # lone check_* call does, so each of its several residuals' minima is the
-    # lone call's, bitwise, and not a stacked solve's
-    path, a, _ = _file_document(tmp_path, "separable", 2, 4)
+    # one check below the crossover tests its input alone and solves the rest
+    # (the partial transpose for a PPT suite, then two residuals) as one
+    # stack, as a lone check_* call does: its report is the lone call's, bitwise
+    path, a, names = _file_document(tmp_path, "separable", 2, 4)
     checker, kind = _REPLAY[suite]
     want = checker(a, 1e-9)
-    entries = (2 if kind == "ppt" else 1) + 2  # the hypothesis, then two residuals
+    entries = (1 if kind == "ppt" else 0) + 2
     solves = _Solves(monkeypatch)
     (got,) = run_files(SuiteConfig(suites=(suite,)), [path]).reports[suite]
-    assert solves.counts() == (entries, [])
+    assert solves.counts() == (1, [entries])
     assert json.dumps(report_to_doc(replace(got, seed_info=None))) == json.dumps(
         report_to_doc(want)
     )
+    # and so is its report in a run of every block suite
+    (together,) = run_files(SuiteConfig(suites=tuple(names)), [path]).reports[suite]
+    assert report_to_doc(together) == report_to_doc(got)
+
+
+def _doc_json(rep, drop=()) -> str:
+    """``rep`` as its report document's JSON, bitwise, without ``seed_info`` and the details in ``drop``."""
+    doc = report_to_doc(replace(rep, seed_info=None))
+    doc["details"] = {key: value for key, value in doc["details"].items() if key not in drop}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("suite", sorted(_REPLAY))
+def test_a_seeded_block_report_replays_bitwise_from_its_document(tmp_path, suite):
+    # each seeded report of seed 42 at 2x2, 2x3 and 3x3 (block2 at its two
+    # block-row shapes), written as a document and replayed by the suite
+    # alone, gives the same report in every detail but input_min_eig: a
+    # seeded member's input is solved in the kernel, a document below the
+    # crossover alone in the scalar loop. Every residual minimum is the
+    # kernel's, whatever stack its entry was in
+    shapes = [shape for shape in ((2, 2), (2, 3), (3, 3)) if suite != "block2" or shape[0] == 2]
+    cfg = SuiteConfig(suites=(suite,), trials=_REPLAY_TRIALS, shapes=tuple(shapes), seed=42)
+    seeded = run_suite(cfg).reports[suite]
+    assert len(seeded) == len(shapes) * _REPLAY_TRIALS
+    for k, want in enumerate(seeded):
+        m, n = shapes[k // _REPLAY_TRIALS]
+        a, info = _replay(suite, m, n, k % _REPLAY_TRIALS, cfg.seed, cfg.tol)
+        assert want.seed_info == info
+        path = tmp_path / f"{k}.json"
+        save(path, a)
+        (got,) = run_files(SuiteConfig(suites=(suite,)), [path]).reports[suite]
+        assert _doc_json(got, drop=("input_min_eig",)) == _doc_json(want, drop=("input_min_eig",)), k
+        bound = STACK_AGREEMENT_RTOL * max(1.0, np.linalg.norm(a.mat))
+        assert abs(got.details["input_min_eig"] - want.details["input_min_eig"]) <= bound, k
+
+
+@pytest.mark.parametrize("kind", _FILE_KINDS)
+@pytest.mark.parametrize("m, n", ((2, 2), (2, 3), (3, 2), *_FILE_SHAPES))
+def test_a_document_reports_the_same_bytes_whatever_suites_run_with_it(tmp_path, kind, m, n):
+    # a block suite's report on a document is byte-identical whether the
+    # suite runs alone or with every block suite that applies to it, on
+    # either side of the crossover
+    path, _, names = _file_document(tmp_path, kind, m, n)
+    together = run_files(SuiteConfig(suites=tuple(names)), [path]).reports
+    for name in names:
+        (alone,) = run_files(SuiteConfig(suites=(name,)), [path]).reports[name]
+        (got,) = together[name]
+        assert json.dumps(report_to_doc(got)) == json.dumps(report_to_doc(alone)), name
 
 
 _BLOCK_SUITE_NAMES = ("theorem2", "upper_bound", "corollary6", "block2", "corollary3", "combined")
@@ -1106,7 +1160,7 @@ def test_block_suite_solve_budget(monkeypatch, suite, shape):
     # LAPACK, not the Jacobi. A duplicated solve fails this test.
     solves = _Solves(monkeypatch)
     run_suite(SuiteConfig(suites=(suite,), trials=25, shapes=(shape,), seed=42))
-    assert solves.scalar == 0 and len(solves.stacked) == 1
+    assert solves.scalar == 0 and len(solves.kernel) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1320,21 +1374,25 @@ def test_cli_verify_exit3_on_non_hermitian_input(tmp_path, capsys):
 
 
 def test_cli_verify_exit3_on_overflowing_input(tmp_path, capsys):
-    # finite entries of 1e200, but the Frobenius norm overflows float64
+    # finite entries of 1e200 and a finite Frobenius norm, 4e200, whose sum
+    # of squares overflows float64: the message gives the norm
     path = tmp_path / "big.json"
     save(path, BlockMatrix(2, 2, np.full((4, 4), 1e200)))
     assert main(["verify", "--suite", "theorem2", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure: matrix is too large to solve: ||X||_F = inf overflows" in err
-    assert "did not converge" not in err
-    # a finite norm, but block2's products overflow: the document's stacked
-    # solve gives up, and block2's own solve of its residual refuses it
+    assert capsys.readouterr().err == (
+        "numerical failure: matrix is too large to solve: the sum of its squared entries "
+        "overflows float64 (||X||_F = 4.000e+200)\n"
+    )
+    # the input's norm is small enough, but block2's products are not: the
+    # document's stacked solve gives up, and block2's own solve of its
+    # residual refuses it
     path = tmp_path / "products.json"
     save(path, BlockMatrix(2, 2, random_psd(4, 4, 3) * 1e100))
     assert main(["verify", "--suite", "theorem2", "--suite", "block2", str(path)]) == 3
-    err = capsys.readouterr().err
-    want = "numerical failure: matrix is too large to solve: ||X||_F = inf overflows float64\n"
-    assert err == want
+    assert capsys.readouterr().err == (
+        "numerical failure: matrix is too large to solve: the sum of its squared entries "
+        "overflows float64 (||X||_F = 2.926e+202)\n"
+    )
 
 
 def test_cli_verify_refuses_a_non_ppt_document_before_another_suite_overflows(tmp_path, capsys):
